@@ -6,8 +6,10 @@
     capabilities (Morello / CHERI-RISC-V), restricted to the bits the
     revocation machinery cares about. *)
 
-type t
-(** An immutable set of permission bits. *)
+type t = private int
+(** An immutable set of permission bits, one bit per permission below.
+    Coercing to [int] ([(p :> int)]) lets hot checks test bits inline;
+    every value is still built by this module. *)
 
 val empty : t
 (** No permissions at all. *)

@@ -12,8 +12,6 @@
     independent caches, which is exactly the behaviour this model gives
     (see DESIGN.md and §7.5 of the paper). *)
 
-type t
-
 type stats = {
   mutable l1_hits : int;
   mutable l2_hits : int;
@@ -22,7 +20,25 @@ type stats = {
   mutable accesses : int;
 }
 
+type level = private {
+  lines : int array;  (** per slot: the resident line address, or [-1] *)
+  dirty : Bytes.t;  (** per slot: ['\001'] when dirty, ['\000'] when clean *)
+  mask : int;  (** slot of line [l] is [l land mask] (direct-mapped) *)
+}
+
+type t = private { l1 : level; l2 : level; st : stats }
+(** Readable so that the machine can take an L1 hit inline — check the
+    slot, mark it dirty on a write, bump [accesses] and [l1_hits], charge
+    {!l1_latency} — exactly as {!access} would; everything else goes
+    through {!access}. *)
+
 val line_size : int
+
+val line_shift : int
+(** [line_size = 1 lsl line_shift]. *)
+
+val l1_latency : int
+(** Cycles charged for an L1 hit. *)
 
 val create : ?l1_kib:int -> ?l2_kib:int -> unit -> t
 (** Defaults: 4 KiB L1, 64 KiB L2 (direct-mapped) — Morello's 64 KiB /

@@ -2,11 +2,26 @@ module Capability = Cheri.Capability
 
 let granule = 16
 
+(* Demand paging: data bytes and shadow capabilities live in per-page
+   chunks. A page nobody has written reads through [zero_page], which is
+   shared by every memory and never written; its first write gives it a
+   private data chunk, and its first tagged capability store a private
+   shadow chunk. Tags stay one dense bitmap so the word-scan kernels read
+   them exactly as before. Invariants: a page whose data chunk is
+   [zero_page] is all zero bytes and has no tag set; a granule whose tag is
+   set has a shadow chunk holding its capability. *)
+let page_size = 4096
+let page_shift = 12
+let page_mask = page_size - 1
+let page_granules = page_size / granule
+let zero_page = Bytes.make page_size '\000'
+let no_caps : Capability.t array = [||]
+
 type t = {
   size : int;
-  data : Bytes.t;
+  data : Bytes.t array; (* per page; [zero_page] until first written *)
+  caps : Capability.t array array; (* per page; [no_caps] until first tagged store *)
   tags : Bytes.t; (* one bit per granule *)
-  shadow : Capability.t array; (* valid iff corresponding tag is set *)
 }
 
 (* One tag bit per granule, packed little-endian: granule [g] is bit
@@ -17,11 +32,12 @@ type t = {
 let create ~size =
   let size = (size + granule - 1) / granule * granule in
   let ngran = size / granule in
+  let npages = (size + page_size - 1) / page_size in
   {
     size;
-    data = Bytes.make size '\000';
+    data = Array.make npages zero_page;
+    caps = Array.make npages no_caps;
     tags = Bytes.make ((ngran + 63) / 64 * 8) '\000';
-    shadow = Array.make ngran Capability.null;
   }
 
 let size m = m.size
@@ -31,6 +47,25 @@ let check m a w =
     invalid_arg (Printf.sprintf "Mem: access [%#x,+%d) outside [0,%#x)" a w m.size)
 
 let gidx a = a / granule
+
+(* The page's own data chunk, created on first use. *)
+let writable_page m p =
+  let d = Array.unsafe_get m.data p in
+  if d != zero_page then d
+  else begin
+    let d = Bytes.make page_size '\000' in
+    m.data.(p) <- d;
+    d
+  end
+
+let cap_page m p =
+  let c = Array.unsafe_get m.caps p in
+  if c != no_caps then c
+  else begin
+    let c = Array.make page_granules Capability.null in
+    m.caps.(p) <- c;
+    c
+  end
 
 (* Branch-free SWAR popcount; shared by the word-scan kernels and
    Revmap's painted-bit accounting. *)
@@ -53,35 +88,65 @@ let read_tag m a =
   check m a 1;
   unsafe_read_tag m (gidx a)
 
-let set_tag_bit m g v =
-  let byte = Char.code (Bytes.get m.tags (g lsr 3)) in
-  let bit = 1 lsl (g land 7) in
-  let byte' = if v then byte lor bit else byte land lnot bit in
-  Bytes.set m.tags (g lsr 3) (Char.chr byte')
+let set_tag_bit m g =
+  let byte = Char.code (Bytes.unsafe_get m.tags (g lsr 3)) in
+  Bytes.unsafe_set m.tags (g lsr 3) (Char.unsafe_chr (byte lor (1 lsl (g land 7))))
+
+let clear_tag_bit m g =
+  let byte = Char.code (Bytes.unsafe_get m.tags (g lsr 3)) in
+  Bytes.unsafe_set m.tags (g lsr 3) (Char.unsafe_chr (byte land lnot (1 lsl (g land 7))))
 
 let clear_tag m a =
   check m a 1;
-  set_tag_bit m (gidx a) false
+  clear_tag_bit m (gidx a)
 
-(* Clear tags of every granule overlapping [a, a+w). *)
+(* Clear tags of every granule overlapping [a, a+w), whole bitmap bytes
+   at a time between the edges. The caller has validated the range. *)
 let clear_tags_range m a w =
   let g0 = gidx a and g1 = gidx (a + w - 1) in
-  for g = g0 to g1 do
-    set_tag_bit m g false
-  done
+  let b0 = (g0 + 7) lsr 3 and b1 = (g1 + 1) lsr 3 in
+  if b0 >= b1 then
+    for g = g0 to g1 do
+      clear_tag_bit m g
+    done
+  else begin
+    for g = g0 to (b0 lsl 3) - 1 do
+      clear_tag_bit m g
+    done;
+    Bytes.unsafe_fill m.tags b0 (b1 - b0) '\000';
+    for g = b1 lsl 3 to g1 do
+      clear_tag_bit m g
+    done
+  end
+
+let read_byte m a =
+  Char.code (Bytes.unsafe_get (Array.unsafe_get m.data (a lsr page_shift)) (a land page_mask))
+
+let write_byte m a v =
+  Bytes.unsafe_set (writable_page m (a lsr page_shift)) (a land page_mask)
+    (Char.unsafe_chr (v land 0xff))
 
 let read_u8 m a =
   check m a 1;
-  Char.code (Bytes.get m.data a)
+  read_byte m a
 
 let write_u8 m a v =
   check m a 1;
-  Bytes.set m.data a (Char.chr (v land 0xff));
-  clear_tags_range m a 1
+  write_byte m a v;
+  clear_tag_bit m (gidx a)
 
 let read_u64 m a =
   check m a 8;
-  Bytes.get_int64_le m.data a
+  let off = a land page_mask in
+  if off <= page_size - 8 then Bytes.get_int64_le (Array.unsafe_get m.data (a lsr page_shift)) off
+  else begin
+    (* straddles a page boundary *)
+    let v = ref 0L in
+    for i = 7 downto 0 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (read_byte m (a + i)))
+    done;
+    !v
+  end
 
 (* Single-bit read of the little-endian u64 at [a]: equals
    [Int64.logand (read_u64 m a) (Int64.shift_left 1L bit) <> 0L] without
@@ -89,34 +154,46 @@ let read_u64 m a =
    granule swept. *)
 let read_u64_bit m a bit =
   check m a 8;
-  Char.code (Bytes.get m.data (a + (bit lsr 3))) land (1 lsl (bit land 7)) <> 0
+  read_byte m (a + (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
 
 let write_u64 m a v =
   check m a 8;
-  Bytes.set_int64_le m.data a v;
-  clear_tags_range m a 8
+  let off = a land page_mask in
+  if off <= page_size - 8 then
+    Bytes.set_int64_le (writable_page m (a lsr page_shift)) off v
+  else
+    for i = 0 to 7 do
+      write_byte m (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+    done;
+  if a land (granule - 1) <= granule - 8 then clear_tag_bit m (gidx a)
+  else clear_tags_range m a 8
 
 let aligned a = a land (granule - 1) = 0
 
 let read_cap m a =
   check m a granule;
   if not (aligned a) then invalid_arg "Mem.read_cap: unaligned";
-  if unsafe_read_tag m (gidx a) then m.shadow.(gidx a)
+  let g = gidx a in
+  if unsafe_read_tag m g then m.caps.(a lsr page_shift).(g land (page_granules - 1))
   else
-    let addr = Int64.to_int (Bytes.get_int64_le m.data a) in
+    let addr =
+      Int64.to_int (Bytes.get_int64_le (Array.unsafe_get m.data (a lsr page_shift)) (a land page_mask))
+    in
     Capability.set_addr Capability.null addr
 
 let write_cap m a c =
   check m a granule;
   if not (aligned a) then invalid_arg "Mem.write_cap: unaligned";
+  let p = a lsr page_shift and off = a land page_mask in
+  let d = writable_page m p in
+  Bytes.set_int64_le d off (Int64.of_int c.Capability.addr);
+  Bytes.set_int64_le d (off + 8) 0L;
   let g = gidx a in
-  Bytes.set_int64_le m.data a (Int64.of_int (Capability.addr c));
-  Bytes.set_int64_le m.data (a + 8) 0L;
-  if Capability.tag c then begin
-    m.shadow.(g) <- c;
-    set_tag_bit m g true
+  if c.Capability.tag then begin
+    Array.unsafe_set (cap_page m p) (g land (page_granules - 1)) c;
+    set_tag_bit m g
   end
-  else set_tag_bit m g false
+  else clear_tag_bit m g
 
 (* First/last whole granule of [lo, hi) clamped to the memory, as an
    inclusive granule-index range (empty iff g0 > g1). Hoisting this one
@@ -181,27 +258,70 @@ let tag_word m a =
     invalid_arg "Mem.tag_word: not 64-granule aligned";
   word_of_tags m (gidx a lsr 6)
 
-(* Copy [len] bytes from [src] to [dst], preserving tags and shadow
-   capabilities. Both ranges must be granule-aligned, as must [len];
-   copy-on-write duplicates whole frames, which satisfies this. *)
-let copy_range m ~src ~dst ~len =
-  check m src len;
-  check m dst len;
-  if not (aligned src && aligned dst && len land (granule - 1) = 0) then
-    invalid_arg "Mem.copy_range: unaligned";
-  Bytes.blit m.data src m.data dst len;
-  (* both ranges were checked above: the inner loop is check-free *)
-  let g0 = gidx src and gd = gidx dst in
-  for i = 0 to (len / granule) - 1 do
-    let t = unsafe_read_tag m (g0 + i) in
-    set_tag_bit m (gd + i) t;
-    m.shadow.(gd + i) <- (if t then m.shadow.(g0 + i) else Capability.null)
+(* Apply [f a n] to the consecutive pieces of [lo, hi) that each lie
+   inside one page. *)
+let iter_page_pieces ~lo ~hi f =
+  let a = ref lo in
+  while !a < hi do
+    let n = min (hi - !a) (page_size - (!a land page_mask)) in
+    f !a n;
+    a := !a + n
   done
+
+(* Zeroing a whole page drops its chunks: it reads as [zero_page] again. *)
+let drop_page m p =
+  m.data.(p) <- zero_page;
+  m.caps.(p) <- no_caps
 
 let fill m ~lo ~hi v =
   check m lo 0;
   check m hi 0;
   if hi > lo then begin
-    Bytes.fill m.data lo (hi - lo) (Char.chr (v land 0xff));
+    let c = Char.chr (v land 0xff) in
+    iter_page_pieces ~lo ~hi (fun a n ->
+        let p = a lsr page_shift in
+        if c = '\000' && n = page_size then drop_page m p
+        else if c <> '\000' || m.data.(p) != zero_page then
+          Bytes.fill (writable_page m p) (a land page_mask) n c);
     clear_tags_range m lo (hi - lo)
   end
+
+(* Copy [len] bytes from [src] to [dst], preserving tags and shadow
+   capabilities, one page piece at a time. Both ranges must be
+   granule-aligned, as must [len], and they must not overlap; copy-on-write
+   duplicates whole frames, which satisfies this. *)
+let copy_range m ~src ~dst ~len =
+  check m src len;
+  check m dst len;
+  if not (aligned src && aligned dst && len land (granule - 1) = 0) then
+    invalid_arg "Mem.copy_range: unaligned";
+  if len > 0 && src < dst + len && dst < src + len then
+    invalid_arg "Mem.copy_range: overlapping ranges";
+  let pos = ref 0 in
+  while !pos < len do
+    let s = src + !pos and d = dst + !pos in
+    let n =
+      min (len - !pos) (min (page_size - (s land page_mask)) (page_size - (d land page_mask)))
+    in
+    let sp = s lsr page_shift and dp = d lsr page_shift in
+    let sdata = m.data.(sp) in
+    if sdata == zero_page then begin
+      (* a zero source page carries no tags either *)
+      if n = page_size then drop_page m dp
+      else if m.data.(dp) != zero_page then Bytes.fill m.data.(dp) (d land page_mask) n '\000';
+      clear_tags_range m d n
+    end
+    else begin
+      Bytes.blit sdata (s land page_mask) (writable_page m dp) (d land page_mask) n;
+      let gs = gidx s and gd = gidx d in
+      for i = 0 to (n / granule) - 1 do
+        if unsafe_read_tag m (gs + i) then begin
+          (cap_page m dp).((gd + i) land (page_granules - 1)) <-
+            m.caps.(sp).((gs + i) land (page_granules - 1));
+          set_tag_bit m (gd + i)
+        end
+        else clear_tag_bit m (gd + i)
+      done
+    end;
+    pos := !pos + n
+  done

@@ -1,11 +1,21 @@
 (** Tagged physical memory.
 
-    Memory is a flat array of bytes with one validity tag per 16-byte,
+    Memory is a byte-addressed range with one validity tag per 16-byte,
     naturally-aligned {e granule} — the same density as CHERI tag storage
     (Joannou et al., "Efficient Tagged Memory"). The simulator keeps the
-    full capability value for each tagged granule in a shadow array; the
+    full capability value for each tagged granule in a shadow slot; the
     data bytes of a tagged granule hold the capability's address so that
     integer reads of pointer values behave as on real hardware.
+
+    Storage is demand-paged on the host, in 4 KiB pages: a page's data
+    bytes and its shadow capabilities are allocated on the first write
+    (resp. the first tagged capability store) to it. An untouched page
+    reads as zero bytes and has no tags, and zeroing a whole page
+    ({!fill} with 0) releases its storage again, so host memory tracks
+    the pages a simulation actually uses rather than [size]. The tag
+    bitmap stays dense for the word-scan kernels. None of this is
+    visible through the interface: every read returns what a flat,
+    zero-initialised array would.
 
     Tag coherence is enforced here: any data write that touches a granule
     clears its tag, so capabilities cannot be forged or corrupted-but-kept. *)
@@ -100,4 +110,5 @@ val fill : t -> lo:int -> hi:int -> int -> unit
 val copy_range : t -> src:int -> dst:int -> len:int -> unit
 (** [copy_range m ~src ~dst ~len] copies data bytes, tag bits, and shadow
     capabilities — the primitive behind copy-on-write frame duplication.
-    All of [src], [dst], and [len] must be granule-aligned. *)
+    All of [src], [dst], and [len] must be granule-aligned, and the two
+    ranges must not overlap ([Invalid_argument] otherwise). *)

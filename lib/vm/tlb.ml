@@ -5,22 +5,20 @@ type entry = {
   mutable writable_snapshot : bool;
 }
 
-type t = {
-  slots : entry option array;
-  mask : int;
+type counters = {
   mutable hits : int;
   mutable misses : int;
   mutable shootdowns : int;
 }
+
+type t = { slots : entry option array; mask : int; st : counters }
 
 let create ?(entries = 256) () =
   assert (entries land (entries - 1) = 0);
   {
     slots = Array.make entries None;
     mask = entries - 1;
-    hits = 0;
-    misses = 0;
-    shootdowns = 0;
+    st = { hits = 0; misses = 0; shootdowns = 0 };
   }
 
 (* Returns the slot's own option on a hit instead of rebuilding [Some e]:
@@ -29,10 +27,10 @@ let create ?(entries = 256) () =
 let lookup t ~vpage =
   match t.slots.(vpage land t.mask) with
   | Some e as o when e.vpage = vpage ->
-      t.hits <- t.hits + 1;
+      t.st.hits <- t.st.hits + 1;
       o
   | Some _ | None ->
-      t.misses <- t.misses + 1;
+      t.st.misses <- t.st.misses + 1;
       None
 
 let insert t ~vpage pte =
@@ -56,9 +54,9 @@ let invalidate_page t ~vpage =
    retries are visible as extra acks in the statistics. *)
 let invalidate_pages t ~vpages =
   List.iter (fun vpage -> invalidate_page t ~vpage) vpages;
-  if vpages <> [] then t.shootdowns <- t.shootdowns + 1
+  if vpages <> [] then t.st.shootdowns <- t.st.shootdowns + 1
 
 let flush t = Array.fill t.slots 0 (Array.length t.slots) None
-let hits t = t.hits
-let misses t = t.misses
-let shootdowns t = t.shootdowns
+let hits t = t.st.hits
+let misses t = t.st.misses
+let shootdowns t = t.st.shootdowns

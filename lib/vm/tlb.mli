@@ -14,7 +14,21 @@ type entry = {
   mutable writable_snapshot : bool;
 }
 
-type t
+type counters = {
+  mutable hits : int;
+  mutable misses : int;
+  mutable shootdowns : int;
+}
+
+type t = private {
+  slots : entry option array;  (** direct-mapped: [vpage land mask] *)
+  mask : int;
+  st : counters;
+}
+(** Readable so that the machine can take a hit inline: an entry in slot
+    [vpage land mask] with a matching [vpage] is a hit, counted in
+    [st.hits] exactly as {!lookup} counts it. Misses go through
+    {!lookup} and {!insert}. *)
 
 val create : ?entries:int -> unit -> t
 (** [entries] defaults to 256 (direct-mapped by vpage). *)

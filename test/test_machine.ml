@@ -420,6 +420,53 @@ let test_tlb_shootdown_refill () =
       check "refill pays the walk" true (refill_cost >= hit_cost + Cost.tlb_walk)));
   M.run m
 
+(* ---- the access primitives allocate nothing ---- *)
+
+(* Minor words [f] allocates over [n] calls, less what the measuring
+   loop itself costs. *)
+let minor_words_per n f =
+  let loop g =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      g ()
+    done;
+    Gc.minor_words () -. before
+  in
+  loop f -. loop ignore
+
+let test_access_zero_alloc () =
+  (* a quantum longer than the run: preemption is a scheduler event, not
+     part of the access *)
+  let m = M.create { cfg with M.quantum = max_int / 2 } in
+  let words = ref [] in
+  ignore
+    (M.spawn m ~name:"app" ~core:0 (fun ctx ->
+         let l = M.layout m in
+         let base = l.Vm.Layout.heap_base in
+         M.map ctx ~vaddr:base ~len:4096 ~writable:true;
+         let cap = Cap.set_bounds (heap_cap m) ~base ~length:4096 in
+         let value = Int64.of_int (Sys.opaque_identity 0x5a5a) in
+         let va = base + 64 and slot = base + 128 in
+         M.store_cap_at ctx cap slot cap;
+         let calls =
+           [
+             ("touch_u64_at", fun () -> M.touch_u64_at ctx cap va);
+             ("store_u64_at", fun () -> M.store_u64_at ctx cap va value);
+             ("store_cap_at", fun () -> M.store_cap_at ctx cap slot cap);
+             ("load_cap_at", fun () -> ignore (Sys.opaque_identity (M.load_cap_at ctx cap slot)));
+             ("load_u64_bit", fun () -> ignore (Sys.opaque_identity (M.load_u64_bit ctx cap va ~bit:3)));
+           ]
+         in
+         (* warm the TLB and L1 *)
+         List.iter (fun (_, f) -> f ()) calls;
+         check "load_cap_at reads a tagged granule" true (Cap.tag (M.load_cap_at ctx cap slot));
+         words := List.map (fun (name, f) -> (name, minor_words_per 10_000 f)) calls));
+  M.run m;
+  check_int "five primitives measured" 5 (List.length !words);
+  List.iter
+    (fun (name, w) -> Alcotest.(check (float 0.0)) (name ^ ": minor words over 10,000 calls") 0.0 w)
+    !words
+
 let () =
   Alcotest.run "machine"
     [
@@ -456,6 +503,8 @@ let () =
           Alcotest.test_case "page fault" `Quick test_page_fault_unmapped;
           Alcotest.test_case "cap_store page" `Quick test_store_without_capstore_page;
           Alcotest.test_case "zero" `Quick test_zero_clears;
+          Alcotest.test_case "access primitives allocate nothing" `Quick
+            test_access_zero_alloc;
         ] );
       ( "barrier",
         [

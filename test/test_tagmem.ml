@@ -153,6 +153,123 @@ let prop_tag_density =
         writes;
       Mem.count_tags m ~lo:0 ~hi:(Mem.size m) <= Mem.size m / 16)
 
+(* ---- demand paging is invisible: Mem against a flat model ---- *)
+
+(* Four whole pages plus a partial one. *)
+let model_size = (4 * 4096) + 512
+
+type op =
+  | W8 of int * int
+  | W64 of int * int
+  | Wcap of int * bool
+  | Clear of int
+  | Fill of int * int * int
+  | Copy of int * int * int
+
+let op_gen =
+  let open QCheck.Gen in
+  let addr = int_bound (model_size - 1) in
+  let granule_addr = map (fun g -> g * 16) (int_bound ((model_size / 16) - 1)) in
+  let page = int_bound 3 in
+  frequency
+    [
+      (3, map2 (fun a v -> W8 (a, v)) addr (int_bound 255));
+      (3, map2 (fun a v -> W64 (min a (model_size - 8), v)) addr (int_bound 1000));
+      (* page-straddling words *)
+      (1, map2 (fun p k -> W64 ((p * 4096) + 4089 + k, 7)) (int_bound 2) (int_bound 6));
+      (4, map2 (fun a t -> Wcap (a, t)) granule_addr bool);
+      (2, map (fun a -> Clear a) addr);
+      (1, map2 (fun p v -> Fill (p * 4096, (p + 1) * 4096, v)) page (oneofl [ 0; 0; 0x5c ]));
+      ( 2,
+        map3
+          (fun a n v -> Fill (a, min model_size (a + n), v))
+          addr (int_bound 9000) (oneofl [ 0; 0xa7 ]) );
+      (1, map2 (fun s d -> Copy (s * 4096, d * 4096, 4096)) page page);
+      ( 1,
+        map3
+          (fun s d n -> Copy (s * 16, 8192 + (d * 16), n * 16))
+          (int_bound 500) (int_bound 500) (int_bound 24) );
+    ]
+
+let pp_op = function
+  | W8 (a, v) -> Printf.sprintf "w8 %d %d" a v
+  | W64 (a, v) -> Printf.sprintf "w64 %d %d" a v
+  | Wcap (a, t) -> Printf.sprintf "cap %d %b" a t
+  | Clear a -> Printf.sprintf "clear %d" a
+  | Fill (lo, hi, v) -> Printf.sprintf "fill %d %d %d" lo hi v
+  | Copy (s, d, n) -> Printf.sprintf "copy %d %d %d" s d n
+
+let prop_demand_paging =
+  QCheck.Test.make ~name:"demand-paged memory reads as a flat array" ~count:200
+    (QCheck.make ~print:(fun l -> String.concat "; " (List.map pp_op l))
+       QCheck.Gen.(list_size (int_range 1 40) op_gen))
+    (fun ops ->
+      let m = Mem.create ~size:model_size in
+      let data = Bytes.make model_size '\000' in
+      let tags = Array.make (model_size / 16) false in
+      let shadow = Array.make (model_size / 16) Cap.null in
+      let root = Cap.root ~length:(1 lsl 20) in
+      let untag lo hi =
+        for g = lo / 16 to (hi - 1) / 16 do
+          tags.(g) <- false
+        done
+      in
+      List.iter
+        (function
+          | W8 (a, v) ->
+              Mem.write_u8 m a v;
+              Bytes.set data a (Char.chr v);
+              untag a (a + 1)
+          | W64 (a, v) ->
+              Mem.write_u64 m a (Int64.of_int v);
+              Bytes.set_int64_le data a (Int64.of_int v);
+              untag a (a + 8)
+          | Wcap (a, t) ->
+              let c = Cap.set_bounds root ~base:a ~length:32 in
+              let c = if t then c else Cap.clear_tag c in
+              Mem.write_cap m a c;
+              Bytes.set_int64_le data a (Int64.of_int (Cap.addr c));
+              Bytes.set_int64_le data (a + 8) 0L;
+              tags.(a / 16) <- Cap.tag c;
+              shadow.(a / 16) <- c
+          | Clear a ->
+              Mem.clear_tag m a;
+              tags.(a / 16) <- false
+          | Fill (lo, hi, v) ->
+              Mem.fill m ~lo ~hi v;
+              if hi > lo then begin
+                Bytes.fill data lo (hi - lo) (Char.chr v);
+                untag lo hi
+              end
+          | Copy (s, d, n) ->
+              if s + n <= d || d + n <= s then begin
+                Mem.copy_range m ~src:s ~dst:d ~len:n;
+                Bytes.blit data s data d n;
+                for i = 0 to (n / 16) - 1 do
+                  tags.((d / 16) + i) <- tags.((s / 16) + i);
+                  shadow.((d / 16) + i) <- shadow.((s / 16) + i)
+                done
+              end)
+        ops;
+      let ok = ref true in
+      for a = 0 to model_size - 1 do
+        if Mem.read_u8 m a <> Char.code (Bytes.get data a) then ok := false
+      done;
+      for g = 0 to (model_size / 16) - 1 do
+        let a = g * 16 in
+        if Mem.read_tag m a <> tags.(g) then ok := false;
+        if tags.(g) && not (Cap.equal (Mem.read_cap m a) shadow.(g)) then ok := false;
+        if Mem.read_u64 m a <> Bytes.get_int64_le data a then ok := false
+      done;
+      !ok
+      && Mem.count_tags m ~lo:0 ~hi:model_size
+         = Array.fold_left (fun n t -> if t then n + 1 else n) 0 tags)
+
+let test_copy_overlap_rejected () =
+  let m = mk () in
+  Alcotest.check_raises "overlap" (Invalid_argument "Mem.copy_range: overlapping ranges")
+    (fun () -> Mem.copy_range m ~src:0 ~dst:16 ~len:64)
+
 let () =
   Alcotest.run "tagmem"
     [
@@ -167,6 +284,7 @@ let () =
           Alcotest.test_case "count and iter" `Quick test_count_and_iter;
           Alcotest.test_case "fill clears tags" `Quick test_fill_clears_tags;
           Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
+          Alcotest.test_case "copy overlap rejected" `Quick test_copy_overlap_rejected;
         ] );
       ( "cache",
         [
@@ -177,5 +295,6 @@ let () =
           Alcotest.test_case "stream bus" `Quick test_cache_stream_counts_bus;
           Alcotest.test_case "nt no alloc" `Quick test_cache_nt_no_alloc;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_tag_density ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_tag_density; prop_demand_paging ] );
     ]
