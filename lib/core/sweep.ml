@@ -36,7 +36,13 @@ let granule = Tagmem.Mem.granule
    a chaos tag-read hook is armed: the hook must be consulted on every
    granule read, which the batched path deliberately skips. *)
 
-let probe_tagged ctx revmap ~pte ~pa c ~upgraded =
+(* The revocation is a compare-and-clear, as the kernel's revoker does
+   it: [Revmap.test] can yield at a safe point, and an application thread
+   may meanwhile have stored another capability to this granule. The tag
+   is cleared only if the granule still holds the probed capability [c];
+   otherwise the value now there is probed in its place. A failed compare
+   costs the one cache write the clear costs. *)
+let rec probe_tagged ctx revmap ~pte ~pa c ~upgraded =
   if Revmap.test revmap ctx (Capability.base c) then begin
     if (not pte.Pte.writable) && not !upgraded then begin
       (* read-only page that turns out to need revocation: invoke the
@@ -44,8 +50,22 @@ let probe_tagged ctx revmap ~pte ~pa c ~upgraded =
       Machine.charge ctx (Cost.trap + Cost.pmap_lock + Cost.pte_update);
       upgraded := true
     end;
-    Machine.kern_clear_tag ctx ~pa;
-    true
+    let mem = Machine.mem (Machine.machine ctx) in
+    if not (Tagmem.Mem.read_tag mem pa) then begin
+      Machine.kern_access ctx ~pa ~write:true;
+      false
+    end
+    else begin
+      let now = Tagmem.Mem.read_cap mem pa in
+      if Capability.equal now c then begin
+        Machine.kern_clear_tag ctx ~pa;
+        true
+      end
+      else begin
+        Machine.kern_access ctx ~pa ~write:true;
+        probe_tagged ctx revmap ~pte ~pa now ~upgraded
+      end
+    end
   end
   else false
 

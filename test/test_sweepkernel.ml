@@ -311,6 +311,24 @@ let test_sweep_counts () =
   check_int "tags left" (tagged - painted) o.o_tags;
   check_int "one sweep event" 1 (List.length o.o_events)
 
+(* ---- the sweep's compare-and-clear ----
+
+   [Revmap.test] can yield, and the application may then store a fresh
+   capability to the granule being revoked. These cells once untagged
+   such a live capability, which the compiled op-stream interpreter
+   detects as a live slot holding an untagged capability. *)
+let test_sweep_race_keeps_live_caps () =
+  List.iter
+    (fun (profile, strategy, seed) ->
+      match
+        Workload.Spec.run ~seed ~ops_scale:0.1 ~mode:(Ccr.Runtime.Safe strategy)
+          (Workload.Profile.find profile)
+      with
+      | r -> check (profile ^ " completes") true (r.Workload.Result.ops_done > 0)
+      | exception Workload.Opstream.Divergence msg ->
+          Alcotest.failf "%s seed %d: %s" profile seed msg)
+    [ ("hmmer_nph3", Ccr.Revoker.Reloaded, 5); ("hmmer_retro", Ccr.Revoker.Cornucopia, 16) ]
+
 let () =
   Alcotest.run "sweepkernel"
     [
@@ -323,6 +341,8 @@ let () =
         [
           Alcotest.test_case "edge patterns" `Quick test_sweep_edges;
           Alcotest.test_case "counts" `Quick test_sweep_counts;
+          Alcotest.test_case "race keeps live capabilities" `Quick
+            test_sweep_race_keeps_live_caps;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_sweep_equivalent ] );
     ]
