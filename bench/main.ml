@@ -64,98 +64,104 @@ let write_json path records =
   Buffer.output_buffer oc buf;
   close_out oc
 
-let usage () =
-  print_endline
-    "usage: main.exe [--scale S] [--seed N] [--jobs N] [--interp \
-     compiled|reference] [--json OUT] [--list] [target ...]";
+let list_targets () =
   print_endline "targets:";
   List.iter (fun (n, d, _) -> Printf.printf "  %-18s %s\n" n d) all_targets;
   print_endline "(no targets = run everything)"
 
-let die fmt =
-  Printf.ksprintf
-    (fun msg ->
+let main scale seed jobs interp json_out list targets =
+  match Parallel.Pool.validate_jobs jobs with
+  | Error msg ->
       Printf.eprintf "main.exe: %s\n" msg;
-      usage ();
-      exit 1)
-    fmt
+      1
+  | Ok jobs ->
+      if list then begin
+        list_targets ();
+        0
+      end
+      else if scale <= 0.0 then begin
+        Printf.eprintf "main.exe: --scale needs a positive number, got %g\n" scale;
+        1
+      end
+      else begin
+        let chosen =
+          match targets with
+          | [] ->
+              (* --json with no targets dumps the spec campaign without
+                 rendering every figure *)
+              if json_out <> None then [] else List.map (fun (n, _, _) -> n) all_targets
+          | l -> l
+        in
+        Format.printf
+          "Cornucopia Reloaded reproduction harness — ops scale %.2f, heap scale 1/%.0f, seed %d, jobs %d@."
+          scale Paper.heap_scale seed jobs;
+        Format.printf "(shapes and orderings are the reproduced quantities; see EXPERIMENTS.md)@.";
+        let c = Campaign.create ~jobs ~interp ~scale ~seed () in
+        let t0 = Unix.gettimeofday () in
+        List.iter
+          (fun name ->
+            let _, _, f = List.find (fun (n, _, _) -> n = name) all_targets in
+            f c)
+          chosen;
+        (match json_out with
+        | Some path ->
+            write_json path (Campaign.json_records c);
+            Format.printf "wrote %s@." path
+        | None -> ());
+        Format.printf "@.[harness completed in %.1fs]@." (Unix.gettimeofday () -. t0);
+        0
+      end
+
+open Cmdliner
+
+let scale_arg =
+  Arg.(
+    value & opt float 0.5
+    & info [ "scale" ] ~docv:"S" ~doc:"Operation-count scale of every workload (positive).")
+
+let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed of every cell.")
+
+let jobs_arg =
+  Arg.(
+    value
+    & opt int (Parallel.Pool.default_jobs ())
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Run up to $(docv) cells concurrently on separate domains (default: the machine's \
+           recommended domain count, capped at 16). Output other than the host-side \
+           $(b,duration_ms), $(b,jobs) and $(b,ops_per_sec) JSON fields is identical for any \
+           $(docv).")
+
+let interp_arg =
+  Arg.(
+    value
+    & opt
+        (enum [ ("compiled", Workload.Spec.Compiled); ("reference", Workload.Spec.Reference) ])
+        Workload.Spec.Compiled
+    & info [ "interp" ] ~docv:"compiled|reference"
+        ~doc:"SPEC interpreter; both give identical simulated results.")
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"OUT"
+        ~doc:"Write one JSON record per (profile x mode) cell to $(docv).")
+
+let list_arg = Arg.(value & flag & info [ "list" ] ~doc:"List the targets and exit.")
+
+let targets_arg =
+  Arg.(
+    value
+    & pos_all (enum (List.map (fun (n, _, _) -> (n, n)) all_targets)) []
+    & info [] ~docv:"TARGET" ~doc:"Figures and tables to produce (see $(b,--list)); default all.")
 
 let () =
-  let scale = ref 0.5 in
-  let seed = ref 1 in
-  let jobs = ref (Parallel.Pool.default_jobs ()) in
-  let interp = ref Workload.Spec.Compiled in
-  let json_out = ref None in
-  let targets = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--scale" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some s when s > 0.0 -> scale := s
-        | Some _ | None -> die "--scale needs a positive number, got %S" v);
-        parse rest
-    | "--seed" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some s -> seed := s
-        | None -> die "--seed needs an integer, got %S" v);
-        parse rest
-    | "--jobs" :: v :: rest ->
-        (match int_of_string_opt v with
-        | None -> die "--jobs needs a positive integer, got %S" v
-        | Some j -> (
-            match Parallel.Pool.validate_jobs j with
-            | Ok j -> jobs := j
-            | Error msg -> die "%s" msg));
-        parse rest
-    | "--json" :: v :: rest ->
-        json_out := Some v;
-        parse rest
-    | "--interp" :: v :: rest ->
-        (match v with
-        | "compiled" -> interp := Workload.Spec.Compiled
-        | "reference" -> interp := Workload.Spec.Reference
-        | _ -> die "--interp takes 'compiled' or 'reference', got %S" v);
-        parse rest
-    | [ ("--scale" | "--seed" | "--jobs" | "--json" | "--interp") ] as flag ->
-        die "%s needs a value" (List.hd flag)
-    | ("--list" | "--help" | "-h") :: _ ->
-        usage ();
-        exit 0
-    | t :: rest ->
-        if List.exists (fun (n, _, _) -> n = t) all_targets then begin
-          targets := t :: !targets;
-          parse rest
-        end
-        else if String.length t > 0 && t.[0] = '-' then
-          die "unknown option %S" t
-        else
-          die "unknown target %S" t
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let chosen =
-    match List.rev !targets with
-    | [] ->
-        (* --json with no targets dumps the spec campaign without
-           rendering every figure *)
-        if !json_out <> None then []
-        else List.map (fun (n, _, _) -> n) all_targets
-    | l -> l
-  in
-  Format.printf
-    "Cornucopia Reloaded reproduction harness — ops scale %.2f, heap scale 1/%.0f, seed %d, jobs %d@."
-    !scale Paper.heap_scale !seed !jobs;
-  Format.printf
-    "(shapes and orderings are the reproduced quantities; see EXPERIMENTS.md)@.";
-  let c = Campaign.create ~jobs:!jobs ~interp:!interp ~scale:!scale ~seed:!seed () in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun name ->
-      let _, _, f = List.find (fun (n, _, _) -> n = name) all_targets in
-      f c)
-    chosen;
-  (match !json_out with
-  | Some path ->
-      write_json path (Campaign.json_records c);
-      Format.printf "wrote %s@." path
-  | None -> ());
-  Format.printf "@.[harness completed in %.1fs]@." (Unix.gettimeofday () -. t0)
+  exit
+    (Cmd.eval'
+       (Cmd.v
+          (Cmd.info "main.exe"
+             ~doc:"Regenerate the paper's evaluation figures and tables from simulation.")
+          Term.(
+            const main $ scale_arg $ seed_arg $ jobs_arg $ interp_arg $ json_arg $ list_arg
+            $ targets_arg)))
