@@ -78,35 +78,14 @@ let unseal c ~otype =
 let deref_ok ?(width = 1) c perm =
   c.tag && (not (is_sealed c)) && Perms.mem c.perms perm && in_bounds ~width c
 
-(* Address-parameterized dereference check, equal to
-   [deref_ok ?width (set_addr c addr) perm] without building the moved
-   capability: an in-bounds address is always inside the representable
-   window of its own bounds, so [set_addr] would have kept the tag, and
-   an out-of-window address is also out of bounds, so both formulations
-   reject it. *)
-let deref_ok_at ?(width = 1) c ~addr perm =
-  c.tag
-  && (not (is_sealed c))
-  && Perms.mem c.perms perm
-  && width >= 1 && addr >= c.base && addr + width <= top c
-
 let can_load ?width c = deref_ok ?width c Perms.load
 let can_store ?width c = deref_ok ?width c Perms.store
-
-let can_load_at ?width c ~addr = deref_ok_at ?width c ~addr Perms.load
-let can_store_at ?width c ~addr = deref_ok_at ?width c ~addr Perms.store
 
 let can_load_cap c =
   deref_ok ~width:16 c (Perms.union Perms.load Perms.load_cap)
 
 let can_store_cap c =
   deref_ok ~width:16 c (Perms.union Perms.store Perms.store_cap)
-
-let can_load_cap_at c ~addr =
-  deref_ok_at ~width:16 c ~addr (Perms.union Perms.load Perms.load_cap)
-
-let can_store_cap_at c ~addr =
-  deref_ok_at ~width:16 c ~addr (Perms.union Perms.store Perms.store_cap)
 
 let is_subset c parent =
   c.base >= parent.base && top c <= top parent
