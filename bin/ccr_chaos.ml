@@ -125,6 +125,7 @@ let zero_rs =
   {
     Revoker.epoch_aborts = 0;
     sweep_crash_retries = 0;
+    epoch_resumes = 0;
     quiesce_timeouts = 0;
     backoff_cycles = 0;
     downshifts = 0;

@@ -22,16 +22,7 @@ module Balancer = Fleet.Balancer
 module Failplan = Fleet.Failplan
 module Health = Fleet.Health
 module Retry = Fleet.Retry
-module Host = Fleet.Host
-
-let mode_of_string = function
-  | "baseline" -> Ok Runtime.Baseline
-  | "paint+sync" | "paint-sync" | "paint" -> Ok (Runtime.Safe Revoker.Paint_sync)
-  | "cherivoke" -> Ok (Runtime.Safe Revoker.Cherivoke)
-  | "cornucopia" -> Ok (Runtime.Safe Revoker.Cornucopia)
-  | "reloaded" -> Ok (Runtime.Safe Revoker.Reloaded)
-  | "cheriot" -> Ok (Runtime.Safe Revoker.Cheriot_filter)
-  | s -> Error (`Msg (Printf.sprintf "unknown mode %S" s))
+module Rig = Workload.Rig
 
 let list_conv ~what of_string to_string =
   let parse s =
@@ -50,7 +41,13 @@ let list_conv ~what of_string to_string =
   in
   Arg.conv ~docv:what (parse, print)
 
-let modes_conv = list_conv ~what:"MODES" mode_of_string Runtime.mode_name
+let modes_conv =
+  list_conv ~what:"MODES"
+    (fun s ->
+      match Runtime.mode_of_name s with
+      | Some m -> Ok m
+      | None -> Error (`Msg (Printf.sprintf "unknown mode %S" s)))
+    Runtime.mode_name
 
 let balancers_conv =
   list_conv ~what:"BALANCERS"
@@ -78,18 +75,6 @@ let ints_conv =
 
 let strings_conv =
   list_conv ~what:"NAMES" (fun s -> Ok s) Fun.id
-
-(* Same mean-rate convention as ccr_serve: the qps axis sets the mean of
-   whichever pattern is in play, so points stay comparable. *)
-let pattern_at ~pattern ~qps =
-  match pattern with
-  | "poisson" -> Loadgen.Poisson qps
-  | "bursty" ->
-      Loadgen.Bursty
-        { base = 0.5 *. qps; peak = 2.5 *. qps; period_us = 2_000.0; duty = 0.25 }
-  | "ramp" -> Loadgen.Ramp { from_rate = 0.5 *. qps; to_rate = 1.5 *. qps }
-  | _ ->
-      Loadgen.Diurnal { low = 0.5 *. qps; high = 1.5 *. qps; period_us = 4_000.0 }
 
 (* CLI-level validation to the Pool.validate_jobs standard: a clear
    one-line ccr_fleet-prefixed message and exit 1, never an exception
@@ -164,9 +149,6 @@ let resilience_of rc name =
   in
   let brownout =
     if not rc.c_brownout then None
-    else if rc.c_bexit < 0 || rc.c_benter <= rc.c_bexit then
-      err "--brownout band must satisfy 0 <= exit < enter (got %d, %d)"
-        rc.c_bexit rc.c_benter
     else
       Some
         {
@@ -208,21 +190,20 @@ let json_of_row ~pattern ~jobs r =
   in
   let hosts =
     String.concat ", "
-      (List.map
-         (fun h ->
+      (List.mapi
+         (fun i (h : Rig.outcome) ->
            Printf.sprintf
              "{\"host\": %d, \"arrivals\": %d, \"served\": %d, \"shed\": %d, \
               \"lost\": %d, \"violations\": %d, \"epochs\": %d, \
               \"stw_pause_us\": %.3f, \"max_pause_us\": %.3f, \
               \"epoch_resumes\": %d, \"sweep_crash_retries\": %d, \
               \"chaos_injected\": %d, \"brownout_shifts\": %d}"
-             h.Host.h_host h.Host.h_arrivals h.Host.h_served
-             (h.Host.h_shed_depth + h.Host.h_shed_deadline
-            + h.Host.h_shed_brownout)
-             h.Host.h_lost h.Host.h_violations h.Host.h_epochs
-             h.Host.h_stw_pause_us h.Host.h_max_pause_us h.Host.h_epoch_resumes
-             h.Host.h_sweep_crash_retries h.Host.h_chaos_injected
-             h.Host.h_brownout_shifts)
+             i h.Rig.arrivals h.Rig.served
+             (h.Rig.shed_depth + h.Rig.shed_deadline + h.Rig.shed_brownout)
+             h.Rig.lost (Service.Slo.violations h.Rig.slo) h.Rig.epochs
+             h.Rig.stw_pause_us h.Rig.max_pause_us h.Rig.epoch_resumes
+             h.Rig.sweep_crash_retries h.Rig.chaos_injected
+             h.Rig.brownout_shifts)
          o.Fleet.hosts)
   in
   Printf.sprintf
@@ -289,19 +270,22 @@ let fleet hostss balancers failuress modes qps requests users governed
       hostss;
     if qps <= 0.0 then err "--qps must be positive";
     if users < 1 then err "--users must be at least 1";
-    if servers_per_host < 1 then err "--servers-per-host must be at least 1";
-    if queue_depth < 1 then err "--queue-depth must be at least 1";
-    if target_p99 <= 0.0 then err "--target-p99-us must be positive";
     if slices < 1 then err "--slices must be at least 1";
-    Option.iter
-      (fun d -> if d <= 0.0 then err "--deadline-us must be positive")
-      deadline;
     if critical < 0.0 || background < 0.0 || critical +. background > 1.0 then
       err "--critical and --background must be nonnegative and sum to at most 1";
     if rescli.c_retries = [] then err "--retry needs at least one policy";
     let resiliences =
       List.map (fun name -> (name, resilience_of rescli name)) rescli.c_retries
     in
+    List.iter
+      (fun (_, r) ->
+        match
+          Rig.validate ~servers:servers_per_host ~queue_depth ~deadline_us:deadline
+            ~target_p99_us:target_p99 ?brownout:r.Fleet.brownout ()
+        with
+        | Error msg -> err "%s" msg
+        | Ok () -> ())
+      resiliences;
     let mk hosts balancer failures mode resilience =
       {
         Fleet.default_config with
@@ -310,7 +294,7 @@ let fleet hostss balancers failuress modes qps requests users governed
         failures;
         mode;
         governed;
-        pattern = pattern_at ~pattern ~qps;
+        pattern = Loadgen.pattern_at pattern ~qps;
         requests;
         users;
         critical;

@@ -14,17 +14,7 @@ module Loadgen = Service.Loadgen
 module Slo = Service.Slo
 module Governor = Service.Governor
 module Serve = Workload.Serve
-module Sanitizer = Analysis.Sanitizer
-module Race = Analysis.Race
-
-let mode_of_string = function
-  | "baseline" -> Ok Runtime.Baseline
-  | "paint+sync" | "paint-sync" | "paint" -> Ok (Runtime.Safe Revoker.Paint_sync)
-  | "cherivoke" -> Ok (Runtime.Safe Revoker.Cherivoke)
-  | "cornucopia" -> Ok (Runtime.Safe Revoker.Cornucopia)
-  | "reloaded" -> Ok (Runtime.Safe Revoker.Reloaded)
-  | "cheriot" -> Ok (Runtime.Safe Revoker.Cheriot_filter)
-  | s -> Error (`Msg (Printf.sprintf "unknown mode %S" s))
+module Rig = Workload.Rig
 
 let modes_conv =
   let parse s =
@@ -32,9 +22,9 @@ let modes_conv =
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | p :: tl -> (
-          match mode_of_string (String.trim p) with
-          | Ok m -> go (m :: acc) tl
-          | Error e -> Error e)
+          match Runtime.mode_of_name (String.trim p) with
+          | Some m -> go (m :: acc) tl
+          | None -> Error (`Msg (Printf.sprintf "unknown mode %S" (String.trim p))))
     in
     go [] parts
   in
@@ -82,66 +72,38 @@ type run_row = {
 let percentile (o : Serve.outcome) p =
   match Slo.percentile o.Serve.slo p with Some v -> v | None -> 0.0
 
-(* The qps axis sets the *mean* rate of whichever arrival pattern the
-   sweep drives, so points stay comparable across patterns. *)
-let pattern_at ~pattern ~qps =
-  match pattern with
-  | "bursty" ->
-      (* 25% duty at 2.5x over a 0.5x base: mean = qps *)
-      Loadgen.Bursty
-        { base = 0.5 *. qps; peak = 2.5 *. qps; period_us = 2_000.0; duty = 0.25 }
-  | "ramp" -> Loadgen.Ramp { from_rate = 0.5 *. qps; to_rate = 1.5 *. qps }
-  | "diurnal" ->
-      Loadgen.Diurnal { low = 0.5 *. qps; high = 1.5 *. qps; period_us = 4_000.0 }
-  | _ -> Loadgen.Poisson qps
-
 (* One run of the serving workload at one sweep point. Runs on a worker
    domain under --jobs, so it never prints: checker findings go into the
    row's [r_report] buffer and the caller emits them in submission
    order. *)
 let run_point ~cfg ~check ~pattern ~mode ~governed ~qps =
   let t0 = Unix.gettimeofday () in
-  let cfg = { cfg with Serve.pattern = pattern_at ~pattern ~qps } in
-  let san = ref None and race = ref None in
-  (* Checkers subscribe losslessly; the large ring just keeps the
-     overwrite warning quiet on long sweeps. *)
-  let tracer =
-    if check then Some (Sim.Trace.create ~capacity:(1 lsl 20) ()) else None
+  (* the qps axis sets the pattern's mean rate *)
+  let cfg = { cfg with Serve.pattern = Loadgen.pattern_at pattern ~qps } in
+  let checks = ref None in
+  let on_runtime rt = if check then checks := Some (Rig.attach_check rt) in
+  let o = Serve.run ~config:cfg ~on_runtime ~governed ~mode () in
+  let shed = o.Serve.shed_depth + o.Serve.shed_deadline in
+  let clean, report =
+    Rig.verdict !checks
+      ~drift:
+        (if
+           o.Serve.served + shed = o.Serve.offered
+           && o.Serve.offered = cfg.Serve.requests
+         then None
+         else
+           Some
+             (Printf.sprintf
+                "ccr_serve: SLO accounting drift: served %d + shed %d <> offered %d"
+                o.Serve.served shed o.Serve.offered))
   in
-  let on_runtime rt =
-    if check then begin
-      san := Some (Sanitizer.attach ?revoker:rt.Runtime.revoker rt.Runtime.machine);
-      race := Some (Race.attach rt.Runtime.machine)
-    end
-  in
-  let o = Serve.run ~config:cfg ?tracer ~on_runtime ~governed ~mode () in
-  let accounted =
-    o.Serve.served + o.Serve.shed_depth + o.Serve.shed_deadline = o.Serve.offered
-    && o.Serve.offered = cfg.Serve.requests
-  in
-  let report = Buffer.create 0 in
-  let rfmt = Format.formatter_of_buffer report in
-  let clean =
-    match (!san, !race) with
-    | Some san, Some race ->
-        Sanitizer.finish san;
-        if not (Sanitizer.ok san) then Sanitizer.report rfmt san;
-        if not (Race.ok race) then Race.report rfmt race;
-        Sanitizer.ok san && Race.ok race && accounted
-    | _ -> accounted
-  in
-  if not accounted then
-    Format.fprintf rfmt
-      "ccr_serve: SLO accounting drift: served %d + shed %d+%d <> offered %d@."
-      o.Serve.served o.Serve.shed_depth o.Serve.shed_deadline o.Serve.offered;
-  Format.pp_print_flush rfmt ();
   {
     r_mode = Runtime.mode_name mode;
     r_governed = governed;
     r_qps = qps;
     r_outcome = o;
     r_clean = clean;
-    r_report = Buffer.contents report;
+    r_report = report;
     r_duration_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
   }
 
@@ -187,20 +149,24 @@ let strategy_names =
 
 let serve modes qpss governor requests servers queue_depth deadline_us
     target_p99 pattern seed json check jobs =
-  match Parallel.Pool.validate_jobs jobs with
+  let valid =
+    Result.bind (Parallel.Pool.validate_jobs jobs) (fun jobs ->
+        if requests < 1 then
+          Error (Printf.sprintf "--requests must be at least 1 (got %d)" requests)
+        else if List.exists (fun q -> q <= 0.0) qpss then
+          Error "every --qps must be positive"
+        else
+          Result.map
+            (fun () -> jobs)
+            (Rig.validate ~servers ~queue_depth ~deadline_us
+               ~target_p99_us:target_p99 ()))
+  in
+  match valid with
   | Error msg ->
       Format.eprintf "ccr_serve: %s@." msg;
       1
   | Ok jobs ->
-  if requests < 1 then begin
-    Format.eprintf "ccr_serve: --requests must be at least 1 (got %d)@." requests;
-    1
-  end
-  else if List.exists (fun q -> q <= 0.0) qpss then begin
-    Format.eprintf "ccr_serve: every --qps must be positive@.";
-    1
-  end
-  else begin
+  begin
     let cfg =
       {
         Serve.default_config with

@@ -11,18 +11,12 @@ module Runtime = Ccr.Runtime
 module Revoker = Ccr.Revoker
 module Result = Workload.Result
 
-let mode_of_string = function
-  | "baseline" -> Ok Runtime.Baseline
-  | "paint+sync" | "paint-sync" | "paint" -> Ok (Runtime.Safe Revoker.Paint_sync)
-  | "cherivoke" -> Ok (Runtime.Safe Revoker.Cherivoke)
-  | "cornucopia" -> Ok (Runtime.Safe Revoker.Cornucopia)
-  | "reloaded" -> Ok (Runtime.Safe Revoker.Reloaded)
-  | "cheriot" -> Ok (Runtime.Safe Revoker.Cheriot_filter)
-  | s -> Error (`Msg (Printf.sprintf "unknown mode %S" s))
-
 let mode_conv =
   Arg.conv
-    ( mode_of_string,
+    ( (fun s ->
+        match Runtime.mode_of_name s with
+        | Some m -> Ok m
+        | None -> Error (`Msg (Printf.sprintf "unknown mode %S" s))),
       fun fmt m -> Format.pp_print_string fmt (Runtime.mode_name m) )
 
 let mode_arg =

@@ -88,6 +88,7 @@ let default_recovery =
 type recovery_stats = {
   epoch_aborts : int;
   sweep_crash_retries : int;
+  epoch_resumes : int;
   quiesce_timeouts : int;
   backoff_cycles : int;
   downshifts : int;
@@ -186,6 +187,7 @@ type t = {
   mutable consecutive_aborts : int;
   mutable rs_epoch_aborts : int;
   mutable rs_sweep_crashes : int;
+  mutable rs_epoch_resumes : int;
   mutable rs_quiesce_timeouts : int;
   mutable rs_backoff_cycles : int;
   mutable rs_downshifts : int;
@@ -209,6 +211,7 @@ let recovery_stats t =
   {
     epoch_aborts = t.rs_epoch_aborts;
     sweep_crash_retries = t.rs_sweep_crashes;
+    epoch_resumes = t.rs_epoch_resumes;
     quiesce_timeouts = t.rs_quiesce_timeouts;
     backoff_cycles = t.rs_backoff_cycles;
     downshifts = t.rs_downshifts;
@@ -760,6 +763,7 @@ let run_epoch t ctx batches =
               Hashtbl.reset t.ck_done;
               t.ck_stw_done <- false
           | Reloaded | Cheriot_filter -> ());
+          t.rs_epoch_resumes <- t.rs_epoch_resumes + 1;
           Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:t.core
             ~pid:t.pid ~arg2:(n + 1) Sim.Trace.Epoch_resume
             (Epoch.counter t.epoch);
@@ -983,6 +987,7 @@ let create m ~strategy ~core ?(non_temporal = false)
       consecutive_aborts = 0;
       rs_epoch_aborts = 0;
       rs_sweep_crashes = 0;
+      rs_epoch_resumes = 0;
       rs_quiesce_timeouts = 0;
       rs_backoff_cycles = 0;
       rs_downshifts = 0;

@@ -102,6 +102,9 @@ val default_recovery : recovery
 type recovery_stats = {
   epoch_aborts : int;
   sweep_crash_retries : int;
+  epoch_resumes : int;
+      (** crashed sweeps resumed from their checkpoint (each traced
+          [Epoch_resume]); a crash past the retry budget aborts instead *)
   quiesce_timeouts : int;
   backoff_cycles : int;
   downshifts : int;

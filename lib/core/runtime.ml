@@ -10,6 +10,11 @@ let mode_name = function
 
 let all_modes = Baseline :: List.map (fun s -> Safe s) Revoker.all_strategies
 
+let mode_of_name = function
+  | "baseline" -> Some Baseline
+  | "paint" | "paint-sync" -> Some (Safe Revoker.Paint_sync)
+  | s -> Option.map (fun st -> Safe st) (Revoker.strategy_of_name s)
+
 type t = {
   machine : Machine.t;
   alloc : Backend.t;

@@ -15,6 +15,11 @@ val mode_name : mode -> string
 val all_modes : mode list
 (** Baseline, Paint+sync, CHERIvoke, Cornucopia, Reloaded. *)
 
+val mode_of_name : string -> mode option
+(** Inverse of {!mode_name} over [Baseline] and every strategy
+    {!Revoker.strategy_of_name} knows, plus the aliases [paint] and
+    [paint-sync] for [paint+sync]. *)
+
 type t = {
   machine : Sim.Machine.t;
   alloc : Alloc.Backend.t;

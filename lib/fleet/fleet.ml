@@ -2,7 +2,7 @@ module Balancer = Balancer
 module Failplan = Failplan
 module Health = Health
 module Retry = Retry
-module Host = Host
+module Rig = Workload.Rig
 module Cost = Sim.Cost
 module Runtime = Ccr.Runtime
 module Loadgen = Service.Loadgen
@@ -101,7 +101,7 @@ let topology cfg = Printf.sprintf "flat/%d" cfg.hosts
    successively better approximations of what the client knew. *)
 
 type attempt = {
-  at_idx : int; (* global id; doubles as the Host.arrival id *)
+  at_idx : int; (* global id; doubles as the arrival id *)
   at_req : int; (* the original request index *)
   at_seq : int; (* position in the non-hedge chain; hedges carry 0 *)
   at_hedge : bool;
@@ -201,8 +201,10 @@ type ev =
   | Ev_fail of { host : int }
   | Ev_dispatch of int (* attempt index *)
 
+type arrival = { a_id : int; a_intended : int; a_cls : int }
+
 type routed = {
-  r_shards : Host.arrival array array;
+  r_shards : arrival array array;
   r_placement : int array; (* per attempt: host, or -1 for dropped *)
   r_redistributed : int;
   r_trips : int;
@@ -299,7 +301,7 @@ let route_round cfg pre ~attempts ~prev =
                 health;
               shards.(d.Balancer.host) :=
                 {
-                  Host.a_id = a.at_idx;
+                  a_id = a.at_idx;
                   a_intended = a.at_time;
                   a_cls = pre.p_classes.(a.at_req);
                 }
@@ -316,7 +318,7 @@ let route_round cfg pre ~attempts ~prev =
 
 type dispatch = {
   d_offered : int;
-  d_assign : Host.arrival array array;
+  d_assign : arrival array array;
   d_redistributed : int;
   d_lb_dropped : int;
   d_windows : Failplan.window list;
@@ -502,7 +504,7 @@ type outcome = {
   breaker_trips : int;
   brownout_shifts : int;
   rounds : int;
-  hosts : Host.outcome list;
+  hosts : Rig.outcome list;
   windows : Failplan.window list;
   clean : bool;
   report : string;
@@ -516,9 +518,12 @@ let run ?(check = false) ?jobs cfg =
   let pre = precompute cfg in
   let host_cfg host =
     {
-      Host.host;
+      Rig.name = Printf.sprintf "fleet-h%d" host;
       mode = cfg.mode;
       governed = cfg.governed;
+      policy = cfg.policy;
+      recovery = cfg.recovery;
+      heap_mb = cfg.heap_mb;
       servers = cfg.servers_per_host;
       queue_depth = cfg.queue_depth;
       deadline_us = cfg.deadline_us;
@@ -527,20 +532,24 @@ let run ?(check = false) ?jobs cfg =
       session_slots = cfg.session_slots;
       temps_per_req = cfg.temps_per_req;
       compute_per_req = cfg.compute_per_req;
-      heap_mb = cfg.heap_mb;
       seed = host_seed cfg.seed host;
-      check;
-      policy = cfg.policy;
-      recovery = cfg.recovery;
+      clock =
+        Rig.Absolute
+          { slices = cfg.slices; origin = pre.p_warmup; horizon = pre.p_horizon };
       windows = Failplan.host_windows pre.p_windows ~host;
-      slices = cfg.slices;
-      origin = pre.p_warmup;
-      horizon = pre.p_horizon;
+      check;
     }
+  in
+  (* Every host runs its shard on the fleet clock; hosts share nothing,
+     so they fan out across domains. *)
+  let run_host host shard =
+    Rig.run (host_cfg host)
+      ~arrivals:(Array.map (fun a -> a.a_intended) shard)
+      ~classes:(fun i -> shard.(i).a_cls)
   in
   (* shard memo: a host whose shard is unchanged between rounds would
      re-simulate to the identical outcome, so reuse it *)
-  let cache : (Host.arrival array * Host.outcome) option array =
+  let cache : (arrival array * Rig.outcome) option array =
     Array.make cfg.hosts None
   in
   let simulate shards =
@@ -553,33 +562,28 @@ let run ?(check = false) ?jobs cfg =
         (List.init cfg.hosts Fun.id)
     in
     let fresh =
-      Parallel.Pool.map ?jobs
-        (fun host -> Host.run (host_cfg host) ~arrivals:shards.(host))
-        dirty
+      Parallel.Pool.map ?jobs (fun host -> run_host host shards.(host)) dirty
     in
     List.iter2 (fun h o -> cache.(h) <- Some (shards.(h), o)) dirty fresh;
     List.init cfg.hosts (fun h -> snd (Option.get cache.(h)))
   in
-  let outs_of attempts host_outcomes =
+  let outs_of attempts shards host_outcomes =
     let outs = Array.make (Array.length attempts) O_dropped in
-    List.iter
-      (fun (o : Host.outcome) ->
-        Array.iter
-          (fun (id, (r : Host.result)) ->
-            outs.(id) <-
-              (match r with
-              | Host.R_served { completed; latency_us } ->
+    List.iteri
+      (fun host (o : Rig.outcome) ->
+        Array.iteri
+          (fun pos a ->
+            match Rig.fate o.Rig.fates pos with
+            | None -> ()
+            | Some (Rig.Served { completed; latency_us }) ->
+                outs.(a.a_id) <-
                   O_served
-                    {
-                      o_host = o.Host.h_host;
-                      o_completed = completed;
-                      o_lat_us = latency_us;
-                    }
-              | Host.R_shed { why; at } ->
-                  O_shed { o_host = o.Host.h_host; o_why = why; o_at = at }
-              | Host.R_lost { at } ->
-                  O_lost { o_host = o.Host.h_host; o_at = at }))
-          o.Host.h_results)
+                    { o_host = host; o_completed = completed; o_lat_us = latency_us }
+            | Some (Rig.Shed { why; at }) ->
+                outs.(a.a_id) <- O_shed { o_host = host; o_why = why; o_at = at }
+            | Some (Rig.Lost { at }) ->
+                outs.(a.a_id) <- O_lost { o_host = host; o_at = at })
+          shards.(host))
       host_outcomes;
     outs
   in
@@ -588,7 +592,7 @@ let run ?(check = false) ?jobs cfg =
   let rec loop attempts prev rounds =
     let routed = route_round cfg pre ~attempts ~prev in
     let host_outcomes = simulate routed.r_shards in
-    let outs = outs_of attempts host_outcomes in
+    let outs = outs_of attempts routed.r_shards host_outcomes in
     let sp = spawn_phase cfg pre ~attempts ~outs ~placement:routed.r_placement in
     if sp.s_new = [] || rounds >= cfg.resilience.max_rounds then
       (attempts, routed, host_outcomes, outs, sp, rounds)
@@ -675,7 +679,9 @@ let run ?(check = false) ?jobs cfg =
   done;
   let sum f = List.fold_left (fun a o -> a + f o) 0 host_outcomes in
   let makespan =
-    List.fold_left (fun a o -> max a o.Host.h_wall_cycles) 0 host_outcomes
+    List.fold_left
+      (fun a (o : Rig.outcome) -> max a o.Rig.result.Workload.Result.wall_cycles)
+      0 host_outcomes
   in
   let n_atts = Array.length atts in
   let dropped_atts =
@@ -695,10 +701,12 @@ let run ?(check = false) ?jobs cfg =
     !served + !retried_ok + !hedged_ok + !shed_depth + !shed_deadline
     + !shed_brownout + !lost + !lb_dropped
     = cfg.requests
-    && sum (fun o -> o.Host.h_arrivals) + dropped_atts = n_atts
+    && sum (fun o -> o.Rig.arrivals) + dropped_atts = n_atts
   in
   let report = Buffer.create 0 in
-  List.iter (fun o -> Buffer.add_string report o.Host.h_report) host_outcomes;
+  List.iter
+    (fun (o : Rig.outcome) -> Buffer.add_string report o.Rig.report)
+    host_outcomes;
   if not accounted then
     Buffer.add_string report
       (Printf.sprintf
@@ -726,13 +734,13 @@ let run ?(check = false) ?jobs cfg =
        else
          float_of_int (!ok - !violations)
          /. (float_of_int makespan /. Cost.clock_hz));
-    epochs = sum (fun o -> o.Host.h_epochs);
-    epoch_resumes = sum (fun o -> o.Host.h_epoch_resumes);
-    sweep_crash_retries = sum (fun o -> o.Host.h_sweep_crash_retries);
-    chaos_injected = sum (fun o -> o.Host.h_chaos_injected);
+    epochs = sum (fun o -> o.Rig.epochs);
+    epoch_resumes = sum (fun o -> o.Rig.epoch_resumes);
+    sweep_crash_retries = sum (fun o -> o.Rig.sweep_crash_retries);
+    chaos_injected = sum (fun o -> o.Rig.chaos_injected);
     max_pause_us =
       List.fold_left
-        (fun a o -> Float.max a o.Host.h_max_pause_us)
+        (fun a (o : Rig.outcome) -> Float.max a o.Rig.max_pause_us)
         0.0 host_outcomes;
     attempts = n_atts;
     retries_sent;
@@ -740,10 +748,12 @@ let run ?(check = false) ?jobs cfg =
     dup_served = !total_serves - !ok;
     budget_exhausted = sp.s_denied;
     breaker_trips = routed.r_trips;
-    brownout_shifts = sum (fun o -> o.Host.h_brownout_shifts);
+    brownout_shifts = sum (fun o -> o.Rig.brownout_shifts);
     rounds;
     hosts = host_outcomes;
     windows = pre.p_windows;
-    clean = accounted && List.for_all (fun o -> o.Host.h_clean) host_outcomes;
+    clean =
+      accounted
+      && List.for_all (fun (o : Rig.outcome) -> o.Rig.clean) host_outcomes;
     report = Buffer.contents report;
   }

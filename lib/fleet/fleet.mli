@@ -13,11 +13,12 @@
       observations replayed into the health signals in one time-ordered
       event fold. A request routed away from its first-choice host keeps
       its timestamp (no coordinated omission through failovers).
-    + {b simulate} (parallel): every host runs its shard as a
-      self-contained {!Host} simulation on a {!Parallel.Pool} worker —
-      wall-clock scales with [jobs] while the outcome is byte-identical
-      at any job count. Hosts whose shard did not change from the
-      previous round reuse their outcome (shard memoization).
+    + {b simulate} (parallel): every host runs its shard through the
+      serving rig ({!Workload.Rig}) on the fleet clock, with its crash
+      windows, on a {!Parallel.Pool} worker — wall-clock scales with
+      [jobs] while the outcome is byte-identical at any job count.
+      Hosts whose shard did not change from the previous round reuse
+      their outcome (shard memoization).
     + {b spawn} (pure): replay the round's observations through the
       per-class retry budgets and emit the retries and hedges the client
       would have sent. New attempts are appended — existing ones are
@@ -38,12 +39,11 @@
 
 (* fleet.ml is the library interface module, so the components are
    re-exported here (Fleet.Balancer, Fleet.Failplan, Fleet.Health,
-   Fleet.Retry, Fleet.Host). *)
+   Fleet.Retry). *)
 module Balancer = Balancer
 module Failplan = Failplan
 module Health = Health
 module Retry = Retry
-module Host = Host
 
 type resilience = {
   retry : Retry.policy;
@@ -111,9 +111,15 @@ val topology : config -> string
 (** Topology label carried into result records, e.g. ["flat/3"]: every
     host is equivalent behind one balancer. *)
 
+type arrival = {
+  a_id : int;  (** fleet-wide attempt id *)
+  a_intended : int;  (** intended arrival, fleet-clock cycles *)
+  a_cls : int;  (** priority class code ({!Service.Loadgen.cls_code}) *)
+}
+
 type dispatch = {
   d_offered : int;
-  d_assign : Host.arrival array array;
+  d_assign : arrival array array;
       (** per host: its shard of arrivals, in dispatch order *)
   d_redistributed : int;
       (** requests routed away from their first-choice host *)
@@ -169,7 +175,7 @@ type outcome = {
   breaker_trips : int;  (** circuit-breaker trips, final round *)
   brownout_shifts : int;  (** brownout band transitions, fleet-wide *)
   rounds : int;  (** planning rounds until fixed point (or give-up) *)
-  hosts : Host.outcome list;  (** in host order, final round *)
+  hosts : Workload.Rig.outcome list;  (** in host order, final round *)
   windows : Failplan.window list;
   clean : bool;
       (** all host checkers clean (when [check]) and fleet accounting

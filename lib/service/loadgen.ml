@@ -20,6 +20,16 @@ let pattern_name = function
   | Ramp _ -> "ramp"
   | Diurnal _ -> "diurnal"
 
+let pattern_at name ~qps =
+  match name with
+  | "poisson" -> Poisson qps
+  | "bursty" ->
+      (* 25% duty at 2.5x over a 0.5x base: mean = qps *)
+      Bursty { base = 0.5 *. qps; peak = 2.5 *. qps; period_us = 2_000.0; duty = 0.25 }
+  | "ramp" -> Ramp { from_rate = 0.5 *. qps; to_rate = 1.5 *. qps }
+  | "diurnal" -> Diurnal { low = 0.5 *. qps; high = 1.5 *. qps; period_us = 4_000.0 }
+  | s -> invalid_arg (Printf.sprintf "Loadgen.pattern_at: unknown pattern %S" s)
+
 let pi = 4.0 *. atan 1.0
 
 (* Instantaneous offered rate (req/s). Time-shaped patterns (bursty,

@@ -24,6 +24,13 @@ type config = { pattern : pattern; requests : int; seed : int }
 
 val pattern_name : pattern -> string
 
+val pattern_at : string -> qps:float -> pattern
+(** The pattern named by {!pattern_name} with [qps] as its {e mean}
+    rate, so sweep points stay comparable across patterns: bursty runs
+    at 2.5x for a quarter of each 2 ms period over a 0.5x base, ramp and
+    diurnal (4 ms period) span 0.5x to 1.5x. Raises [Invalid_argument]
+    on any other name. *)
+
 val schedule : config -> int array
 (** Intended arrival times in cycles, nondecreasing, length
     [config.requests]. Instantaneous rates are clamped to ≥ 1 req/s.

@@ -1,4 +1,3 @@
-module Capability = Cheri.Capability
 module Machine = Sim.Machine
 module Prng = Sim.Prng
 module Runtime = Ccr.Runtime
@@ -33,48 +32,9 @@ type shared = {
   mutable inflight : int array;
   req_cv : Machine.condvar;
   done_cv : Machine.condvar;
-  mutable sessions : Objtable.t option;
-  init_cv : Machine.condvar;
+  sessions : Rig.sessions;
   mutable finished_servers : int;
 }
-
-let r_work = 1
-
-let process_message cfg rt ctx rng regs sessions =
-  (* unmarshal: a burst of linked temporaries *)
-  let temps =
-    Array.init cfg.temps_per_msg (fun i ->
-        let c = Runtime.malloc rt ctx (128 + (Prng.int rng 56 * 16)) in
-        Machine.store_u64 ctx c (Int64.of_int i);
-        let prev = Sim.Regfile.get regs r_work in
-        if Capability.tag prev && Capability.length c >= 32 then
-          Machine.store_cap ctx (Capability.incr_addr c 16) prev;
-        Sim.Regfile.set regs r_work c;
-        c)
-  in
-  (* touch session state *)
-  for _ = 1 to 3 do
-    match Objtable.random_live sessions rng ~hot:0.1 ~weight:0.5 with
-    | None -> ()
-    | Some slot ->
-        let c = Objtable.get sessions ctx slot in
-        if Capability.tag c then begin
-          Sim.Regfile.set regs r_work c;
-          ignore (Machine.load_u64 ctx c);
-          Machine.store_u64 ctx (Capability.incr_addr c 8) 7L;
-          (* occasional session-state reallocation *)
-          if Prng.int rng 100 = 0 then begin
-            let nv = Runtime.malloc rt ctx 256 in
-            Machine.store_u64 ctx nv 1L;
-            Objtable.put sessions ctx slot nv ~size:256;
-            Runtime.free rt ctx c;
-            Sim.Regfile.set regs r_work Capability.null
-          end
-        end
-  done;
-  Machine.charge ctx cfg.compute_per_msg;
-  Array.iter (fun c -> Runtime.free rt ctx c) temps;
-  Sim.Regfile.set regs r_work Capability.null
 
 let run ?(config = default_config) ?tracer ~mode () =
   let cfg = config in
@@ -100,8 +60,7 @@ let run ?(config = default_config) ?tracer ~mode () =
       inflight = [| 0; 0 |];
       req_cv = Machine.condvar ();
       done_cv = Machine.condvar ();
-      sessions = None;
-      init_cv = Machine.condvar ();
+      sessions = Rig.sessions ();
       finished_servers = 0;
     }
   in
@@ -112,21 +71,10 @@ let run ?(config = default_config) ?tracer ~mode () =
     Machine.spawn m ~name:(Printf.sprintf "grpc-server-%d" id) ~core (fun ctx ->
         let regs = Machine.regs (Machine.self ctx) in
         let rng = Prng.create ~seed:(cfg.seed * 31 * (id + 1)) in
-        if id = 0 then begin
-          let sessions = Objtable.create rt ctx ~slots:cfg.session_slots in
-          for slot = 0 to cfg.session_slots - 1 do
-            let c = Runtime.malloc rt ctx 256 in
-            Machine.store_u64 ctx c (Int64.of_int slot);
-            Objtable.put sessions ctx slot c ~size:256
-          done;
-          sh.sessions <- Some sessions;
-          Machine.broadcast ctx sh.init_cv
-        end
-        else
-          while sh.sessions = None do
-            Machine.wait ctx sh.init_cv
-          done;
-        let sessions = Option.get sh.sessions in
+        let sessions =
+          if id = 0 then Rig.build_sessions sh.sessions rt ctx ~slots:cfg.session_slots
+          else Rig.await_sessions sh.sessions ctx
+        in
         let rec serve () =
           while sh.queue = [] && sh.completed + List.length sh.queue < cfg.messages
                 && sh.submitted < cfg.messages do
@@ -136,7 +84,8 @@ let run ?(config = default_config) ?tracer ~mode () =
           | [] -> () (* all messages submitted and drained *)
           | req :: rest ->
               sh.queue <- rest;
-              process_message cfg rt ctx rng regs sessions;
+              Rig.request rt ctx rng regs sessions ~temps:cfg.temps_per_msg ~touches:3
+                ~compute:cfg.compute_per_msg;
               sh.completed <- sh.completed + 1;
               let now = Machine.now ctx in
               if req.id >= warmup then begin

@@ -1,10 +1,4 @@
-module Capability = Cheri.Capability
-module Machine = Sim.Machine
-module Prng = Sim.Prng
-module Cost = Sim.Cost
-module Runtime = Ccr.Runtime
 module Loadgen = Service.Loadgen
-module Squeue = Service.Squeue
 module Slo = Service.Slo
 module Governor = Service.Governor
 
@@ -45,201 +39,41 @@ type outcome = {
   governor : Governor.stats option;
 }
 
-type shared = {
-  mutable sessions : Objtable.t option;
-  init_cv : Machine.condvar;
-  mutable finished_servers : int;
-}
-
-let r_work = 1
-
-(* One request: unmarshal temporaries, touch session state, compute,
-   respond, free — the same allocation texture as the gRPC surrogate so
-   the revoker has capability-bearing pages to care about. *)
-let process_request cfg rt ctx rng regs sessions =
-  let temps =
-    Array.init cfg.temps_per_req (fun i ->
-        let c = Runtime.malloc rt ctx (128 + (Prng.int rng 56 * 16)) in
-        Machine.store_u64 ctx c (Int64.of_int i);
-        let prev = Sim.Regfile.get regs r_work in
-        if Capability.tag prev && Capability.length c >= 32 then
-          Machine.store_cap ctx (Capability.incr_addr c 16) prev;
-        Sim.Regfile.set regs r_work c;
-        c)
-  in
-  for _ = 1 to 2 do
-    match Objtable.random_live sessions rng ~hot:0.1 ~weight:0.5 with
-    | None -> ()
-    | Some slot ->
-        let c = Objtable.get sessions ctx slot in
-        if Capability.tag c then begin
-          Sim.Regfile.set regs r_work c;
-          ignore (Machine.load_u64 ctx c);
-          Machine.store_u64 ctx (Capability.incr_addr c 8) 7L;
-          if Prng.int rng 100 = 0 then begin
-            let nv = Runtime.malloc rt ctx 256 in
-            Machine.store_u64 ctx nv 1L;
-            Objtable.put sessions ctx slot nv ~size:256;
-            Runtime.free rt ctx c;
-            Sim.Regfile.set regs r_work Capability.null
-          end
-        end
-  done;
-  Machine.charge ctx cfg.compute_per_req;
-  Array.iter (fun c -> Runtime.free rt ctx c) temps;
-  Sim.Regfile.set regs r_work Capability.null
-
-(* Servers round-robin over cores 2, 3, 1: the first two land where the
-   gRPC surrogate puts them, with the revoker sharing core 3 so
-   revocation competes with foreground service. Core 0 is the
-   generator's. *)
-let server_core i = [| 2; 3; 1 |].(i mod 3)
-
-let run ?(config = default_config) ?tracer ?on_runtime ?(governed = false)
-    ?governor_config ~mode () =
+let run ?(config = default_config) ?tracer ?on_runtime ?(governed = false) ~mode () =
   let cfg = config in
-  if cfg.servers < 1 then invalid_arg "Serve.run: need at least one server";
-  let heap_bytes = 24 * 1024 * 1024 in
-  let mconfig =
-    {
-      Machine.default_config with
-      heap_bytes;
-      mem_bytes = heap_bytes + (heap_bytes / 16) + (8 * 1024 * 1024);
-      seed = cfg.seed;
-    }
-  in
-  let rt = Runtime.create ~config:mconfig ~revoker_core:3 mode in
-  let m = rt.Runtime.machine in
-  Machine.attach_tracer m tracer;
-  Option.iter (fun f -> f rt) on_runtime;
-  let arrivals =
-    Loadgen.schedule
-      { Loadgen.pattern = cfg.pattern; requests = cfg.requests; seed = cfg.seed }
-  in
-  let deadline = Option.map Cost.cycles_of_us cfg.deadline_us in
-  let queue = Squeue.create m ~max_depth:cfg.queue_depth ?deadline () in
-  let slo = Slo.create ~target_p99_us:cfg.target_p99_us () in
-  let gov =
-    if governed && rt.Runtime.revoker <> None then
-      Some
-        (Governor.install ?config:governor_config
-           ~target_p99_us:cfg.target_p99_us
-           ~p99:(fun () -> Slo.p99_estimate slo)
-           rt
-           ~depth:(fun () -> Squeue.depth queue)
-           ())
-    else None
-  in
-  let sh =
-    { sessions = None; init_cv = Machine.condvar (); finished_servers = 0 }
-  in
-  let latencies = ref [] in
-  let wall_end = ref 0 in
-  (* The load generator models the outside world: spawned non-user so a
-     stop-the-world pause cannot park it. It releases requests at their
-     precomputed intended arrival times regardless of server progress —
-     during a pause the queue (and the shed count) grows, and every
-     served straggler's latency is measured from its intended arrival. *)
-  let _generator =
-    Machine.spawn m ~name:"serve-loadgen" ~core:0 ~user:false (fun ctx ->
-        while sh.sessions = None do
-          Machine.wait ctx sh.init_cv
-        done;
-        let t0 = Machine.now ctx in
-        Array.iteri
-          (fun i arr ->
-            let intended = t0 + arr in
-            let dt = intended - Machine.now ctx in
-            if dt > 0 then Machine.sleep ctx dt;
-            Slo.note_offered slo;
-            ignore
-              (Squeue.offer queue ctx
-                 { Squeue.id = i; intended; cls = 0; deadline = None;
-                   tenant = 0 }))
-          arrivals;
-        Squeue.close queue ctx)
-  in
-  let server id =
-    Machine.spawn m
-      ~name:(Printf.sprintf "serve-server-%d" id)
-      ~core:(server_core id)
-      (fun ctx ->
-        let regs = Machine.regs (Machine.self ctx) in
-        let rng = Prng.create ~seed:(cfg.seed * 31 * (id + 1)) in
-        if id = 0 then begin
-          let sessions = Objtable.create rt ctx ~slots:cfg.session_slots in
-          for slot = 0 to cfg.session_slots - 1 do
-            let c = Runtime.malloc rt ctx 256 in
-            Machine.store_u64 ctx c (Int64.of_int slot);
-            Objtable.put sessions ctx slot c ~size:256
-          done;
-          sh.sessions <- Some sessions;
-          Machine.broadcast ctx sh.init_cv
-        end
-        else
-          while sh.sessions = None do
-            Machine.wait ctx sh.init_cv
-          done;
-        let sessions = Option.get sh.sessions in
-        let rec serve () =
-          (* An idle server is the trough signal: give the governor a
-             chance to flush quarantine into the lull. *)
-          if Squeue.depth queue = 0 then
-            Option.iter (fun g -> Governor.maybe_eager g ctx) gov;
-          match Squeue.take queue ctx with
-          | None -> ()
-          | Some req ->
-              process_request cfg rt ctx rng regs sessions;
-              let lat =
-                Slo.record slo ~intended:req.Squeue.intended
-                  ~completed:(Machine.now ctx)
-              in
-              latencies := lat :: !latencies;
-              serve ()
-        in
-        serve ();
-        sh.finished_servers <- sh.finished_servers + 1;
-        if sh.finished_servers = cfg.servers then begin
-          wall_end := Machine.now ctx;
-          Option.iter Governor.uninstall gov;
-          Runtime.finish rt ctx
-        end)
-  in
-  let servers = List.init cfg.servers server in
-  Machine.run m;
-  let totals = Machine.totals m in
-  let result =
-    {
-      Result.workload = "serve";
-      mode = Runtime.mode_name mode;
-      wall_cycles = !wall_end;
-      cpu_cycles = totals.Machine.cpu_cycles;
-      app_cpu_cycles =
-        List.fold_left (fun a th -> a + Machine.thread_cpu_cycles th) 0 servers;
-      bus_total = totals.Machine.bus_transactions;
-      bus_app_core =
-        Machine.bus_transactions_of_core m 2 + Machine.bus_transactions_of_core m 3;
-      peak_rss_pages = rt.Runtime.alloc.Alloc.Backend.peak_rss_pages ();
-      clg_faults = totals.Machine.clg_faults;
-      ops_done = Slo.served slo;
-      latencies_us = Array.of_list (List.rev !latencies);
-      latencies_closed_us = [||];
-      throughput =
-        (if !wall_end = 0 then 0.0
-         else
-           float_of_int (Slo.served slo)
-           /. (float_of_int !wall_end /. Cost.clock_hz));
-      scrub_bytes = rt.Runtime.alloc.Alloc.Backend.scrub_bytes ();
-      mrs = Runtime.mrs_stats rt;
-      phases = Runtime.revoker_records rt;
-    }
+  let o =
+    Rig.run ?tracer ?on_runtime
+      {
+        Rig.name = "serve";
+        mode;
+        governed;
+        policy = None;
+        recovery = None;
+        heap_mb = 24;
+        servers = cfg.servers;
+        queue_depth = cfg.queue_depth;
+        deadline_us = cfg.deadline_us;
+        brownout = None;
+        target_p99_us = cfg.target_p99_us;
+        session_slots = cfg.session_slots;
+        temps_per_req = cfg.temps_per_req;
+        compute_per_req = cfg.compute_per_req;
+        seed = cfg.seed;
+        clock = Rig.After_setup;
+        windows = [];
+        check = false;
+      }
+      ~arrivals:
+        (Loadgen.schedule
+           { Loadgen.pattern = cfg.pattern; requests = cfg.requests; seed = cfg.seed })
+      ~classes:(fun _ -> 0)
   in
   {
-    result;
-    offered = Slo.offered slo;
-    served = Slo.served slo;
-    shed_depth = Squeue.shed_depth queue;
-    shed_deadline = Squeue.shed_deadline queue;
-    slo;
-    governor = Option.map Governor.stats gov;
+    result = o.Rig.result;
+    offered = Slo.offered o.Rig.slo;
+    served = o.Rig.served;
+    shed_depth = o.Rig.shed_depth;
+    shed_deadline = o.Rig.shed_deadline;
+    slo = o.Rig.slo;
+    governor = o.Rig.governor;
   }

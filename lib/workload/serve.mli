@@ -47,7 +47,6 @@ val run :
   ?tracer:Sim.Trace.t ->
   ?on_runtime:(Ccr.Runtime.t -> unit) ->
   ?governed:bool ->
-  ?governor_config:Service.Governor.config ->
   mode:Ccr.Runtime.mode ->
   unit ->
   outcome

@@ -15,10 +15,15 @@ module Balancer = Fleet.Balancer
 module Failplan = Fleet.Failplan
 module Health = Fleet.Health
 module Retry = Fleet.Retry
-module Host = Fleet.Host
+module Slo = Service.Slo
+module Rig = Workload.Rig
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+
+(* every recorded fate of a host's arrivals, in arrival order *)
+let fates (h : Rig.outcome) =
+  List.filter_map (Rig.fate h.Rig.fates) (List.init h.Rig.arrivals Fun.id)
 
 let small_config =
   {
@@ -374,20 +379,20 @@ let test_accounting_exact () =
   checki "one attempt per request" o.Fleet.offered o.Fleet.attempts;
   checki "no-retry run settles in one round" 1 o.Fleet.rounds;
   List.iteri
-    (fun i h ->
+    (fun i (h : Rig.outcome) ->
       checki
         (Printf.sprintf "host %d shard size" i)
         (Array.length d.Fleet.d_assign.(i))
-        h.Host.h_arrivals;
+        h.Rig.arrivals;
       checki
         (Printf.sprintf "host %d served + shed + lost = arrivals" i)
-        h.Host.h_arrivals
-        (h.Host.h_served + h.Host.h_shed_depth + h.Host.h_shed_deadline
-       + h.Host.h_shed_brownout + h.Host.h_lost);
+        h.Rig.arrivals
+        (h.Rig.served + h.Rig.shed_depth + h.Rig.shed_deadline
+       + h.Rig.shed_brownout + h.Rig.lost);
       checki
         (Printf.sprintf "host %d reports every arrival's fate" i)
-        h.Host.h_arrivals
-        (Array.length h.Host.h_results))
+        h.Rig.arrivals
+        (List.length (fates h)))
     o.Fleet.hosts;
   check "accounting is part of clean" true o.Fleet.clean;
   checki "fleet histogram holds every answered request"
@@ -491,28 +496,28 @@ let hist_fingerprint h =
     if Histogram.count h = 0 then []
     else List.map (Histogram.percentile h) [ 0.0; 50.0; 99.0; 99.9; 100.0 ] )
 
-let host_fingerprint h =
-  ( ( h.Host.h_host,
-      h.Host.h_arrivals,
-      h.Host.h_served,
-      h.Host.h_shed_depth,
-      h.Host.h_shed_deadline,
-      h.Host.h_shed_brownout,
-      h.Host.h_lost,
-      h.Host.h_violations ),
-    ( h.Host.h_wall_cycles,
-      h.Host.h_epochs,
-      h.Host.h_stw_pause_us,
-      h.Host.h_max_pause_us,
-      h.Host.h_epoch_resumes,
-      h.Host.h_sweep_crash_retries,
-      h.Host.h_chaos_injected,
-      h.Host.h_brownout_shifts,
-      h.Host.h_clean,
-      h.Host.h_report ),
-    Array.to_list (Array.map (fun (id, _) -> id) h.Host.h_results),
-    hist_fingerprint h.Host.h_hist,
-    Array.to_list (Array.map hist_fingerprint h.Host.h_slices) )
+let host_fingerprint host (h : Rig.outcome) =
+  ( ( host,
+      h.Rig.arrivals,
+      h.Rig.served,
+      h.Rig.shed_depth,
+      h.Rig.shed_deadline,
+      h.Rig.shed_brownout,
+      h.Rig.lost,
+      Slo.violations h.Rig.slo ),
+    ( h.Rig.result.Workload.Result.wall_cycles,
+      h.Rig.epochs,
+      h.Rig.stw_pause_us,
+      h.Rig.max_pause_us,
+      h.Rig.epoch_resumes,
+      h.Rig.sweep_crash_retries,
+      h.Rig.chaos_injected,
+      h.Rig.brownout_shifts,
+      h.Rig.clean,
+      h.Rig.report ),
+    fates h,
+    hist_fingerprint (Slo.histogram h.Rig.slo),
+    Array.to_list (Array.map hist_fingerprint h.Rig.slices) )
 
 let fleet_fingerprint o =
   ( ( o.Fleet.offered,
@@ -545,7 +550,7 @@ let fleet_fingerprint o =
       o.Fleet.rounds ),
     hist_fingerprint o.Fleet.hist,
     Array.to_list (Array.map hist_fingerprint o.Fleet.slice_hists),
-    List.map host_fingerprint o.Fleet.hosts )
+    List.mapi host_fingerprint o.Fleet.hosts )
 
 let test_jobs_invariance () =
   let cfg = { small_config with failures = Failplan.Rolling } in
@@ -583,24 +588,24 @@ let test_jobs_invariance_resilient () =
 (* ---- crash-recoverable revocation on the restarted host ---- *)
 
 let test_recovery_resumes_epoch () =
-  (* Drive one host directly: a dense arrival trace, a low quarantine
-     floor so epochs fire often, and one blackout window whose start
+  (* Drive one rig directly: a dense arrival trace, a low quarantine
+     floor so epochs fire often, and one crash window whose start
      injects a sweep crash mid-epoch. Recovery must resume the
      checkpointed epoch, the crash must destroy the admitted-but-unserved
      work (reported per request), and the checkers must stay clean. *)
   let requests = 800 in
   let gap = Cost.cycles_of_us 8.0 in
-  let arrivals =
-    Array.init requests (fun i ->
-        { Host.a_id = i; a_intended = (i + 1) * gap; a_cls = 0 })
-  in
+  let arrivals = Array.init requests (fun i -> (i + 1) * gap) in
   let horizon = (requests + 1) * gap in
   let window = (horizon / 3, horizon / 3 * 2) in
   let cfg =
     {
-      Host.host = 0;
+      Rig.name = "fleet-h0";
       mode = Runtime.Safe Revoker.Reloaded;
       governed = true;
+      policy = Some (Policy.with_min Policy.default 16_384);
+      recovery = None;
+      heap_mb = 8;
       servers = 2;
       queue_depth = 64;
       deadline_us = None;
@@ -609,45 +614,40 @@ let test_recovery_resumes_epoch () =
       session_slots = 512;
       temps_per_req = 3;
       compute_per_req = 20_000;
-      heap_mb = 8;
       seed = 11;
-      check = true;
-      policy = Some (Policy.with_min Policy.default 16_384);
-      recovery = None;
+      clock = Rig.Absolute { slices = 4; origin = 0; horizon };
       windows = [ window ];
-      slices = 4;
-      origin = 0;
-      horizon;
+      check = true;
     }
   in
-  let o = Host.run cfg ~arrivals in
+  let o = Rig.run cfg ~arrivals ~classes:(fun _ -> 0) in
   checki "every arrival accounted" requests
-    (o.Host.h_served + o.Host.h_shed_depth + o.Host.h_shed_deadline
-   + o.Host.h_shed_brownout + o.Host.h_lost);
-  checki "every arrival's fate reported" requests (Array.length o.Host.h_results);
-  check "the crash destroyed admitted work" true (o.Host.h_lost > 0);
-  check "the induced sweep crash fired" true (o.Host.h_chaos_injected >= 1);
+    (o.Rig.served + o.Rig.shed_depth + o.Rig.shed_deadline
+   + o.Rig.shed_brownout + o.Rig.lost);
+  checki "every arrival's fate reported" requests (List.length (fates o));
+  check "the crash destroyed admitted work" true (o.Rig.lost > 0);
+  check "the induced sweep crash fired" true (o.Rig.chaos_injected >= 1);
   check "the crash registered as a retry" true
-    (o.Host.h_sweep_crash_retries >= 1);
+    (o.Rig.sweep_crash_retries >= 1);
   check "the restarted host resumed its checkpointed epoch" true
-    (o.Host.h_epoch_resumes > 0);
-  check "checkers stayed clean through crash recovery" true o.Host.h_clean;
-  Alcotest.(check string) "no buffered findings" "" o.Host.h_report;
+    (o.Rig.epoch_resumes > 0);
+  check "checkers stayed clean through crash recovery" true o.Rig.clean;
+  Alcotest.(check string) "no buffered findings" "" o.Rig.report;
   (* per-request results agree with the aggregate *)
   let served, shed, lost =
-    Array.fold_left
-      (fun (s, d, l) (_, r) ->
+    List.fold_left
+      (fun (s, d, l) r ->
         match r with
-        | Host.R_served _ -> (s + 1, d, l)
-        | Host.R_shed _ -> (s, d + 1, l)
-        | Host.R_lost _ -> (s, d, l + 1))
-      (0, 0, 0) o.Host.h_results
+        | Rig.Served _ -> (s + 1, d, l)
+        | Rig.Shed _ -> (s, d + 1, l)
+        | Rig.Lost _ -> (s, d, l + 1))
+      (0, 0, 0) (fates o)
   in
-  checki "per-request serves" o.Host.h_served served;
+  checki "per-request serves" o.Rig.served served;
   checki "per-request sheds"
-    (o.Host.h_shed_depth + o.Host.h_shed_deadline + o.Host.h_shed_brownout)
+    (o.Rig.shed_depth + o.Rig.shed_deadline + o.Rig.shed_brownout)
     shed;
-  checki "per-request losses" o.Host.h_lost lost
+  checki "per-request losses" o.Rig.lost lost
 
 let () =
   Alcotest.run "fleet"

@@ -210,7 +210,8 @@ let test_runtime_modes () =
   List.iter
     (fun mode ->
       let name = Runtime.mode_name mode in
-      check "mode named" true (String.length name > 0))
+      check "mode named" true (String.length name > 0);
+      check "name parses back" true (Runtime.mode_of_name name = Some mode))
     Runtime.all_modes
 
 let () =
