@@ -25,7 +25,6 @@ let default_brownout = { b_enter = 48; b_exit = 12; b_min_cls = 2 }
 type t = {
   m : Machine.t;
   max_depth : int;
-  deadline : int option;
   brownout : brownout option;
   quota_gate : (int -> bool) option;
   q : req Queue.t;
@@ -42,7 +41,7 @@ type t = {
   mutable shed_log : (req * int * int) list;
 }
 
-let create m ~max_depth ?deadline ?brownout ?quota_gate () =
+let create m ~max_depth ?brownout ?quota_gate () =
   if max_depth <= 0 then invalid_arg "Squeue.create: max_depth must be > 0";
   (match brownout with
   | Some b when b.b_enter <= b.b_exit ->
@@ -53,7 +52,6 @@ let create m ~max_depth ?deadline ?brownout ?quota_gate () =
   {
     m;
     max_depth;
-    deadline;
     brownout;
     quota_gate;
     q = Queue.create ();
@@ -152,7 +150,7 @@ let rec take t ctx =
   else begin
     let req = Queue.pop t.q in
     update_brownout t ctx;
-    match (match req.deadline with Some _ as d -> d | None -> t.deadline) with
+    match req.deadline with
     | Some d when Machine.now ctx - req.intended > d ->
         (* Stale before service even starts: complete-then-miss would
            waste server cycles on an answer nobody is waiting for, so

@@ -7,9 +7,7 @@
       queue is already at [max_depth] — backpressure at admission;
     - {b deadline} ([arg2 = 1]): [take] discards a request whose queueing
       delay already exceeds its deadline — it would miss its SLO even
-      with instantaneous service, so serving it only burns cycles. The
-      effective deadline is the request's own [deadline] field when set,
-      else the queue-wide default;
+      with instantaneous service, so serving it only burns cycles;
     - {b brownout} ([arg2 = 2]): while the brownout controller is
       active, [offer] sheds every request whose class code is at least
       [b_min_cls] — graceful degradation drops the least important
@@ -37,8 +35,7 @@ type req = {
   intended : int;  (** intended arrival, cycles *)
   cls : int;  (** priority class code ({!Service.Loadgen.cls_code}) *)
   deadline : int option;
-      (** per-request deadline (cycles of queueing delay); [None] falls
-          back to the queue-wide default *)
+      (** queueing-delay budget, cycles; [None] is never deadline-shed *)
   tenant : int;
       (** owning tenant pid for the quota gate; 0 for single-tenant rigs *)
 }
@@ -63,13 +60,11 @@ type t
 val create :
   Sim.Machine.t ->
   max_depth:int ->
-  ?deadline:int ->
   ?brownout:brownout ->
   ?quota_gate:(int -> bool) ->
   unit ->
   t
-(** No deadline dropping unless [deadline] (or a per-request deadline)
-    is given; no brownout shedding unless [brownout] is given; no quota
+(** No brownout shedding unless [brownout] is given; no quota
     shedding unless [quota_gate] is given ([quota_gate tenant] returning
     [true] means the tenant is over quota {e right now} — typically
     [Tenant.Ledger.over_quota]). Raises [Invalid_argument] if
