@@ -26,7 +26,6 @@ type t = {
   interp : Workload.Spec.interp; (* spec cells only; simulated results identical *)
   spec : (string * string, Result.t) Hashtbl.t; (* (workload, mode) *)
   interactive : (string * string, Result.t) Hashtbl.t;
-  durations : (string * string, float) Hashtbl.t; (* wall ms per cell *)
   mutable spec_done : bool;
   mutable pgbench_done : bool;
   mutable grpc_done : bool;
@@ -40,7 +39,6 @@ let create ?jobs ?(interp = Workload.Spec.Compiled) ~scale ~seed () =
     interp;
     spec = Hashtbl.create 64;
     interactive = Hashtbl.create 16;
-    durations = Hashtbl.create 64;
     spec_done = false;
     pgbench_done = false;
     grpc_done = false;
@@ -50,23 +48,14 @@ let jobs t = t.jobs
 let progress fmt = Format.eprintf fmt
 
 (* Fan a list of independent (key, run) cells across domains. Workers
-   are silent; results and their wall-clock durations are stored (and
-   progress printed) from the calling domain in submission order, so
-   every table is filled identically for any [t.jobs]. *)
+   are silent; results are stored (and progress printed) from the
+   calling domain in submission order, so every table is filled
+   identically for any [t.jobs]. *)
 let run_cells t table cells =
-  let timed =
-    Parallel.Pool.map ~jobs:t.jobs
-      (fun (_key, run) ->
-        let t0 = Unix.gettimeofday () in
-        let r = run () in
-        (r, (Unix.gettimeofday () -. t0) *. 1000.0))
-      cells
-  in
   List.iter2
-    (fun (key, _) (r, ms) ->
-      Hashtbl.replace table key r;
-      Hashtbl.replace t.durations key ms)
-    cells timed
+    (fun (key, _) r -> Hashtbl.replace table key r)
+    cells
+    (Parallel.Pool.map ~jobs:t.jobs (fun (_key, run) -> run ()) cells)
 
 let ensure_spec t =
   if not t.spec_done then begin
@@ -151,38 +140,6 @@ let ratio ~test ~base = float_of_int test /. float_of_int base
 let pct (r : Result.t) q =
   Stats.Summary.percentile (Array.to_list r.Result.latencies_us) q
 
-(* One flat record per (profile x mode) spec run, for machine-readable
-   output: overheads are against the same profile's Baseline run, and
-   the pause tail is the p99 of per-epoch world-stopped durations. Every
-   record carries the PRNG seed and the fault-schedule id so a dashboard
-   row is reproducible from the record alone; the benchmark harness
-   never arms a chaos schedule, so its schedule id is 0 (the field
-   aligns these records with ccr_chaos output, where it is nonzero). *)
-type json_record = {
-  j_strategy : string;
-  j_profile : string;
-  j_topology : string; (* "single" here; "flat/N" in ccr_fleet records *)
-  j_host_count : int;
-  j_balancer : string; (* "none" here; a balancer name in fleet records *)
-  j_tenants : int; (* 1 here; tenant count in ccr_sim tenantecon records *)
-  j_overcommit : string; (* "none" here; a ledger policy name there *)
-  j_seed : int;
-  j_schedule : int; (* fault-schedule id; 0 = no faults armed *)
-  j_cycles : int;
-  j_overhead_pct : float;
-  j_pause_p99 : float;
-  j_abandoned_bytes : int; (* quarantine dropped unrevoked at finish *)
-  j_lat_p99 : float; (* request-latency tail, µs; 0 for batch records *)
-  j_lat_p999 : float;
-  j_duration_ms : float; (* host wall-clock of the cell's simulation *)
-  j_jobs : int; (* fan-out width the campaign ran with *)
-  j_ops_per_sec : float;
-      (* host-side interpreter throughput: simulated ops per host
-         second. Like duration_ms/jobs this is a property of the run,
-         not of the simulated machine — CI normalizes it away when
-         diffing compiled vs reference output *)
-}
-
 (* Tail of a latency-bearing record through the log-bucketed histogram —
    the same recorder a production fleet would use — rather than the
    exact sorted-array percentile, so dashboard rows match what a
@@ -196,43 +153,35 @@ let hist_tail (r : Result.t) q =
     Stats.Histogram.percentile h q
   end
 
-let record_of t ~workload ~mode ~base ~seed (r : Result.t) =
+(* One flat record per (workload x mode) run, for machine-readable
+   output: overheads are against the same workload's Baseline run, and
+   the pause tail is the p99 of per-epoch world-stopped durations. Every
+   record carries the PRNG seed and the fault-schedule id so a dashboard
+   row is reproducible from the record alone; the harness never arms a
+   chaos schedule, so its schedule id is 0 (the field aligns these
+   records with ccr_chaos output, where it is nonzero). Each cell
+   simulates one machine: the schema fields are the single-host ones. *)
+let record_of ~workload ~mode ~base ~seed (r : Result.t) =
   let pauses =
     List.map (fun p -> float_of_int p.Revoker.stw_cycles) r.Result.phases
   in
-  {
-    j_strategy = mode;
-    j_profile = workload;
-    (* the harness simulates one machine per cell; the fields exist so
-       these records stay schema-aligned with ccr_fleet's multi-host ones *)
-    j_topology = "single";
-    j_host_count = 1;
-    j_balancer = "none";
-    j_tenants = 1;
-    j_overcommit = "none";
-    j_seed = seed;
-    j_schedule = 0;
-    j_cycles = r.Result.wall_cycles;
-    j_overhead_pct = overhead_pct ~test:r.Result.wall_cycles ~base;
-    j_pause_p99 =
-      (if pauses = [] then 0.0 else Stats.Summary.percentile pauses 99.0);
-    j_abandoned_bytes =
-      (match r.Result.mrs with
-      | Some s -> s.Ccr.Mrs.abandoned_bytes
-      | None -> 0);
-    j_lat_p99 = hist_tail r 99.0;
-    j_lat_p999 = hist_tail r 99.9;
-    j_duration_ms =
-      (try Hashtbl.find t.durations (workload, mode) with Not_found -> 0.0);
-    j_jobs = t.jobs;
-    j_ops_per_sec =
-      (let ms =
-         try Hashtbl.find t.durations (workload, mode) with Not_found -> 0.0
-       in
-       if ms > 0.0 && r.Result.ops_done > 0 then
-         float_of_int r.Result.ops_done /. (ms /. 1000.0)
-       else 0.0);
-  }
+  Cli.Json.(
+    Obj
+      ([ ("strategy", String mode); ("profile", String workload) ]
+      @ schema ()
+      @ [
+          ("seed", Int seed);
+          ("fault_schedule", Int 0);
+          ("cycles", Int r.Result.wall_cycles);
+          ("overhead_pct", Float (4, overhead_pct ~test:r.Result.wall_cycles ~base));
+          ( "pause_p99",
+            Float (1, if pauses = [] then 0.0 else Stats.Summary.percentile pauses 99.0) );
+          ( "abandoned_bytes",
+            Int (match r.Result.mrs with Some s -> s.Ccr.Mrs.abandoned_bytes | None -> 0) );
+          (* request-latency tail, µs; 0 for batch records *)
+          ("lat_p99_us", Float (3, hist_tail r 99.0));
+          ("lat_p999_us", Float (3, hist_tail r 99.9));
+        ]))
 
 let json_records t =
   ensure_spec t;
@@ -246,7 +195,7 @@ let json_records t =
         in
         List.map
           (fun mode ->
-            record_of t ~workload ~mode ~base ~seed:t.seed
+            record_of ~workload ~mode ~base ~seed:t.seed
               (Hashtbl.find t.spec (workload, mode)))
           mode_names)
       spec_names
@@ -259,7 +208,7 @@ let json_records t =
         in
         List.map
           (fun mode ->
-            record_of t ~workload ~mode ~base ~seed:t.seed
+            record_of ~workload ~mode ~base ~seed:t.seed
               (Hashtbl.find t.interactive (workload, mode)))
           mode_names)
       [ "pgbench"; "grpc_qps" ]

@@ -31,106 +31,61 @@ let all_targets : (string * string * (Campaign.t -> unit)) list =
     ("micro", "bechamel microbenchmarks of primitives", fun _ -> Micro.run ());
   ]
 
-(* Machine-readable output: one flat JSON record per (profile x mode)
-   run — SPEC batch profiles plus the interactive pgbench/grpc pair,
-   whose records carry latency tails — for dashboards and CI trend
-   tracking. *)
-let write_json path records =
-  let oc = open_out path in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i (r : Campaign.json_record) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"strategy\": %S, \"profile\": %S, \"topology\": %S, \
-            \"host_count\": %d, \"balancer\": %S, \"tenants\": %d, \
-            \"overcommit\": %S, \"seed\": %d, \
-            \"fault_schedule\": %d, \"cycles\": %d, \"overhead_pct\": %.4f, \
-            \"pause_p99\": %.1f, \"abandoned_bytes\": %d, \"lat_p99_us\": \
-            %.3f, \"lat_p999_us\": %.3f, \"duration_ms\": %.3f, \"jobs\": %d, \
-            \"ops_per_sec\": %.1f}"
-           r.Campaign.j_strategy r.Campaign.j_profile r.Campaign.j_topology
-           r.Campaign.j_host_count r.Campaign.j_balancer r.Campaign.j_tenants
-           r.Campaign.j_overcommit r.Campaign.j_seed
-           r.Campaign.j_schedule r.Campaign.j_cycles
-           r.Campaign.j_overhead_pct r.Campaign.j_pause_p99
-           r.Campaign.j_abandoned_bytes r.Campaign.j_lat_p99
-           r.Campaign.j_lat_p999 r.Campaign.j_duration_ms r.Campaign.j_jobs
-           r.Campaign.j_ops_per_sec))
-    records;
-  Buffer.add_string buf "\n]\n";
-  Buffer.output_buffer oc buf;
-  close_out oc
-
 let list_targets () =
   print_endline "targets:";
   List.iter (fun (n, d, _) -> Printf.printf "  %-18s %s\n" n d) all_targets;
   print_endline "(no targets = run everything)"
 
 let main scale seed jobs interp json_out list targets =
-  match Parallel.Pool.validate_jobs jobs with
-  | Error msg ->
-      Printf.eprintf "main.exe: %s\n" msg;
-      1
-  | Ok jobs ->
-      if list then begin
-        list_targets ();
-        0
-      end
-      else if scale <= 0.0 then begin
-        Printf.eprintf "main.exe: --scale needs a positive number, got %g\n" scale;
-        1
-      end
-      else begin
-        let chosen =
-          match targets with
-          | [] ->
-              (* --json with no targets dumps the spec campaign without
-                 rendering every figure *)
-              if json_out <> None then [] else List.map (fun (n, _, _) -> n) all_targets
-          | l -> l
-        in
-        Format.printf
-          "Cornucopia Reloaded reproduction harness — ops scale %.2f, heap scale 1/%.0f, seed %d, jobs %d@."
-          scale Paper.heap_scale seed jobs;
-        Format.printf "(shapes and orderings are the reproduced quantities; see EXPERIMENTS.md)@.";
-        let c = Campaign.create ~jobs ~interp ~scale ~seed () in
-        let t0 = Unix.gettimeofday () in
-        List.iter
-          (fun name ->
-            let _, _, f = List.find (fun (n, _, _) -> n = name) all_targets in
-            f c)
-          chosen;
-        (match json_out with
-        | Some path ->
-            write_json path (Campaign.json_records c);
-            Format.printf "wrote %s@." path
-        | None -> ());
-        Format.printf "@.[harness completed in %.1fs]@." (Unix.gettimeofday () -. t0);
-        0
-      end
+  if list then begin
+    list_targets ();
+    0
+  end
+  else begin
+    let chosen =
+      match targets with
+      | [] ->
+          (* --json with no targets dumps the spec campaign without
+             rendering every figure *)
+          if json_out <> None then [] else List.map (fun (n, _, _) -> n) all_targets
+      | l -> l
+    in
+    Format.printf
+      "Cornucopia Reloaded reproduction harness — ops scale %.2f, heap scale 1/%.0f, seed %d, jobs %d@."
+      scale Paper.heap_scale seed jobs;
+    Format.printf "(shapes and orderings are the reproduced quantities; see EXPERIMENTS.md)@.";
+    let c = Campaign.create ~jobs ~interp ~scale ~seed () in
+    let t0 = Unix.gettimeofday () in
+    List.iter
+      (fun name ->
+        let _, _, f = List.find (fun (n, _, _) -> n = name) all_targets in
+        f c)
+      chosen;
+    (match json_out with
+    | Some path ->
+        (* one flat record per (profile x mode) run — SPEC batch
+           profiles plus the interactive pgbench/grpc pair, whose
+           records carry latency tails *)
+        Cli.Json.write path (Campaign.json_records c);
+        Format.printf "wrote %s@." path
+    | None -> ());
+    Format.printf "@.[harness completed in %.1fs]@." (Unix.gettimeofday () -. t0);
+    0
+  end
 
 open Cmdliner
 
 let scale_arg =
   Arg.(
-    value & opt float 0.5
+    value & opt Cli.pos_float 0.5
     & info [ "scale" ] ~docv:"S" ~doc:"Operation-count scale of every workload (positive).")
 
-let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed of every cell.")
-
 let jobs_arg =
-  Arg.(
-    value
-    & opt int (Parallel.Pool.default_jobs ())
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Run up to $(docv) cells concurrently on separate domains (default: the machine's \
-           recommended domain count, capped at 16). Output other than the host-side \
-           $(b,duration_ms), $(b,jobs) and $(b,ops_per_sec) JSON fields is identical for any \
-           $(docv).")
+  Cli.jobs
+    ~doc:
+      "Run up to $(docv) cells concurrently on separate domains (default: the machine's \
+       recommended domain count, capped at 16). The JSON records are identical for any \
+       $(docv)."
 
 let interp_arg =
   Arg.(
@@ -141,12 +96,7 @@ let interp_arg =
     & info [ "interp" ] ~docv:"compiled|reference"
         ~doc:"SPEC interpreter; both give identical simulated results.")
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"OUT"
-        ~doc:"Write one JSON record per (profile x mode) cell to $(docv).")
+let json_arg = Cli.json ~doc:"Write one JSON record per (profile x mode) cell to $(docv)."
 
 let list_arg = Arg.(value & flag & info [ "list" ] ~doc:"List the targets and exit.")
 
@@ -163,5 +113,5 @@ let () =
           (Cmd.info "main.exe"
              ~doc:"Regenerate the paper's evaluation figures and tables from simulation.")
           Term.(
-            const main $ scale_arg $ seed_arg $ jobs_arg $ interp_arg $ json_arg $ list_arg
+            const main $ scale_arg $ Cli.seed ~doc:"PRNG seed of every cell." 1 $ jobs_arg $ interp_arg $ json_arg $ list_arg
             $ targets_arg)))

@@ -38,8 +38,7 @@ module Revoker = Ccr.Revoker
 module Mrs = Ccr.Mrs
 module Policy = Ccr.Policy
 module Syscall = Kernel.Syscall
-module Sanitizer = Analysis.Sanitizer
-module Race = Analysis.Race
+module Check = Analysis.Check
 
 let config seed =
   {
@@ -118,7 +117,6 @@ type cell = {
   c_ok : bool;
   c_note : string;
   c_report : string; (* buffered checker findings; printed by the caller *)
-  c_duration_ms : float; (* host wall-clock of the whole cell *)
 }
 
 let zero_rs =
@@ -131,12 +129,6 @@ let zero_rs =
     downshifts = 0;
   }
 
-(* Cells run on worker domains under --jobs, so findings are buffered
-   into the cell and printed by the main domain in campaign order. *)
-let report_checkers fmt san race =
-  if not (Sanitizer.ok san) then Sanitizer.report fmt san;
-  if not (Race.ok race) then Race.report fmt race
-
 (* One churn execution; [schedule = None] is the calibration pass. *)
 let churn_exec ~seed ~ops ~spine ~recovery ~strategy schedule =
   let rt =
@@ -145,8 +137,7 @@ let churn_exec ~seed ~ops ~spine ~recovery ~strategy schedule =
   in
   let m = rt.Runtime.machine in
   Machine.attach_tracer m (Some (Trace.create ~capacity:262144 ()));
-  let san = Sanitizer.attach ?revoker:rt.Runtime.revoker m in
-  let race = Race.attach m in
+  let check = Check.attach_runtime rt in
   let chaos =
     Option.map
       (fun s ->
@@ -159,11 +150,13 @@ let churn_exec ~seed ~ops ~spine ~recovery ~strategy schedule =
   let crashed =
     match Machine.run m with () -> None | exception e -> Some e
   in
-  Sanitizer.finish san;
-  (rt, san, race, chaos, Machine.global_time m, crashed)
+  (rt, check, chaos, Machine.global_time m, crashed)
 
-let cell_of_run ?epochs ~rig ~seed ~strategy ~sched ~horizon ~requested rt san
-    race chaos cycles crashed =
+(* Cells run on worker domains under --jobs, so checker findings are
+   buffered into the cell and printed by the main domain in campaign
+   order. *)
+let cell_of_run ?epochs ~rig ~seed ~strategy ~sched ~horizon ~requested rt
+    check chaos cycles crashed =
   let stats = Runtime.mrs_stats rt in
   let epochs =
     match epochs with
@@ -189,7 +182,7 @@ let cell_of_run ?epochs ~rig ~seed ~strategy ~sched ~horizon ~requested rt san
     | None -> []
     | Some t -> List.map Chaos.kind_name (Chaos.unfired t)
   in
-  let checkers = Sanitizer.ok san && Race.ok race in
+  let checkers, report = Check.verdict (Some check) ~drift:[] in
   let ok =
     crashed = None && checkers && unfired = [] && epochs > 0
   in
@@ -202,12 +195,6 @@ let cell_of_run ?epochs ~rig ~seed ~strategy ~sched ~horizon ~requested rt san
         else if epochs = 0 then "vacuous: no epoch ran"
         else ""
   in
-  let report = Buffer.create 0 in
-  if not checkers then begin
-    let fmt = Format.formatter_of_buffer report in
-    report_checkers fmt san race;
-    Format.pp_print_flush fmt ()
-  end;
   {
     c_rig = rig;
     c_seed = seed;
@@ -226,15 +213,14 @@ let cell_of_run ?epochs ~rig ~seed ~strategy ~sched ~horizon ~requested rt san
       (match stats with Some s -> s.Mrs.abandoned_bytes | None -> 0);
     c_ok = ok;
     c_note = note;
-    c_report = Buffer.contents report;
-    c_duration_ms = 0.0; (* stamped by the campaign driver *)
+    c_report = report;
   }
 
 (* Calibrate, plan, inject. Returns None when no requested fault kind is
    applicable to the strategy (e.g. paint+sync with only sweep faults
    requested): there is nothing to inject, so no cell. *)
 let churn_cell ~seed ~ops ~kinds strategy =
-  let _, _, _, _, horizon, crashed =
+  let _, _, _, horizon, crashed =
     churn_exec ~seed ~ops ~spine:16 ~recovery:campaign_recovery ~strategy None
   in
   (match crashed with
@@ -247,14 +233,14 @@ let churn_cell ~seed ~ops ~kinds strategy =
   let schedule = Chaos.plan ~seed ~strategy ~horizon ~kinds () in
   if schedule.Chaos.faults = [] then None
   else
-    let rt, san, race, chaos, cycles, crashed =
+    let rt, check, chaos, cycles, crashed =
       churn_exec ~seed ~ops ~spine:16 ~recovery:campaign_recovery ~strategy
         (Some schedule)
     in
     Some
       (cell_of_run ~rig:"churn" ~seed ~strategy
          ~sched:(Chaos.schedule_id schedule) ~horizon ~requested:strategy rt
-         san race chaos cycles crashed)
+         check chaos cycles crashed)
 
 (* ---- the tenant-kill rig ---- *)
 
@@ -288,11 +274,7 @@ let tenant_kill_cell ~seed ~ops strategy =
   let m = Os.machine os in
   Machine.attach_tracer m (Some (Trace.create ~capacity:262144 ()));
   let init_rt = Os.runtime (Os.init os) in
-  let san = Sanitizer.attach ?revoker:init_rt.Runtime.revoker m in
-  Os.set_on_process os (fun p ->
-      Sanitizer.register_process san ~pid:(Os.pid p)
-        ?revoker:(Os.runtime p).Runtime.revoker ());
-  let race = Race.attach m in
+  let check = Check.attach_os os in
   Os.spawn_reaper os;
   let victim = ref None in
   let chaos =
@@ -328,7 +310,6 @@ let tenant_kill_cell ~seed ~ops strategy =
   let crashed =
     match Machine.run m with () -> None | exception e -> Some e
   in
-  Sanitizer.finish san;
   (* epochs close in the tenants' own revokers, not init's *)
   let epochs =
     List.fold_left
@@ -341,7 +322,7 @@ let tenant_kill_cell ~seed ~ops strategy =
   let cell =
     cell_of_run ~epochs ~rig:"tenant-kill" ~seed ~strategy
       ~sched:(Chaos.schedule_id schedule) ~horizon:schedule.Chaos.horizon
-      ~requested:strategy init_rt san race (Some chaos)
+      ~requested:strategy init_rt check (Some chaos)
       (Machine.global_time m) crashed
   in
   (* the victim must really have died mid-flight and been reaped *)
@@ -368,7 +349,7 @@ let storm_recovery =
 
 let storm_cell ~seed =
   let strategy = Revoker.Reloaded in
-  let _, _, _, _, horizon, _ =
+  let _, _, _, horizon, _ =
     churn_exec ~seed ~ops:3_000 ~spine:64 ~recovery:storm_recovery ~strategy
       None
   in
@@ -395,8 +376,7 @@ let storm_cell ~seed =
   let m = rt.Runtime.machine in
   let tr = Trace.create ~capacity:262144 () in
   Machine.attach_tracer m (Some tr);
-  let san = Sanitizer.attach ?revoker:rt.Runtime.revoker m in
-  let race = Race.attach m in
+  let check = Check.attach_runtime rt in
   let chaos =
     Chaos.install m ~revoker:rt.Runtime.revoker ~mrs:rt.Runtime.mrs schedule
   in
@@ -420,11 +400,10 @@ let storm_cell ~seed =
   let crashed =
     match Machine.run m with () -> None | exception e -> Some e
   in
-  Sanitizer.finish san;
   let cell =
     cell_of_run ~rig:"storm" ~seed ~strategy
-      ~sched:(Chaos.schedule_id schedule) ~horizon ~requested:strategy rt san
-      race (Some chaos) (Machine.global_time m) crashed
+      ~sched:(Chaos.schedule_id schedule) ~horizon ~requested:strategy rt
+      check (Some chaos) (Machine.global_time m) crashed
   in
   (* ladder assertions: Reloaded -> Cornucopia -> Cherivoke, witnessed in
      the trace with the right strategy codes *)
@@ -481,88 +460,39 @@ let print_cell verbose c =
       (if c.c_note = "" then "" else " — " ^ c.c_note)
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
-
-let write_json path ~jobs cells =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "[\n";
-  List.iteri
-    (fun i c ->
-      let rs = c.c_rs in
-      out
-        "  {\"rig\": \"%s\", \"topology\": \"single\", \"host_count\": 1, \
-         \"balancer\": \"none\", \"tenants\": 1, \"overcommit\": \"none\", \
-         \"seed\": %d, \"strategy\": \"%s\", \"final\": \
-         \"%s\", \"schedule\": %d, \"horizon\": %d, \"ok\": %b, \"epochs\": \
-         %d, \"cycles\": %d, \"injected\": {%s}, \"unfired\": [%s], \
-         \"epoch_aborts\": %d, \"sweep_crash_retries\": %d, \
-         \"quiesce_timeouts\": %d, \"backoff_cycles\": %d, \"downshifts\": \
-         %d, \"throttled_allocs\": %d, \"abandoned_bytes\": %d, \"note\": \
-         \"%s\", \"duration_ms\": %.3f, \"jobs\": %d}%s\n"
-        c.c_rig c.c_seed c.c_strategy c.c_final c.c_sched c.c_horizon c.c_ok
-        c.c_epochs c.c_cycles
-        (String.concat ", "
-           (List.map
-              (fun (k, n) -> Printf.sprintf "\"%s\": %d" k n)
-              c.c_injected))
-        (String.concat ", "
-           (List.map (fun k -> Printf.sprintf "\"%s\"" k) c.c_unfired))
-        rs.Revoker.epoch_aborts rs.Revoker.sweep_crash_retries
-        rs.Revoker.quiesce_timeouts rs.Revoker.backoff_cycles
-        rs.Revoker.downshifts c.c_throttled c.c_abandoned
-        (json_escape c.c_note)
-        c.c_duration_ms jobs
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  out "]\n";
-  close_out oc
+let cell_record c =
+  let rs = c.c_rs in
+  Cli.Json.(
+    Obj
+      ((("rig", String c.c_rig) :: schema ())
+      @ [
+          ("seed", Int c.c_seed);
+          ("strategy", String c.c_strategy);
+          ("final", String c.c_final);
+          ("schedule", Int c.c_sched);
+          ("horizon", Int c.c_horizon);
+          ("ok", Bool c.c_ok);
+          ("epochs", Int c.c_epochs);
+          ("cycles", Int c.c_cycles);
+          ("injected", Obj (List.map (fun (k, n) -> (k, Int n)) c.c_injected));
+          ("unfired", List (List.map (fun k -> String k) c.c_unfired));
+          ("epoch_aborts", Int rs.Revoker.epoch_aborts);
+          ("sweep_crash_retries", Int rs.Revoker.sweep_crash_retries);
+          ("quiesce_timeouts", Int rs.Revoker.quiesce_timeouts);
+          ("backoff_cycles", Int rs.Revoker.backoff_cycles);
+          ("downshifts", Int rs.Revoker.downshifts);
+          ("throttled_allocs", Int c.c_throttled);
+          ("abandoned_bytes", Int c.c_abandoned);
+          ("note", String c.c_note);
+        ]))
 
 (* ---- CLI ---- *)
 
-let strategy_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun st -> Revoker.strategy_name st = s)
-        Revoker.extended_strategies
-    with
-    | Some st -> Ok st
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown strategy %S (expected one of: %s)" s
-                (String.concat ", "
-                   (List.map Revoker.strategy_name
-                      Revoker.extended_strategies))))
-  in
-  Arg.conv
-    (parse, fun ppf st -> Format.pp_print_string ppf (Revoker.strategy_name st))
-
-let kind_conv =
-  let parse s =
-    match Chaos.kind_of_name s with
-    | Some k -> Ok k
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown fault kind %S (expected one of: %s)" s
-                (String.concat ", " (List.map Chaos.kind_name Chaos.all_kinds))))
-  in
-  Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf (Chaos.kind_name k))
+let kind_conv = Cli.named ~what:"fault kind" Chaos.kind_of_name Chaos.kind_name
 
 let seeds_arg =
   Arg.(
-    value & opt int 20
+    value & opt Cli.pos_int 20
     & info [ "seeds" ] ~docv:"N" ~doc:"Seeds per strategy.")
 
 let seed_base_arg =
@@ -570,20 +500,20 @@ let seed_base_arg =
 
 let ops_arg =
   Arg.(
-    value & opt int 3_000
+    value & opt Cli.pos_int 3_000
     & info [ "ops" ] ~doc:"Churn operations per run.")
 
 let strategies_arg =
   Arg.(
     value
-    & opt (list strategy_conv) Revoker.extended_strategies
+    & opt (Cli.list Cli.strategy) Revoker.extended_strategies
     & info [ "strategies" ] ~docv:"NAMES"
         ~doc:"Comma-separated strategies to attack.")
 
 let kinds_arg =
   Arg.(
     value
-    & opt (list kind_conv)
+    & opt (Cli.list kind_conv)
         Chaos.
           [
             Sweep_crash;
@@ -605,26 +535,17 @@ let skip_tenants_arg =
     value & flag
     & info [ "skip-tenants" ] ~doc:"Skip the tenant-kill rig.")
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"Write per-cell records as JSON.")
+let json_arg = Cli.json ~doc:"Write per-cell records as JSON to $(docv)."
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every cell.")
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt int (Parallel.Pool.default_jobs ())
-    & info [ "jobs"; "j" ]
-        ~doc:
-          "Run up to $(docv) campaign cells concurrently on separate \
-           domains. Cells are independent seeded simulations reassembled \
-           in campaign order, so all output except the $(b,duration_ms) \
-           and $(b,jobs) JSON fields is identical for any $(docv)."
-        ~docv:"N")
+  Cli.jobs
+    ~doc:
+      "Run up to $(docv) campaign cells concurrently on separate domains. \
+       Cells are independent seeded simulations reassembled in campaign \
+       order, so all output is identical for any $(docv)."
 
 (* Every campaign cell, in reporting order. Cells are independent, so
    they fan out across domains; [Parallel.Pool.map] preserves this
@@ -641,63 +562,47 @@ let run_task ~ops ~kinds = function
 
 let main seeds seed_base ops strategies kinds skip_storm skip_tenants json
     verbose jobs =
-  match Parallel.Pool.validate_jobs jobs with
-  | Error msg ->
-      Format.eprintf "ccr_chaos: %s@." msg;
-      1
-  | Ok jobs ->
-  if seeds < 1 then begin
-    Format.eprintf "ccr_chaos: --seeds must be at least 1@.";
-    1
+  let tasks =
+    List.concat_map
+      (fun i ->
+        let seed = seed_base + i in
+        List.concat_map
+          (fun strategy ->
+            Churn (seed, strategy)
+            ::
+            (if (not skip_tenants) && i mod 4 = 0 then
+               [ Tenant_kill (seed, strategy) ]
+             else []))
+          strategies)
+      (List.init seeds (fun i -> i))
+    @ (if skip_storm then [] else [ Storm seed_base ])
+  in
+  let cells =
+    List.filter_map Fun.id
+      (Parallel.Pool.map ~jobs (run_task ~ops ~kinds) tasks)
+  in
+  List.iter (print_cell verbose) cells;
+  Option.iter
+    (fun path -> Cli.Json.write path (List.map cell_record cells))
+    json;
+  let failed = List.filter (fun c -> not c.c_ok) cells in
+  let injected =
+    List.fold_left
+      (fun acc c ->
+        List.fold_left (fun a (_, n) -> a + n) acc c.c_injected)
+      0 cells
+  in
+  if failed = [] then begin
+    Format.printf
+      "ccr_chaos: %d cell(s), %d fault injection(s), all recovered, \
+       checkers clean@."
+      (List.length cells) injected;
+    0
   end
   else begin
-    let tasks =
-      List.concat_map
-        (fun i ->
-          let seed = seed_base + i in
-          List.concat_map
-            (fun strategy ->
-              Churn (seed, strategy)
-              ::
-              (if (not skip_tenants) && i mod 4 = 0 then
-                 [ Tenant_kill (seed, strategy) ]
-               else []))
-            strategies)
-        (List.init seeds (fun i -> i))
-      @ (if skip_storm then [] else [ Storm seed_base ])
-    in
-    let cells =
-      List.filter_map Fun.id
-        (Parallel.Pool.map ~jobs
-           (fun task ->
-             let t0 = Unix.gettimeofday () in
-             Option.map
-               (fun c ->
-                 { c with c_duration_ms = (Unix.gettimeofday () -. t0) *. 1000.0 })
-               (run_task ~ops ~kinds task))
-           tasks)
-    in
-    List.iter (print_cell verbose) cells;
-    (match json with Some path -> write_json path ~jobs cells | None -> ());
-    let failed = List.filter (fun c -> not c.c_ok) cells in
-    let injected =
-      List.fold_left
-        (fun acc c ->
-          List.fold_left (fun a (_, n) -> a + n) acc c.c_injected)
-        0 cells
-    in
-    if failed = [] then begin
-      Format.printf
-        "ccr_chaos: %d cell(s), %d fault injection(s), all recovered, \
-         checkers clean@."
-        (List.length cells) injected;
-      0
-    end
-    else begin
-      Format.printf "ccr_chaos: %d of %d cell(s) FAILED@."
-        (List.length failed) (List.length cells);
-      1
-    end
+    Format.printf "ccr_chaos: %d of %d cell(s) FAILED@."
+      (List.length failed) (List.length cells);
+    1
   end
 
 let cmd =

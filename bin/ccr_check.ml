@@ -34,32 +34,24 @@ module Race = Analysis.Race
 let check_profile_cell ~seed ~scale name p strategy () =
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
-  let san = ref None and race = ref None in
+  let checks = ref None in
   let tracer = Sim.Trace.create () in
   let result =
     Workload.Spec.run ~seed ~ops_scale:scale ~tracer
-      ~on_runtime:(fun rt ->
-        san :=
-          Some
-            (Sanitizer.attach ?revoker:rt.Runtime.revoker
-               rt.Runtime.machine);
-        race := Some (Race.attach rt.Runtime.machine))
+      ~on_runtime:(fun rt -> checks := Some (Analysis.Check.attach_runtime rt))
       ~mode:(Runtime.Safe strategy) p
   in
-  let san = Option.get !san and race = Option.get !race in
-  Sanitizer.finish san;
+  let clean, findings = Analysis.Check.verdict !checks ~drift:[] in
   let revs =
     match result.Workload.Result.mrs with
     | Some s -> s.Mrs.revocations
     | None -> 0
   in
-  let ok = Sanitizer.ok san && Race.ok race && revs > 0 in
-  Format.fprintf fmt "%-14s %-12s %-4s (%d epochs, %d events)@." name
+  let ok = clean && revs > 0 in
+  Format.fprintf fmt "%-14s %-12s %-4s (%d epochs, %d events)@.%s" name
     (Revoker.strategy_name strategy)
     (if ok then "ok" else "FAIL")
-    revs (Sim.Trace.total tracer);
-  if not (Sanitizer.ok san) then Sanitizer.report fmt san;
-  if not (Race.ok race) then Race.report fmt race;
+    revs (Sim.Trace.total tracer) findings;
   if revs = 0 then
     Format.fprintf fmt "  no revocation epoch ran: the check is vacuous@.";
   Format.pp_print_flush fmt ();
@@ -164,17 +156,14 @@ let mutation_tasks () =
 let profiles_arg =
   Arg.(
     value
-    & opt (list string) [ "hmmer_retro"; "hmmer_nph3" ]
+    & opt (Cli.list string) [ "hmmer_retro"; "hmmer_nph3" ]
     & info [ "profiles"; "p" ] ~docv:"NAMES"
         ~doc:"Comma-separated SPEC profiles to check.")
 
 let scale_arg =
   Arg.(
-    value & opt float 0.1
+    value & opt Cli.pos_float 0.1
     & info [ "scale" ] ~doc:"Operation-count scale per profile.")
-
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.")
 
 let skip_mutations_arg =
   Arg.(
@@ -201,27 +190,14 @@ let list_rules () =
   0
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt int (Parallel.Pool.default_jobs ())
-    & info [ "jobs"; "j" ]
-        ~doc:
-          "Run up to $(docv) checks concurrently on separate domains. \
-           Checks are independent simulations and their reports are \
-           printed in check order, so output and exit status are \
-           identical for any $(docv)." ~docv:"N")
+  Cli.jobs
+    ~doc:
+      "Run up to $(docv) checks concurrently on separate domains. Checks \
+       are independent simulations and their reports are printed in check \
+       order, so output and exit status are identical for any $(docv)."
 
 let main profiles scale seed skip_mutations jobs rules_only =
-  match Parallel.Pool.validate_jobs jobs with
-  | Error msg ->
-      Format.eprintf "ccr_check: %s@." msg;
-      1
-  | Ok jobs ->
   if rules_only then list_rules ()
-  else if scale <= 0.0 then begin
-    Format.eprintf "ccr_check: --scale must be positive (got %g)@." scale;
-    1
-  end
   else
   let tasks =
     profile_tasks ~seed ~scale profiles
@@ -248,7 +224,9 @@ let cmd =
          "Check the revocation protocol with the shadow-state sanitizer \
           and the happens-before race detector.")
     Term.(
-      const main $ profiles_arg $ scale_arg $ seed_arg $ skip_mutations_arg
+      const main $ profiles_arg $ scale_arg
+      $ Cli.seed ~doc:"Deterministic seed." 1
+      $ skip_mutations_arg
       $ jobs_arg $ list_rules_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -24,68 +24,29 @@ module Health = Fleet.Health
 module Retry = Fleet.Retry
 module Rig = Workload.Rig
 
-let list_conv ~what of_string to_string =
-  let parse s =
-    let parts = String.split_on_char ',' (String.trim s) in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: tl -> (
-          match of_string (String.trim p) with
-          | Ok v -> go (v :: acc) tl
-          | Error e -> Error e)
-    in
-    go [] parts
-  in
-  let print fmt l =
-    Format.pp_print_string fmt (String.concat "," (List.map to_string l))
-  in
-  Arg.conv ~docv:what (parse, print)
+let balancer =
+  Cli.named ~what:"balancer" Balancer.strategy_of_name Balancer.strategy_name
 
-let modes_conv =
-  list_conv ~what:"MODES"
-    (fun s ->
-      match Runtime.mode_of_name s with
-      | Some m -> Ok m
-      | None -> Error (`Msg (Printf.sprintf "unknown mode %S" s)))
-    Runtime.mode_name
+let failures =
+  Cli.named ~what:"failure schedule" Failplan.kind_of_name Failplan.kind_name
 
-let balancers_conv =
-  list_conv ~what:"BALANCERS"
-    (fun s ->
-      match Balancer.strategy_of_name s with
-      | Some b -> Ok b
-      | None -> Error (`Msg (Printf.sprintf "unknown balancer %S" s)))
-    Balancer.strategy_name
+let retry_names = "none, naive, budgeted"
 
-let failures_conv =
-  list_conv ~what:"SCHEDULES"
-    (fun s ->
-      match Failplan.kind_of_name s with
-      | Some k -> Ok k
-      | None -> Error (`Msg (Printf.sprintf "unknown failure schedule %S" s)))
-    Failplan.kind_name
+(* a policy by name, with its default knobs *)
+let retry =
+  Cli.named ~what:"retry policy"
+    (fun s -> Option.map (fun p -> (s, p)) (Retry.policy_of_name s))
+    fst
 
-let ints_conv =
-  list_conv ~what:"HOSTS"
-    (fun s ->
-      match int_of_string_opt s with
-      | Some i -> Ok i
-      | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s)))
-    string_of_int
-
-let strings_conv =
-  list_conv ~what:"NAMES" (fun s -> Ok s) Fun.id
-
-(* CLI-level validation to the Pool.validate_jobs standard: a clear
-   one-line ccr_fleet-prefixed message and exit 1, never an exception
-   trace. *)
+(* Cross-field validation: a clear one-line ccr_fleet-prefixed message
+   and exit 1, never an exception trace. *)
 exception Cli_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Cli_error s)) fmt
 
 (* the resilience knobs, bundled so the main term stays readable *)
 type res_cli = {
-  c_retries : string list;
+  c_retries : (string * Retry.policy) list;
   c_rmax : int option;
   c_base_us : float option;
   c_cap_us : float option;
@@ -103,19 +64,15 @@ type res_cli = {
   c_rounds : int;
 }
 
-let retry_names = "none, naive, budgeted"
-
-let policy_of rc name =
-  match Retry.policy_of_name name with
-  | None -> err "unknown retry policy %S (expected one of: %s)" name retry_names
-  | Some Retry.No_retry -> Retry.No_retry
-  | Some (Retry.Naive d) ->
+let policy_of rc = function
+  | Retry.No_retry -> Retry.No_retry
+  | Retry.Naive d ->
       Retry.Naive
         {
           max_attempts = Option.value rc.c_rmax ~default:d.max_attempts;
           delay_us = Option.value rc.c_base_us ~default:d.delay_us;
         }
-  | Some (Retry.Budgeted b) ->
+  | Retry.Budgeted b ->
       Retry.Budgeted
         {
           max_attempts = Option.value rc.c_rmax ~default:b.max_attempts;
@@ -125,8 +82,8 @@ let policy_of rc name =
           burst = Option.value rc.c_burst ~default:b.burst;
         }
 
-let resilience_of rc name =
-  let retry = policy_of rc name in
+let resilience_of rc policy =
+  let retry = policy_of rc policy in
   (try Retry.validate retry with Invalid_argument m -> err "%s" m);
   let hedge =
     Option.map
@@ -137,8 +94,6 @@ let resilience_of rc name =
    with Invalid_argument m -> err "%s" m);
   let breaker =
     if not rc.c_breaker then None
-    else if rc.c_bfail < 1 then err "--breaker-failures must be at least 1"
-    else if rc.c_bcool_us <= 0.0 then err "--breaker-cooloff-us must be positive"
     else
       Some
         {
@@ -157,8 +112,6 @@ let resilience_of rc name =
           b_exit = rc.c_bexit;
         }
   in
-  if rc.c_rto_us <= 0.0 then err "--rto-us must be positive";
-  if rc.c_rounds < 1 then err "--max-rounds must be at least 1";
   {
     Fleet.retry;
     hedge;
@@ -168,114 +121,108 @@ let resilience_of rc name =
     max_rounds = rc.c_rounds;
   }
 
-type row = {
-  r_cfg : Fleet.config;
-  r_retry : string;
-  r_outcome : Fleet.outcome;
-  r_duration_ms : float;
-}
+type row = { r_cfg : Fleet.config; r_retry : string; r_outcome : Fleet.outcome }
 
 let pct hist p =
   if Histogram.count hist = 0 then 0.0 else Histogram.percentile hist p
 
-let json_of_row ~pattern ~jobs r =
+let row_record ~pattern r =
   let cfg = r.r_cfg and o = r.r_outcome in
   let res = cfg.Fleet.resilience in
-  let curve =
-    String.concat ", "
-      (Array.to_list
-         (Array.map
-            (fun h -> Printf.sprintf "%.3f" (pct h 99.9))
-            o.Fleet.slice_hists))
+  let f3 x = Cli.Json.Float (3, x) in
+  let host i (h : Rig.outcome) =
+    Cli.Json.(
+      Obj
+        [
+          ("host", Int i);
+          ("arrivals", Int h.Rig.arrivals);
+          ("served", Int h.Rig.served);
+          ("shed", Int (h.Rig.shed_depth + h.Rig.shed_deadline + h.Rig.shed_brownout));
+          ("lost", Int h.Rig.lost);
+          ("violations", Int (Service.Slo.violations h.Rig.slo));
+          ("epochs", Int h.Rig.epochs);
+          ("stw_pause_us", f3 h.Rig.stw_pause_us);
+          ("max_pause_us", f3 h.Rig.max_pause_us);
+          ("epoch_resumes", Int h.Rig.epoch_resumes);
+          ("sweep_crash_retries", Int h.Rig.sweep_crash_retries);
+          ("chaos_injected", Int h.Rig.chaos_injected);
+          ("brownout_shifts", Int h.Rig.brownout_shifts);
+        ])
   in
-  let hosts =
-    String.concat ", "
-      (List.mapi
-         (fun i (h : Rig.outcome) ->
-           Printf.sprintf
-             "{\"host\": %d, \"arrivals\": %d, \"served\": %d, \"shed\": %d, \
-              \"lost\": %d, \"violations\": %d, \"epochs\": %d, \
-              \"stw_pause_us\": %.3f, \"max_pause_us\": %.3f, \
-              \"epoch_resumes\": %d, \"sweep_crash_retries\": %d, \
-              \"chaos_injected\": %d, \"brownout_shifts\": %d}"
-             i h.Rig.arrivals h.Rig.served
-             (h.Rig.shed_depth + h.Rig.shed_deadline + h.Rig.shed_brownout)
-             h.Rig.lost (Service.Slo.violations h.Rig.slo) h.Rig.epochs
-             h.Rig.stw_pause_us h.Rig.max_pause_us h.Rig.epoch_resumes
-             h.Rig.sweep_crash_retries h.Rig.chaos_injected
-             h.Rig.brownout_shifts)
-         o.Fleet.hosts)
-  in
-  Printf.sprintf
-    "{\"workload\": \"fleet\", \"topology\": \"%s\", \"host_count\": %d, \
-     \"balancer\": \"%s\", \"tenants\": 1, \"overcommit\": \"none\", \
-     \"failures\": \"%s\", \"retry\": \"%s\", \
-     \"hedge\": %b, \"breaker\": %b, \"brownout\": %b, \"rto_us\": %.1f, \
-     \"max_rounds\": %d, \"mode\": \"%s\", \"governor\": %b, \"pattern\": \
-     \"%s\", \"qps\": %.1f, \"requests\": %d, \"users\": %d, \
-     \"servers_per_host\": %d, \"seed\": %d, \"target_p99_us\": %.1f, \
-     \"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f, \"p999_curve\": \
-     [%s], \"offered\": %d, \"served\": %d, \"retried_ok\": %d, \
-     \"hedged_ok\": %d, \"shed_depth\": %d, \"shed_deadline\": %d, \
-     \"shed_brownout\": %d, \"lost\": %d, \"redistributed\": %d, \
-     \"lb_dropped\": %d, \"violations\": %d, \"goodput_rps\": %.1f, \
-     \"attempts\": %d, \"retries_sent\": %d, \"hedges_sent\": %d, \
-     \"dup_served\": %d, \"budget_exhausted\": %d, \"breaker_trips\": %d, \
-     \"brownout_shifts\": %d, \"rounds\": %d, \"epochs\": %d, \
-     \"epoch_resumes\": %d, \"sweep_crash_retries\": %d, \"chaos_injected\": \
-     %d, \"max_pause_us\": %.3f, \"hosts\": [%s], \"duration_ms\": %.3f, \
-     \"jobs\": %d}"
-    (Fleet.topology cfg) cfg.Fleet.hosts
-    (Balancer.strategy_name cfg.Fleet.balancer)
-    (Failplan.kind_name cfg.Fleet.failures)
-    r.r_retry
-    (res.Fleet.hedge <> None)
-    (res.Fleet.breaker <> None)
-    (res.Fleet.brownout <> None)
-    res.Fleet.rto_us res.Fleet.max_rounds
-    (Runtime.mode_name cfg.Fleet.mode)
-    cfg.Fleet.governed pattern
-    (match cfg.Fleet.pattern with
-    | Loadgen.Poisson q -> q
-    | Loadgen.Bursty { base; peak; duty; _ } ->
-        (duty *. peak) +. ((1.0 -. duty) *. base)
-    | Loadgen.Ramp { from_rate; to_rate } -> 0.5 *. (from_rate +. to_rate)
-    | Loadgen.Diurnal { low; high; _ } -> 0.5 *. (low +. high))
-    cfg.Fleet.requests cfg.Fleet.users cfg.Fleet.servers_per_host cfg.Fleet.seed
-    cfg.Fleet.target_p99_us
-    (pct o.Fleet.hist 50.0)
-    (pct o.Fleet.hist 99.0)
-    (pct o.Fleet.hist 99.9)
-    curve o.Fleet.offered o.Fleet.served o.Fleet.retried_ok o.Fleet.hedged_ok
-    o.Fleet.shed_depth o.Fleet.shed_deadline o.Fleet.shed_brownout o.Fleet.lost
-    o.Fleet.redistributed o.Fleet.lb_dropped o.Fleet.violations
-    o.Fleet.goodput_rps o.Fleet.attempts o.Fleet.retries_sent
-    o.Fleet.hedges_sent o.Fleet.dup_served o.Fleet.budget_exhausted
-    o.Fleet.breaker_trips o.Fleet.brownout_shifts o.Fleet.rounds o.Fleet.epochs
-    o.Fleet.epoch_resumes o.Fleet.sweep_crash_retries o.Fleet.chaos_injected
-    o.Fleet.max_pause_us hosts r.r_duration_ms jobs
+  Cli.Json.(
+    Obj
+      ((("workload", String "fleet")
+       :: schema ~topology:(Fleet.topology cfg) ~host_count:cfg.Fleet.hosts
+            ~balancer:(Balancer.strategy_name cfg.Fleet.balancer)
+            ())
+      @ [
+          ("failures", String (Failplan.kind_name cfg.Fleet.failures));
+          ("retry", String r.r_retry);
+          ("hedge", Bool (res.Fleet.hedge <> None));
+          ("breaker", Bool (res.Fleet.breaker <> None));
+          ("brownout", Bool (res.Fleet.brownout <> None));
+          ("rto_us", Float (1, res.Fleet.rto_us));
+          ("max_rounds", Int res.Fleet.max_rounds);
+          ("mode", String (Runtime.mode_name cfg.Fleet.mode));
+          ("governor", Bool cfg.Fleet.governed);
+          ("pattern", String pattern);
+          ( "qps",
+            Float
+              ( 1,
+                match cfg.Fleet.pattern with
+                | Loadgen.Poisson q -> q
+                | Loadgen.Bursty { base; peak; duty; _ } ->
+                    (duty *. peak) +. ((1.0 -. duty) *. base)
+                | Loadgen.Ramp { from_rate; to_rate } -> 0.5 *. (from_rate +. to_rate)
+                | Loadgen.Diurnal { low; high; _ } -> 0.5 *. (low +. high) ) );
+          ("requests", Int cfg.Fleet.requests);
+          ("users", Int cfg.Fleet.users);
+          ("servers_per_host", Int cfg.Fleet.servers_per_host);
+          ("seed", Int cfg.Fleet.seed);
+          ("target_p99_us", Float (1, cfg.Fleet.target_p99_us));
+          ("p50_us", f3 (pct o.Fleet.hist 50.0));
+          ("p99_us", f3 (pct o.Fleet.hist 99.0));
+          ("p999_us", f3 (pct o.Fleet.hist 99.9));
+          ( "p999_curve",
+            List
+              (Array.to_list
+                 (Array.map (fun h -> f3 (pct h 99.9)) o.Fleet.slice_hists)) );
+          ("offered", Int o.Fleet.offered);
+          ("served", Int o.Fleet.served);
+          ("retried_ok", Int o.Fleet.retried_ok);
+          ("hedged_ok", Int o.Fleet.hedged_ok);
+          ("shed_depth", Int o.Fleet.shed_depth);
+          ("shed_deadline", Int o.Fleet.shed_deadline);
+          ("shed_brownout", Int o.Fleet.shed_brownout);
+          ("lost", Int o.Fleet.lost);
+          ("redistributed", Int o.Fleet.redistributed);
+          ("lb_dropped", Int o.Fleet.lb_dropped);
+          ("violations", Int o.Fleet.violations);
+          ("goodput_rps", Float (1, o.Fleet.goodput_rps));
+          ("attempts", Int o.Fleet.attempts);
+          ("retries_sent", Int o.Fleet.retries_sent);
+          ("hedges_sent", Int o.Fleet.hedges_sent);
+          ("dup_served", Int o.Fleet.dup_served);
+          ("budget_exhausted", Int o.Fleet.budget_exhausted);
+          ("breaker_trips", Int o.Fleet.breaker_trips);
+          ("brownout_shifts", Int o.Fleet.brownout_shifts);
+          ("rounds", Int o.Fleet.rounds);
+          ("epochs", Int o.Fleet.epochs);
+          ("epoch_resumes", Int o.Fleet.epoch_resumes);
+          ("sweep_crash_retries", Int o.Fleet.sweep_crash_retries);
+          ("chaos_injected", Int o.Fleet.chaos_injected);
+          ("max_pause_us", f3 o.Fleet.max_pause_us);
+          ("hosts", List (List.mapi host o.Fleet.hosts));
+        ]))
 
 let fleet hostss balancers failuress modes qps requests users governed
     servers_per_host queue_depth deadline target_p99 pattern slices critical
     background rescli seed json check jobs =
   try
-    let jobs =
-      match Parallel.Pool.validate_jobs jobs with
-      | Error msg -> err "%s" msg
-      | Ok jobs -> jobs
-    in
-    if requests < 1 then err "--requests must be at least 1 (got %d)" requests;
-    List.iter
-      (fun h -> if h < 1 then err "every --hosts count must be at least 1 (got %d)" h)
-      hostss;
-    if qps <= 0.0 then err "--qps must be positive";
-    if users < 1 then err "--users must be at least 1";
-    if slices < 1 then err "--slices must be at least 1";
-    if critical < 0.0 || background < 0.0 || critical +. background > 1.0 then
-      err "--critical and --background must be nonnegative and sum to at most 1";
-    if rescli.c_retries = [] then err "--retry needs at least one policy";
+    if critical +. background > 1.0 then
+      err "--critical and --background must sum to at most 1";
     let resiliences =
-      List.map (fun name -> (name, resilience_of rescli name)) rescli.c_retries
+      List.map (fun (name, p) -> (name, resilience_of rescli p)) rescli.c_retries
     in
     List.iter
       (fun (_, r) ->
@@ -323,14 +270,10 @@ let fleet hostss balancers failuress modes qps requests users governed
                       List.map
                         (fun (rname, resilience) ->
                           let cfg = mk hosts balancer failures mode resilience in
-                          let t0 = Unix.gettimeofday () in
-                          let o = Fleet.run ~check ~jobs cfg in
                           {
                             r_cfg = cfg;
                             r_retry = rname;
-                            r_outcome = o;
-                            r_duration_ms =
-                              (Unix.gettimeofday () -. t0) *. 1000.0;
+                            r_outcome = Fleet.run ~check ~jobs cfg;
                           })
                         resiliences)
                     modes)
@@ -338,11 +281,6 @@ let fleet hostss balancers failuress modes qps requests users governed
             balancers)
         hostss
     in
-    List.iter
-      (fun r ->
-        if r.r_outcome.Fleet.report <> "" then
-          Format.eprintf "%s" r.r_outcome.Fleet.report)
-      rows;
     Format.printf
       "%-8s %-12s %-10s %-12s %-8s %8s %9s %10s %5s %5s %5s %5s %5s %5s@."
       "topology" "balancer" "failures" "mode" "retry" "p50us" "p99.9us"
@@ -364,32 +302,9 @@ let fleet hostss balancers failuress modes qps requests users governed
           o.Fleet.lost o.Fleet.lb_dropped o.Fleet.breaker_trips
           o.Fleet.rounds)
       rows;
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc "[\n";
-        List.iteri
-          (fun i r ->
-            if i > 0 then output_string oc ",\n";
-            output_string oc "  ";
-            output_string oc (json_of_row ~pattern ~jobs r))
-          rows;
-        output_string oc "\n]\n";
-        close_out oc;
-        Format.printf "wrote %d records to %s@." (List.length rows) path);
-    if check then
-      if List.for_all (fun r -> r.r_outcome.Fleet.clean) rows then begin
-        Format.printf
-          "check: ok (%d fleets, zero findings, accounting exact)@."
-          (List.length rows);
-        0
-      end
-      else begin
-        Format.eprintf "check: FAILED@.";
-        1
-      end
-    else 0
+    Cli.write_records json (List.map (row_record ~pattern) rows);
+    Cli.check_epilogue ~check ~what:"fleets"
+      (List.map (fun r -> (r.r_outcome.Fleet.clean, r.r_outcome.Fleet.report)) rows)
   with Cli_error msg ->
     Format.eprintf "ccr_fleet: %s@." msg;
     1
@@ -403,7 +318,8 @@ let failure_names =
 let main =
   let hosts =
     Arg.(
-      value & opt ints_conv [ 3 ]
+      value
+      & opt (Cli.list Cli.pos_int) [ 3 ]
       & info [ "hosts" ]
           ~doc:
             "Comma-separated fleet sizes to sweep. Every size is a flat \
@@ -412,7 +328,7 @@ let main =
   let balancers =
     Arg.(
       value
-      & opt balancers_conv [ Balancer.Round_robin; Balancer.Consistent_hash ]
+      & opt (Cli.list balancer) [ Balancer.Round_robin; Balancer.Consistent_hash ]
       & info [ "balancers"; "b" ]
           ~doc:
             (Printf.sprintf "Comma-separated balancing strategies: %s."
@@ -420,7 +336,8 @@ let main =
   in
   let failures =
     Arg.(
-      value & opt failures_conv [ Failplan.Rolling ]
+      value
+      & opt (Cli.list failures) [ Failplan.Rolling ]
       & info [ "failures"; "f" ]
           ~doc:
             (Printf.sprintf "Comma-separated failure schedules: %s."
@@ -429,14 +346,14 @@ let main =
   let modes =
     Arg.(
       value
-      & opt modes_conv
+      & opt (Cli.list Cli.mode)
           [ Runtime.Safe Revoker.Cornucopia; Runtime.Safe Revoker.Reloaded ]
       & info [ "modes"; "m" ]
           ~doc:"Comma-separated temporal-safety modes (as in ccr_serve).")
   in
   let qps =
     Arg.(
-      value & opt float 120_000.0
+      value & opt Cli.pos_float 120_000.0
       & info [ "qps" ]
           ~doc:
             "Fleet-wide mean offered load, requests/second, split across \
@@ -444,12 +361,12 @@ let main =
   in
   let requests =
     Arg.(
-      value & opt int 6_000
+      value & opt Cli.pos_int 6_000
       & info [ "requests"; "n" ] ~doc:"Requests in the fleet-wide trace.")
   in
   let users =
     Arg.(
-      value & opt int 1_000_000
+      value & opt Cli.pos_int 1_000_000
       & info [ "users" ]
           ~doc:
             "Simulated user population the trace samples from (the \
@@ -464,18 +381,18 @@ let main =
   in
   let servers =
     Arg.(
-      value & opt int 2
+      value & opt Cli.pos_int 2
       & info [ "servers-per-host" ] ~doc:"Server worker threads per host.")
   in
   let queue_depth =
     Arg.(
-      value & opt int 64
+      value & opt Cli.pos_int 64
       & info [ "queue-depth" ] ~doc:"Per-host admission-control queue bound.")
   in
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some Cli.pos_float) None
       & info [ "deadline-us" ]
           ~doc:
             "Base queueing deadline in µs, stretched per class: critical \
@@ -483,21 +400,13 @@ let main =
   in
   let target =
     Arg.(
-      value & opt float 1_000.0
+      value & opt Cli.pos_float 1_000.0
       & info [ "target-p99-us" ] ~doc:"SLO target fed to every host governor.")
   in
   let pattern =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("poisson", "poisson");
-               ("bursty", "bursty");
-               ("ramp", "ramp");
-               ("diurnal", "diurnal");
-             ])
-          "diurnal"
+      & opt Cli.pattern "diurnal"
       & info [ "pattern" ]
           ~doc:
             "Arrival pattern of the fleet-wide trace: $(b,poisson), \
@@ -506,7 +415,7 @@ let main =
   in
   let slices =
     Arg.(
-      value & opt int 12
+      value & opt Cli.pos_int 12
       & info [ "slices" ]
           ~doc:
             "Time slices for the latency-over-time record (the p999_curve \
@@ -515,13 +424,13 @@ let main =
   in
   let critical =
     Arg.(
-      value & opt float 0.15
+      value & opt Cli.fraction 0.15
       & info [ "critical" ]
           ~doc:"Fraction of requests in the critical priority class.")
   in
   let background =
     Arg.(
-      value & opt float 0.25
+      value & opt Cli.fraction 0.25
       & info [ "background" ]
           ~doc:
             "Fraction of requests in the background class (shed first under \
@@ -530,7 +439,7 @@ let main =
   let retries =
     Arg.(
       value
-      & opt strings_conv [ "none" ]
+      & opt (Cli.list retry) [ ("none", Retry.No_retry) ]
       & info [ "retry" ]
           ~doc:
             (Printf.sprintf
@@ -566,21 +475,21 @@ let main =
   let retry_ratio =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some Cli.fraction) None
       & info [ "retry-ratio" ]
           ~doc:"Budget tokens refunded per success, in [0, 1] (budgeted).")
   in
   let retry_burst =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Cli.pos_int) None
       & info [ "retry-burst" ]
           ~doc:"Per-class retry budget capacity and initial fill (budgeted).")
   in
   let hedge_pct =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some Cli.pos_float) None
       & info [ "hedge-pct" ]
           ~doc:
             "Enable tail hedging: duplicate a request toward a different \
@@ -603,13 +512,13 @@ let main =
   in
   let breaker_failures =
     Arg.(
-      value & opt int 5
+      value & opt Cli.pos_int 5
       & info [ "breaker-failures" ]
           ~doc:"Consecutive failures that trip a breaker open.")
   in
   let breaker_cooloff =
     Arg.(
-      value & opt float 5_000.0
+      value & opt Cli.pos_float 5_000.0
       & info [ "breaker-cooloff-us" ]
           ~doc:
             "Open duration in µs before a breaker half-opens (doubles per \
@@ -639,7 +548,7 @@ let main =
   in
   let rto =
     Arg.(
-      value & opt float 2_000.0
+      value & opt Cli.pos_float 2_000.0
       & info [ "rto-us" ]
           ~doc:
             "Client retransmission timeout in µs — how long a lost \
@@ -648,7 +557,7 @@ let main =
   in
   let max_rounds =
     Arg.(
-      value & opt int 6
+      value & opt Cli.pos_int 6
       & info [ "max-rounds" ]
           ~doc:
             "Re-planning rounds before the client gives up on further \
@@ -682,40 +591,22 @@ let main =
       $ breaker_cooloff $ brownout $ brownout_enter $ brownout_exit $ rto
       $ max_rounds)
   in
-  let seed =
-    Arg.(
-      value & opt int 11
-      & info [ "seed" ] ~doc:"Deterministic simulation seed.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ]
-          ~doc:"Write one JSON record per sweep point to $(docv)."
-          ~docv:"PATH")
-  in
+  let json = Cli.json ~doc:"Write one JSON record per sweep point to $(docv)." in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Attach the protocol sanitizer and race detector to every host \
-             and verify exact fleet accounting (served + retried_ok + \
-             hedged_ok + shed + lost + lb_dropped = offered, per-host and \
-             fleet-wide). Exit nonzero on any finding.")
+    Cli.check
+      ~doc:
+        "Attach the protocol sanitizer and race detector to every host and \
+         verify exact fleet accounting (served + retried_ok + hedged_ok + \
+         shed + lost + lb_dropped = offered, per-host and fleet-wide). Exit \
+         nonzero on any finding."
   in
   let jobs =
-    Arg.(
-      value
-      & opt int (Parallel.Pool.default_jobs ())
-      & info [ "jobs"; "j" ]
-          ~doc:
-            "Simulate up to $(docv) hosts concurrently on separate domains. \
-             Hosts are independent seeded machines and outcomes are \
-             reassembled in host order, so all output except the host \
-             wall-clock $(b,duration_ms) field is identical for any \
-             $(docv)." ~docv:"N")
+    Cli.jobs
+      ~doc:
+        "Simulate up to $(docv) hosts concurrently on separate domains. \
+         Hosts are independent seeded machines and outcomes are \
+         reassembled in host order, so all output is identical for any \
+         $(docv)."
   in
   Cmd.v
     (Cmd.info "ccr_fleet" ~version:"1.0"
@@ -756,14 +647,14 @@ let main =
               arrival — retries never reset the clock.";
            `P
              "With $(b,--jobs) N the hosts of each fleet fan out across N \
-              domains. Hosts share nothing, so every simulated quantity is \
-              identical for any N; only the $(b,duration_ms) field \
-              varies. CI enforces this by diffing normalised --jobs 1 and \
-              --jobs 4 output of the same sweep.";
+              domains. Hosts share nothing, so the output is identical for \
+              any N; $(b,dune build @determinism) compares --jobs 1 and \
+              --jobs 4 output of the same sweep byte for byte.";
          ])
     Term.(
       const fleet $ hosts $ balancers $ failures $ modes $ qps $ requests
       $ users $ governor $ servers $ queue_depth $ deadline $ target $ pattern
-      $ slices $ critical $ background $ rescli $ seed $ json $ check $ jobs)
+      $ slices $ critical $ background $ rescli $ Cli.seed 11 $ json $ check
+      $ jobs)
 
 let () = exit (Cmd.eval' main)

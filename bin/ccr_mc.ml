@@ -282,41 +282,39 @@ let run_mutations ~max_schedules ~depth ~jobs ~repro_dir =
 let scenarios_arg =
   Arg.(
     value
-    & opt (list string) (List.map Scenario.name Scenario.all)
+    & opt
+        (Cli.list (Cli.named ~what:"scenario" Scenario.find Scenario.name))
+        Scenario.all
     & info [ "scenarios" ] ~docv:"NAMES"
         ~doc:"Comma-separated scenario names to explore.")
 
 let strategies_arg =
   Arg.(
     value
-    & opt (list string)
-        (List.map Revoker.strategy_name Revoker.extended_strategies)
+    & opt (Cli.list Cli.strategy) Revoker.extended_strategies
     & info [ "strategies" ] ~docv:"NAMES"
         ~doc:"Comma-separated strategy names to explore.")
 
 let max_schedules_arg =
   Arg.(
-    value & opt int 400
+    value & opt Cli.pos_int 400
     & info [ "max-schedules" ] ~docv:"N"
         ~doc:"Schedule budget per scenario$(b,×)strategy cell.")
 
 let depth_arg =
   Arg.(
-    value & opt int 48
+    value & opt Cli.pos_int 48
     & info [ "depth" ] ~docv:"N"
         ~doc:
           "Choice-point depth bound: deeper points run under the default \
            schedule and are not backtracked.")
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt int (Parallel.Pool.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Explore up to $(docv) subtrees concurrently on separate domains. \
-           Subtrees are merged in deterministic order, so output and exit \
-           status are identical for any $(docv).")
+  Cli.jobs
+    ~doc:
+      "Explore up to $(docv) subtrees concurrently on separate domains. \
+       Subtrees are merged in deterministic order, so output and exit \
+       status are identical for any $(docv)."
 
 let mutations_arg =
   Arg.(
@@ -356,11 +354,6 @@ let list_scenarios_arg =
 
 let main scenarios strategies max_schedules depth jobs mutations repro_dir
     replay skip_naive list_scenarios =
-  match Parallel.Pool.validate_jobs jobs with
-  | Error msg ->
-      Format.eprintf "ccr_mc: %s@." msg;
-      1
-  | Ok jobs ->
   if list_scenarios then begin
     List.iter
       (fun sc ->
@@ -377,37 +370,9 @@ let main scenarios strategies max_schedules depth jobs mutations repro_dir
         if r.Replay.passed then 0 else 1
     | None ->
         if mutations then run_mutations ~max_schedules ~depth ~jobs ~repro_dir
-        else begin
-          let bad = ref [] in
-          let scenarios =
-            List.filter_map
-              (fun n ->
-                match Scenario.find n with
-                | Some sc -> Some sc
-                | None ->
-                    bad := n :: !bad;
-                    None)
-              scenarios
-          in
-          let strategies =
-            List.filter_map
-              (fun n ->
-                match Revoker.strategy_of_name n with
-                | Some st -> Some st
-                | None ->
-                    bad := n :: !bad;
-                    None)
-              strategies
-          in
-          if !bad <> [] then begin
-            Format.eprintf "ccr_mc: unknown name(s): %s@."
-              (String.concat ", " (List.rev !bad));
-            1
-          end
-          else
-            run_matrix ~scenarios ~strategies ~max_schedules ~depth ~jobs
-              ~skip_naive ~repro_dir
-        end
+        else
+          run_matrix ~scenarios ~strategies ~max_schedules ~depth ~jobs
+            ~skip_naive ~repro_dir
 
 let cmd =
   Cmd.v

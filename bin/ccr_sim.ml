@@ -11,23 +11,14 @@ module Runtime = Ccr.Runtime
 module Revoker = Ccr.Revoker
 module Result = Workload.Result
 
-let mode_conv =
-  Arg.conv
-    ( (fun s ->
-        match Runtime.mode_of_name s with
-        | Some m -> Ok m
-        | None -> Error (`Msg (Printf.sprintf "unknown mode %S" s))),
-      fun fmt m -> Format.pp_print_string fmt (Runtime.mode_name m) )
-
 let mode_arg =
   let doc =
     "Temporal-safety mode: baseline, paint+sync, cherivoke, cornucopia, \
      reloaded, or cheriot."
   in
-  Arg.(value & opt mode_conv (Runtime.Safe Revoker.Reloaded) & info [ "mode"; "m" ] ~doc)
+  Arg.(value & opt Cli.mode (Runtime.Safe Revoker.Reloaded) & info [ "mode"; "m" ] ~doc)
 
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic simulation seed.")
+let seed_arg = Cli.seed 1
 
 let interp_conv =
   Arg.conv
@@ -148,24 +139,21 @@ let spec_cmd =
       & info [ "workload"; "w" ] ~doc:(Printf.sprintf "SPEC workload: %s." all))
   in
   let scale =
-    Arg.(value & opt float 0.5 & info [ "scale" ] ~doc:"Operation-count scale.")
+    Arg.(
+      value & opt Cli.pos_float 0.5
+      & info [ "scale" ] ~doc:"Operation-count scale.")
   in
   let run workload scale mode seed interp phases trace =
-    if scale <= 0.0 then begin
-      Format.eprintf "ccr_sim spec: --scale must be positive (got %g)@." scale;
-      1
-    end
-    else
-      match Workload.Profile.find workload with
-      | p ->
-          let tracer = mk_tracer trace in
-          report ~phases
-            (Workload.Spec.run ~seed ~ops_scale:scale ?tracer ~interp ~mode p);
-          dump_trace trace tracer;
-          0
-      | exception Not_found ->
-          Format.eprintf "unknown workload %S@." workload;
-          1
+    match Workload.Profile.find workload with
+    | p ->
+        let tracer = mk_tracer trace in
+        report ~phases
+          (Workload.Spec.run ~seed ~ops_scale:scale ?tracer ~interp ~mode p);
+        dump_trace trace tracer;
+        0
+    | exception Not_found ->
+        Format.eprintf "unknown workload %S@." workload;
+        1
   in
   Cmd.v
     (Cmd.info "spec" ~doc:"Run a synthetic SPEC CPU2006 workload.")
@@ -175,33 +163,24 @@ let spec_cmd =
 
 let pgbench_cmd =
   let transactions =
-    Arg.(value & opt int 6000 & info [ "transactions"; "t" ] ~doc:"Transaction count.")
+    Arg.(
+      value & opt Cli.pos_int 6000
+      & info [ "transactions"; "t" ] ~doc:"Transaction count.")
   in
   let rate =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some Cli.pos_float) None
       & info [ "rate" ] ~doc:"Fixed arrival schedule, transactions/second.")
   in
   let run transactions rate mode seed phases trace =
-    if transactions < 1 then begin
-      Format.eprintf "ccr_sim pgbench: --transactions must be at least 1 (got %d)@."
-        transactions;
-      1
-    end
-    else if (match rate with Some r -> r <= 0.0 | None -> false) then begin
-      Format.eprintf "ccr_sim pgbench: --rate must be positive@.";
-      1
-    end
-    else begin
-      let config =
-        { Workload.Pgbench.default_config with transactions; rate; seed }
-      in
-      let tracer = mk_tracer trace in
-      report ~phases (Workload.Pgbench.run ~config ?tracer ~mode ());
-      dump_trace trace tracer;
-      0
-    end
+    let config =
+      { Workload.Pgbench.default_config with transactions; rate; seed }
+    in
+    let tracer = mk_tracer trace in
+    report ~phases (Workload.Pgbench.run ~config ?tracer ~mode ());
+    dump_trace trace tracer;
+    0
   in
   Cmd.v
     (Cmd.info "pgbench" ~doc:"Run the pgbench-style interactive workload.")
@@ -209,21 +188,15 @@ let pgbench_cmd =
 
 let grpc_cmd =
   let messages =
-    Arg.(value & opt int 24000 & info [ "messages" ] ~doc:"Message count.")
+    Arg.(
+      value & opt Cli.pos_int 24000 & info [ "messages" ] ~doc:"Message count.")
   in
   let run messages mode seed phases trace =
-    if messages < 1 then begin
-      Format.eprintf "ccr_sim grpc: --messages must be at least 1 (got %d)@."
-        messages;
-      1
-    end
-    else begin
-      let config = { Workload.Grpc.default_config with messages; seed } in
-      let tracer = mk_tracer trace in
-      report ~phases (Workload.Grpc.run ~config ?tracer ~mode ());
-      dump_trace trace tracer;
-      0
-    end
+    let config = { Workload.Grpc.default_config with messages; seed } in
+    let tracer = mk_tracer trace in
+    report ~phases (Workload.Grpc.run ~config ?tracer ~mode ());
+    dump_trace trace tracer;
+    0
   in
   Cmd.v
     (Cmd.info "grpc" ~doc:"Run the gRPC-QPS-style multithreaded workload.")
@@ -237,36 +210,30 @@ let tenant_cmd =
       & info [ "workload"; "w" ] ~doc:"SPEC profile every tenant runs.")
   in
   let tenants =
-    Arg.(value & opt int 2 & info [ "tenants"; "n" ] ~doc:"Concurrent processes.")
+    Arg.(
+      value & opt Cli.pos_int 2
+      & info [ "tenants"; "n" ] ~doc:"Concurrent processes.")
   in
   let scale =
-    Arg.(value & opt float 0.25 & info [ "scale" ] ~doc:"Operation-count scale.")
+    Arg.(
+      value & opt Cli.pos_float 0.25
+      & info [ "scale" ] ~doc:"Operation-count scale.")
   in
   let sched =
     Arg.(
       value & opt sched_conv Os.Revsched.Round_robin & info [ "sched" ] ~doc:sched_doc)
   in
   let run workload tenants scale sched mode seed =
-    if tenants < 1 then begin
-      Format.eprintf "ccr_sim tenant: --tenants must be at least 1 (got %d)@."
-        tenants;
-      1
-    end
-    else if scale <= 0.0 then begin
-      Format.eprintf "ccr_sim tenant: --scale must be positive (got %g)@." scale;
-      1
-    end
-    else
-      match Workload.Profile.find workload with
-      | p ->
-          let r =
-            Workload.Tenant.run ~seed ~ops_scale:scale ~sched ~tenants ~mode p
-          in
-          Workload.Tenant.pp Format.std_formatter r;
-          0
-      | exception Not_found ->
-          Format.eprintf "unknown workload %S@." workload;
-          1
+    match Workload.Profile.find workload with
+    | p ->
+        let r =
+          Workload.Tenant.run ~seed ~ops_scale:scale ~sched ~tenants ~mode p
+        in
+        Workload.Tenant.pp Format.std_formatter r;
+        0
+    | exception Not_found ->
+        Format.eprintf "unknown workload %S@." workload;
+        1
   in
   Cmd.v
     (Cmd.info "tenant"
@@ -277,10 +244,6 @@ let tenant_cmd =
 
 (* --- tenantecon: quota'd tenants, over-commit, bulk-free storm ------- *)
 
-exception Cli_error of string
-
-let err fmt = Printf.ksprintf (fun s -> raise (Cli_error s)) fmt
-
 module Tecon = Workload.Tenantecon
 module Ledger = Tenancy.Ledger
 
@@ -290,113 +253,111 @@ type te_row = {
   te_result : Tecon.result;
   te_clean : bool;
   te_report : string;
-  te_duration_ms : float;
 }
 
 (* One sweep point on a worker domain: never prints, findings go into
    the row's buffer. *)
 let tenantecon_point ~cfg ~mode ~check (governed, overcommit) =
-  let t0 = Unix.gettimeofday () in
   let cfg : Tecon.config = { cfg with Tecon.governed; overcommit } in
-  let san = ref None and race = ref None in
+  let checks = ref None in
   let tracer =
     if check then Some (Sim.Trace.create ~capacity:(1 lsl 20) ()) else None
   in
-  let on_os os =
-    if check then begin
-      let m = Os.machine os in
-      let init_rt = Os.runtime (Os.init os) in
-      let s = Analysis.Sanitizer.attach ?revoker:init_rt.Runtime.revoker m in
-      Os.set_on_process os (fun p ->
-          Analysis.Sanitizer.register_process s ~pid:(Os.pid p)
-            ?revoker:(Os.runtime p).Runtime.revoker ());
-      san := Some s;
-      race := Some (Analysis.Race.attach m)
-    end
-  in
+  let on_os os = if check then checks := Some (Analysis.Check.attach_os os) in
   let r = Tecon.run ?tracer ~on_os ~config:cfg ~mode () in
-  let report = Buffer.create 0 in
-  let rfmt = Format.formatter_of_buffer report in
-  let checks_clean =
-    match (!san, !race) with
-    | Some san, Some race ->
-        Analysis.Sanitizer.finish san;
-        if not (Analysis.Sanitizer.ok san) then Analysis.Sanitizer.report rfmt san;
-        if not (Analysis.Race.ok race) then Analysis.Race.report rfmt race;
-        Analysis.Sanitizer.ok san && Analysis.Race.ok race
-    | _ -> true
+  let te_clean, te_report =
+    Analysis.Check.verdict !checks
+      ~drift:
+        ((if r.Tecon.identity_ok then []
+          else
+            [
+              "ccr_sim tenantecon: accounting drift: offered <> served + \
+               shed + lost";
+            ])
+        @
+        if r.Tecon.conserved then []
+        else [ "ccr_sim tenantecon: quota ledger conservation violated" ])
   in
-  if not r.Tecon.identity_ok then
-    Format.fprintf rfmt
-      "ccr_sim tenantecon: accounting drift: offered <> served + shed + lost@.";
-  if not r.Tecon.conserved then
-    Format.fprintf rfmt
-      "ccr_sim tenantecon: quota ledger conservation violated@.";
-  Format.pp_print_flush rfmt ();
   {
     te_governed = governed;
     te_overcommit = overcommit;
     te_result = r;
-    te_clean = checks_clean && r.Tecon.identity_ok && r.Tecon.conserved;
-    te_report = Buffer.contents report;
-    te_duration_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+    te_clean;
+    te_report;
   }
 
-let te_json_of_row ~storm_at ~rate ~requests ~seed ~jobs row =
+let te_record ~storm_at ~rate ~requests ~seed row =
   let r = row.te_result in
-  let tenant_json (o : Tecon.tenant_outcome) =
-    Printf.sprintf
-      "{\"pid\": %d, \"quota\": %d, \"offered\": %d, \"served\": %d, \
-       \"shed_quota\": %d, \"shed_depth\": %d, \"lost\": %d, \
-       \"denied_quota\": %d, \"denied_phys\": %d, \"reclaims\": %d, \
-       \"p99_us\": %.3f, \"goodput\": %.1f, \"balance\": %d, \"grants\": %d, \
-       \"conserved\": %b, \"crashed\": %b}"
-      o.Tecon.o_pid o.Tecon.o_quota o.Tecon.o_offered o.Tecon.o_served
-      o.Tecon.o_shed_quota o.Tecon.o_shed_depth o.Tecon.o_lost
-      o.Tecon.o_denied_quota o.Tecon.o_denied_phys o.Tecon.o_reclaims
-      o.Tecon.o_p99_us o.Tecon.o_goodput o.Tecon.o_balance o.Tecon.o_grants
-      o.Tecon.o_conserved o.Tecon.o_crashed
+  let tenant (o : Tecon.tenant_outcome) =
+    Cli.Json.(
+      Obj
+        [
+          ("pid", Int o.Tecon.o_pid);
+          ("quota", Int o.Tecon.o_quota);
+          ("offered", Int o.Tecon.o_offered);
+          ("served", Int o.Tecon.o_served);
+          ("shed_quota", Int o.Tecon.o_shed_quota);
+          ("shed_depth", Int o.Tecon.o_shed_depth);
+          ("lost", Int o.Tecon.o_lost);
+          ("denied_quota", Int o.Tecon.o_denied_quota);
+          ("denied_phys", Int o.Tecon.o_denied_phys);
+          ("reclaims", Int o.Tecon.o_reclaims);
+          ("p99_us", Float (3, o.Tecon.o_p99_us));
+          ("goodput", Float (1, o.Tecon.o_goodput));
+          ("balance", Int o.Tecon.o_balance);
+          ("grants", Int o.Tecon.o_grants);
+          ("conserved", Bool o.Tecon.o_conserved);
+          ("crashed", Bool o.Tecon.o_crashed);
+        ])
   in
-  Printf.sprintf
-    "{\"workload\": \"tenantecon\", \"topology\": \"single\", \
-     \"host_count\": 1, \"balancer\": \"none\", \"tenants\": %d, \
-     \"overcommit\": \"%s\", \"mode\": \"%s\", \"sched\": \"%s\", \
-     \"governor\": %b, \"storm_at\": %.2f, \"rate\": %.1f, \"requests\": %d, \
-     \"seed\": %d, \"quota_total\": %d, \"phys_limit\": %d, \
-     \"storm_tenant\": %d, \"storm_freed_allocs\": %d, \
-     \"storm_freed_bytes\": %d, \"quarantine_peak\": %d, \
-     \"committed_peak\": %d, \"p999_us\": %.3f, \"p999_calm_us\": %.3f, \
-     \"p999_storm_us\": %.3f, \"identity_ok\": %b, \"conserved\": %b, \
-     \"per_tenant\": [%s], \"duration_ms\": %.3f, \"jobs\": %d}"
-    r.Tecon.tenants
-    (Ledger.overcommit_name row.te_overcommit)
-    r.Tecon.mode r.Tecon.sched row.te_governed storm_at rate requests seed
-    r.Tecon.quota_total r.Tecon.phys_limit r.Tecon.storm_tenant
-    r.Tecon.storm_freed_allocs r.Tecon.storm_freed_bytes
-    r.Tecon.quarantine_peak r.Tecon.committed_peak r.Tecon.p999_us
-    r.Tecon.p999_calm_us r.Tecon.p999_storm_us r.Tecon.identity_ok
-    r.Tecon.conserved
-    (String.concat ", " (List.map tenant_json r.Tecon.per_tenant))
-    row.te_duration_ms jobs
+  Cli.Json.(
+    Obj
+      ((("workload", String "tenantecon")
+       :: schema ~tenants:r.Tecon.tenants
+            ~overcommit:(Ledger.overcommit_name row.te_overcommit)
+            ())
+      @ [
+          ("mode", String r.Tecon.mode);
+          ("sched", String r.Tecon.sched);
+          ("governor", Bool row.te_governed);
+          ("storm_at", Float (2, storm_at));
+          ("rate", Float (1, rate));
+          ("requests", Int requests);
+          ("seed", Int seed);
+          ("quota_total", Int r.Tecon.quota_total);
+          ("phys_limit", Int r.Tecon.phys_limit);
+          ("storm_tenant", Int r.Tecon.storm_tenant);
+          ("storm_freed_allocs", Int r.Tecon.storm_freed_allocs);
+          ("storm_freed_bytes", Int r.Tecon.storm_freed_bytes);
+          ("quarantine_peak", Int r.Tecon.quarantine_peak);
+          ("committed_peak", Int r.Tecon.committed_peak);
+          ("p999_us", Float (3, r.Tecon.p999_us));
+          ("p999_calm_us", Float (3, r.Tecon.p999_calm_us));
+          ("p999_storm_us", Float (3, r.Tecon.p999_storm_us));
+          ("identity_ok", Bool r.Tecon.identity_ok);
+          ("conserved", Bool r.Tecon.conserved);
+          ("per_tenant", List (List.map tenant r.Tecon.per_tenant));
+        ]))
 
-let overcommits_of_string s =
-  match String.trim s with
-  | "all" -> Ledger.all_overcommits
-  | s ->
-      List.map
-        (fun p ->
-          let p = String.trim p in
-          match Ledger.overcommit_of_name p with
-          | Some o -> o
-          | None ->
-              err "unknown over-commit policy %S (expected deny, steal, \
-                   revoke, or all)" p)
-        (String.split_on_char ',' s)
+(* [all], or a comma-separated list of policy names *)
+let overcommits =
+  let policies =
+    Cli.list
+      (Cli.named ~what:"over-commit policy" Ledger.overcommit_of_name
+         Ledger.overcommit_name)
+  in
+  Arg.conv
+    ( (fun s ->
+        if String.trim s = "all" then Ok Ledger.all_overcommits
+        else Arg.conv_parser policies s),
+      fun ppf l ->
+        if l = Ledger.all_overcommits then Format.pp_print_string ppf "all"
+        else Arg.conv_printer policies ppf l )
 
 let tenantecon_cmd =
   let tenants =
     Arg.(
-      value & opt int 3
+      value & opt Cli.pos_int 3
       & info [ "tenants"; "n" ]
           ~doc:
             "Tenant process count. Tenant $(i,i) gets quota \
@@ -406,7 +367,7 @@ let tenantecon_cmd =
   let quota =
     Arg.(
       value
-      & opt int Tecon.default_config.Tecon.quota_base
+      & opt Cli.pos_int Tecon.default_config.Tecon.quota_base
       & info [ "quota" ]
           ~doc:
             "Base quota in bytes; tenant $(i,i)'s quota is $(docv) × (i+1), \
@@ -415,7 +376,8 @@ let tenantecon_cmd =
   in
   let overcommit =
     Arg.(
-      value & opt string "all"
+      value
+      & opt overcommits Ledger.all_overcommits
       & info [ "overcommit" ]
           ~doc:
             "Comma-separated over-commit policies to sweep, or $(b,all): \
@@ -427,7 +389,7 @@ let tenantecon_cmd =
   let storm_at =
     Arg.(
       value
-      & opt float Tecon.default_config.Tecon.storm_at
+      & opt Cli.pos_float Tecon.default_config.Tecon.storm_at
       & info [ "storm-at" ]
           ~doc:
             "Crash the largest tenant at this fraction of the horizon: \
@@ -438,7 +400,7 @@ let tenantecon_cmd =
   let phys_frac =
     Arg.(
       value
-      & opt float Tecon.default_config.Tecon.phys_frac
+      & opt Cli.pos_float Tecon.default_config.Tecon.phys_frac
       & info [ "phys-frac" ]
           ~doc:
             "Physical heap limit as a fraction of the quota sum; below \
@@ -447,13 +409,13 @@ let tenantecon_cmd =
   let requests =
     Arg.(
       value
-      & opt int Tecon.default_config.Tecon.requests
+      & opt Cli.pos_int Tecon.default_config.Tecon.requests
       & info [ "requests" ] ~doc:"Requests per tenant.")
   in
   let rate =
     Arg.(
       value
-      & opt float Tecon.default_config.Tecon.rate
+      & opt Cli.pos_float Tecon.default_config.Tecon.rate
       & info [ "rate" ] ~doc:"Per-tenant offered load, requests/second.")
   in
   let sched =
@@ -463,118 +425,60 @@ let tenantecon_cmd =
   let governor =
     Arg.(
       value
-      & opt (enum [ ("on", [ true ]); ("off", [ false ]); ("both", [ false; true ]) ])
-          [ false; true ]
+      & opt Cli.governor_axis [ false; true ]
       & info [ "governor"; "g" ]
           ~doc:"Governor axis: $(b,on), $(b,off) or $(b,both).")
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write per-run JSON records to $(docv)." ~docv:"PATH")
-  in
+  let json = Cli.json ~doc:"Write per-run JSON records to $(docv)." in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Attach the protocol sanitizer (including the \
-             quota-conservation rule) and race detector to every sweep \
-             point, and verify the serving and ledger identities \
-             exactly. Exit nonzero on any finding.")
+    Cli.check
+      ~doc:
+        "Attach the protocol sanitizer (including the quota-conservation \
+         rule) and race detector to every sweep point, and verify the \
+         serving and ledger identities exactly. Exit nonzero on any \
+         finding."
   in
   let jobs =
-    Arg.(
-      value
-      & opt int (Parallel.Pool.default_jobs ())
-      & info [ "jobs"; "j" ]
-          ~doc:
-            "Run up to $(docv) sweep points concurrently on separate \
-             domains; results are reassembled in sweep order, so all \
-             output except $(b,duration_ms) and $(b,jobs) is identical \
-             for any $(docv)." ~docv:"N")
+    Cli.jobs
+      ~doc:
+        "Run up to $(docv) sweep points concurrently on separate domains; \
+         results are reassembled in sweep order, so all output is \
+         identical for any $(docv)."
   in
-  let run tenants quota overcommit storm_at phys_frac requests rate sched
+  let run tenants quota overcommits storm_at phys_frac requests rate sched
       governed_axis mode seed json check jobs =
-    try
-      let jobs =
-        match Parallel.Pool.validate_jobs jobs with
-        | Ok j -> j
-        | Error msg -> err "%s" msg
-      in
-      if tenants < 1 then err "--tenants must be at least 1 (got %d)" tenants;
-      if quota <= 0 then err "--quota must be positive (got %d)" quota;
-      if storm_at <= 0.0 then
-        err "--storm-at must be positive (got %g; use 1.0 or more to \
-             disable the storm)" storm_at;
-      if phys_frac <= 0.0 then
-        err "--phys-frac must be positive (got %g)" phys_frac;
-      if requests < 1 then err "--requests must be at least 1 (got %d)" requests;
-      if rate <= 0.0 then err "--rate must be positive (got %g)" rate;
-      let overcommits = overcommits_of_string overcommit in
-      if overcommits = [] then err "--overcommit lists no policy";
-      let cfg =
-        {
-          Tecon.default_config with
-          Tecon.tenants;
-          quota_base = quota;
-          phys_frac;
-          storm_at;
-          requests;
-          rate;
-          sched;
-          seed;
-        }
-      in
-      let points =
-        List.concat_map
-          (fun governed -> List.map (fun oc -> (governed, oc)) overcommits)
-          governed_axis
-      in
-      let rows =
-        Parallel.Pool.map ~jobs (tenantecon_point ~cfg ~mode ~check) points
-      in
-      List.iter
-        (fun row -> if row.te_report <> "" then Format.eprintf "%s" row.te_report)
-        rows;
-      List.iter
-        (fun row ->
-          Format.printf "--- governor=%s overcommit=%s ---@."
-            (if row.te_governed then "on" else "off")
-            (Ledger.overcommit_name row.te_overcommit);
-          Tecon.pp Format.std_formatter row.te_result)
-        rows;
-      (match json with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc "[\n";
-          List.iteri
-            (fun i row ->
-              if i > 0 then output_string oc ",\n";
-              output_string oc "  ";
-              output_string oc
-                (te_json_of_row ~storm_at ~rate ~requests ~seed ~jobs row))
-            rows;
-          output_string oc "\n]\n";
-          close_out oc;
-          Format.printf "wrote %d records to %s@." (List.length rows) path);
-      if check then
-        if List.for_all (fun row -> row.te_clean) rows then begin
-          Format.printf
-            "check: ok (%d runs, zero findings, both identities exact)@."
-            (List.length rows);
-          0
-        end
-        else begin
-          Format.eprintf "check: FAILED@.";
-          1
-        end
-      else 0
-    with Cli_error msg ->
-      Format.eprintf "ccr_sim tenantecon: %s@." msg;
-      1
+    let cfg =
+      {
+        Tecon.default_config with
+        Tecon.tenants;
+        quota_base = quota;
+        phys_frac;
+        storm_at;
+        requests;
+        rate;
+        sched;
+        seed;
+      }
+    in
+    let points =
+      List.concat_map
+        (fun governed -> List.map (fun oc -> (governed, oc)) overcommits)
+        governed_axis
+    in
+    let rows =
+      Parallel.Pool.map ~jobs (tenantecon_point ~cfg ~mode ~check) points
+    in
+    List.iter
+      (fun row ->
+        Format.printf "--- governor=%s overcommit=%s ---@."
+          (if row.te_governed then "on" else "off")
+          (Ledger.overcommit_name row.te_overcommit);
+        Tecon.pp Format.std_formatter row.te_result)
+      rows;
+    Cli.write_records json
+      (List.map (te_record ~storm_at ~rate ~requests ~seed) rows);
+    Cli.check_epilogue ~check ~what:"runs"
+      (List.map (fun row -> (row.te_clean, row.te_report)) rows)
   in
   Cmd.v
     (Cmd.info "tenantecon"

@@ -143,6 +143,7 @@ let validate_resilience r =
 let precompute cfg =
   if cfg.hosts < 1 then invalid_arg "Fleet.plan: hosts < 1";
   if cfg.requests < 1 then invalid_arg "Fleet.plan: requests < 1";
+  if cfg.slices < 1 then invalid_arg "Fleet.plan: slices < 1";
   validate_resilience cfg.resilience;
   let offsets =
     Loadgen.schedule
@@ -533,9 +534,7 @@ let run ?(check = false) ?jobs cfg =
       temps_per_req = cfg.temps_per_req;
       compute_per_req = cfg.compute_per_req;
       seed = host_seed cfg.seed host;
-      clock =
-        Rig.Absolute
-          { slices = cfg.slices; origin = pre.p_warmup; horizon = pre.p_horizon };
+      clock = Rig.Absolute;
       windows = Failplan.host_windows pre.p_windows ~host;
       check;
     }

@@ -44,13 +44,13 @@ let validate = function
   | Naive { max_attempts; delay_us } ->
       if max_attempts < 2 || max_attempts > 16 then
         invalid_arg "Retry: max_attempts outside [2, 16]";
-      if delay_us < 0.0 then invalid_arg "Retry: negative delay_us"
+      if not (delay_us >= 0.0) then invalid_arg "Retry: negative delay_us"
   | Budgeted { max_attempts; base_us; cap_us; ratio; burst } ->
       if max_attempts < 2 || max_attempts > 16 then
         invalid_arg "Retry: max_attempts outside [2, 16]";
-      if base_us <= 0.0 then invalid_arg "Retry: base_us <= 0";
-      if cap_us < base_us then invalid_arg "Retry: cap_us < base_us";
-      if ratio < 0.0 || ratio > 1.0 then
+      if not (base_us > 0.0) then invalid_arg "Retry: base_us <= 0";
+      if not (cap_us >= base_us) then invalid_arg "Retry: cap_us < base_us";
+      if not (ratio >= 0.0 && ratio <= 1.0) then
         invalid_arg "Retry: ratio outside [0, 1]";
       if burst < 1 then invalid_arg "Retry: burst < 1"
 
@@ -101,9 +101,9 @@ let backoff_us policy ~seed ~req ~attempt =
 type hedge = { h_pct : float; h_min_us : float }
 
 let validate_hedge h =
-  if h.h_pct < 50.0 || h.h_pct >= 100.0 then
+  if not (h.h_pct >= 50.0 && h.h_pct < 100.0) then
     invalid_arg "Retry: hedge percentile outside [50, 100)";
-  if h.h_min_us < 0.0 then invalid_arg "Retry: negative hedge floor"
+  if not (h.h_min_us >= 0.0) then invalid_arg "Retry: negative hedge floor"
 
 (* ---- per-class retry token buckets ---- *)
 

@@ -1,14 +1,5 @@
 let default_jobs () = max 1 (min 16 (Domain.recommended_domain_count ()))
 
-(* The one --jobs validator every campaign CLI shares, so a zero or
-   negative width is a usage error at the command line instead of
-   whatever [map]'s clamping would silently do. *)
-let validate_jobs j =
-  if j >= 1 then Ok j
-  else
-    Error
-      (Printf.sprintf "--jobs must be a positive integer (got %d)" j)
-
 type 'b outcome =
   | Pending
   | Done of 'b

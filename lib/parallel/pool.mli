@@ -4,8 +4,8 @@
     seeded simulation touching no global mutable state, so they can run
     on separate domains. [map] preserves submission order in its result
     list, making the output of every consumer identical for any [~jobs]
-    value — the jobs-determinism contract enforced by CI (see DESIGN.md,
-    "Simulator performance").
+    value — the jobs-determinism contract [dune build @determinism]
+    enforces (see DESIGN.md, "Simulator performance").
 
     Workers must not print: anything destined for the user is returned
     as data (or a buffer) and emitted by the calling domain in
@@ -13,12 +13,6 @@
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] clamped to [1, 16]. *)
-
-val validate_jobs : int -> (int, string) result
-(** [Ok j] when [j >= 1], otherwise [Error msg] with a usage message.
-    Every campaign CLI funnels its [--jobs] argument through this one
-    helper so a zero/negative width is rejected uniformly instead of
-    falling through to {!map}'s internal clamping. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] applies [f] to every element of [xs], running up to

@@ -9,13 +9,8 @@ module Loadgen = Service.Loadgen
 module Squeue = Service.Squeue
 module Slo = Service.Slo
 module Governor = Service.Governor
-module Histogram = Stats.Histogram
-module Sanitizer = Analysis.Sanitizer
-module Race = Analysis.Race
 
-type clock =
-  | After_setup
-  | Absolute of { slices : int; origin : int; horizon : int }
+type clock = After_setup | Absolute
 
 type config = {
   name : string;
@@ -120,35 +115,6 @@ let rec await_sessions s ctx =
       Machine.wait ctx s.ready;
       await_sessions s ctx
 
-(* ---- the protocol checkers ---- *)
-
-type check = Sanitizer.t * Race.t
-
-let attach_check rt =
-  let m = rt.Runtime.machine in
-  if Machine.tracer m = None then begin
-    let tr = Trace.create () in
-    Machine.attach_tracer m (Some tr);
-    Trace.set_warn_on_drop tr false
-  end;
-  (Sanitizer.attach ?revoker:rt.Runtime.revoker m, Race.attach m)
-
-let verdict check ~drift =
-  let b = Buffer.create 0 in
-  let fmt = Format.formatter_of_buffer b in
-  let ok =
-    match check with
-    | None -> true
-    | Some (san, race) ->
-        Sanitizer.finish san;
-        if not (Sanitizer.ok san) then Sanitizer.report fmt san;
-        if not (Race.ok race) then Race.report fmt race;
-        Sanitizer.ok san && Race.ok race
-  in
-  Option.iter (Format.fprintf fmt "%s@.") drift;
-  Format.pp_print_flush fmt ();
-  (ok && drift = None, Buffer.contents b)
-
 (* ---- per-arrival fates, flat ---- *)
 
 type fate =
@@ -188,7 +154,6 @@ type outcome = {
   lost : int;
   brownout_shifts : int;
   slo : Slo.t;
-  slices : Histogram.t array;
   fates : fates;
   epochs : int;
   stw_pause_us : float;
@@ -246,18 +211,6 @@ let run ?tracer ?on_runtime cfg ~arrivals ~classes =
    with
   | Error msg -> invalid_arg ("Rig.run: " ^ msg)
   | Ok () -> ());
-  let slices, record_slice =
-    match cfg.clock with
-    | After_setup -> ([||], fun ~intended:_ _ -> ())
-    | Absolute { slices; origin; horizon } ->
-        if slices < 1 then invalid_arg "Rig.run: need at least one slice";
-        let hists = Array.init slices (fun _ -> Histogram.create ()) in
-        let span = max 1 (horizon - origin) in
-        ( hists,
-          fun ~intended lat ->
-            let dt = max 0 (intended - origin) in
-            Histogram.record hists.(min (slices - 1) (dt * slices / span)) lat )
-  in
   let n = Array.length arrivals in
   let heap_bytes = cfg.heap_mb * 1024 * 1024 in
   let mconfig =
@@ -275,7 +228,7 @@ let run ?tracer ?on_runtime cfg ~arrivals ~classes =
   let m = rt.Runtime.machine in
   Machine.attach_tracer m tracer;
   Option.iter (fun f -> f rt) on_runtime;
-  let check = if cfg.check then Some (attach_check rt) else None in
+  let check = if cfg.check then Some (Analysis.Check.attach_runtime rt) else None in
   (* a class's deadline is the base budget stretched by its factor;
      background traffic is never deadline-shed *)
   let deadlines =
@@ -327,7 +280,7 @@ let run ?tracer ?on_runtime cfg ~arrivals ~classes =
     Machine.spawn m ~name:(cfg.name ^ "-loadgen") ~core:0 ~user:false (fun ctx ->
         ignore (await_sessions shared ctx);
         let base =
-          match cfg.clock with After_setup -> Machine.now ctx | Absolute _ -> 0
+          match cfg.clock with After_setup -> Machine.now ctx | Absolute -> 0
         in
         Array.iteri
           (fun i t ->
@@ -385,8 +338,7 @@ let run ?tracer ?on_runtime cfg ~arrivals ~classes =
                   let lat = Slo.record slo ~intended:req.Squeue.intended ~completed in
                   set_served fates req.Squeue.id ~at:completed ~latency_us:lat;
                   order.(!n_served) <- req.Squeue.id;
-                  incr n_served;
-                  record_slice ~intended:req.Squeue.intended lat);
+                  incr n_served);
               serve ()
         in
         serve ();
@@ -409,14 +361,15 @@ let run ?tracer ?on_runtime cfg ~arrivals ~classes =
     if
       Slo.served slo + Squeue.shed queue + lost = Slo.offered slo
       && Slo.offered slo = n && !settled = n
-    then None
+    then []
     else
-      Some
-        (Printf.sprintf
+      [
+        Printf.sprintf
            "%s: accounting drift: served %d + shed %d + lost %d <> arrivals %d (fates %d)"
-           cfg.name (Slo.served slo) (Squeue.shed queue) lost n !settled)
+           cfg.name (Slo.served slo) (Squeue.shed queue) lost n !settled;
+      ]
   in
-  let clean, report = verdict check ~drift in
+  let clean, report = Analysis.Check.verdict check ~drift in
   let totals = Machine.totals m in
   let phases = Runtime.revoker_records rt in
   let stw_total, stw_max =
@@ -465,7 +418,6 @@ let run ?tracer ?on_runtime cfg ~arrivals ~classes =
     lost;
     brownout_shifts = Squeue.brownout_shifts queue;
     slo;
-    slices;
     fates;
     epochs = List.length phases;
     stw_pause_us = Cost.cycles_to_us stw_total;

@@ -42,11 +42,7 @@ type clock =
   | After_setup
       (** arrival times are offsets from the moment the session table is
           ready *)
-  | Absolute of { slices : int; origin : int; horizon : int }
-      (** arrival times are absolute cycles on a shared fleet clock; each
-          served request is also recorded in the latency slice of its
-          intended arrival, one of [slices] equal cuts of
-          [\[origin, horizon)] *)
+  | Absolute  (** arrival times are absolute cycles on a shared fleet clock *)
 
 type config = {
   name : string;  (** thread-name prefix and [Result.workload] *)
@@ -116,8 +112,6 @@ type outcome = {
   lost : int;  (** queue-drained at a crash + in-service response loss *)
   brownout_shifts : int;  (** brownout band transitions (both edges) *)
   slo : Service.Slo.t;  (** histogram + violation counts *)
-  slices : Stats.Histogram.t array;
-      (** latency by intended-arrival slice; empty under [After_setup] *)
   fates : fates;
   epochs : int;  (** revocation epochs closed *)
   stw_pause_us : float;  (** total world-stopped time *)
@@ -141,23 +135,9 @@ val run :
     nondecreasing); [classes i] is the priority class code of arrival
     [i]. [on_runtime] runs with the freshly built runtime (tracer already
     attached) before any thread spawns. Raises [Invalid_argument] when
-    {!validate} rejects the config or an [Absolute] clock has no slice.
+    {!validate} rejects the config.
     Deterministic, and it shares no mutable state, so runs can fan out
     across domains. *)
-
-(** {2 Protocol checkers} *)
-
-type check
-
-val attach_check : Ccr.Runtime.t -> check
-(** Attach the protocol sanitizer and the race detector to the runtime's
-    machine — through its tracer, or a quiet one of their own when none
-    is attached. *)
-
-val verdict : check option -> drift:string option -> bool * string
-(** [(clean, report)]: finish the checkers and buffer their findings,
-    plus [drift] — the caller's accounting-drift message, if its
-    identity broke — as a line of its own. *)
 
 (** {2 Shared with the gRPC surrogate} *)
 

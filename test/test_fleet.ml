@@ -516,8 +516,7 @@ let host_fingerprint host (h : Rig.outcome) =
       h.Rig.clean,
       h.Rig.report ),
     fates h,
-    hist_fingerprint (Slo.histogram h.Rig.slo),
-    Array.to_list (Array.map hist_fingerprint h.Rig.slices) )
+    hist_fingerprint (Slo.histogram h.Rig.slo) )
 
 let fleet_fingerprint o =
   ( ( o.Fleet.offered,
@@ -615,7 +614,7 @@ let test_recovery_resumes_epoch () =
       temps_per_req = 3;
       compute_per_req = 20_000;
       seed = 11;
-      clock = Rig.Absolute { slices = 4; origin = 0; horizon };
+      clock = Rig.Absolute;
       windows = [ window ];
       check = true;
     }

@@ -1,7 +1,7 @@
 (* Parallel.Pool: submission-order results, deterministic error
    selection, and the jobs-determinism contract for real simulation
-   fan-outs (the library-level half of the CI gate that diffs ccr_serve
-   / ccr_chaos output across --jobs values). *)
+   fan-outs (the library-level half of `dune build @determinism`, which
+   compares the executables' output across --jobs values). *)
 
 module Pool = Parallel.Pool
 module Runtime = Ccr.Runtime
