@@ -419,7 +419,6 @@ let tab1 c =
       let rate = frac *. peak in
       let config =
         {
-          Workload.Pgbench.default_config with
           Workload.Pgbench.transactions =
             int_of_float (4000.0 *. c.scale) |> max 1200;
           rate = Some rate;
@@ -629,16 +628,12 @@ let ablation_multibg c =
   List.iter
     (fun n ->
       (* drive the revoker directly so we can pass background_threads *)
-      let heap = Workload.Profile.heap_bytes_needed p in
-      let config =
-        {
-          Sim.Machine.default_config with
-          heap_bytes = heap;
-          mem_bytes = heap + (heap / 16) + (8 * 1024 * 1024);
-          seed = c.seed;
-        }
+      let m =
+        Sim.Machine.create
+          (Ccr.Runtime.machine_config
+             ~heap_bytes:(Workload.Profile.heap_bytes_needed p)
+             ~seed:c.seed ())
       in
-      let m = Sim.Machine.create config in
       let alloc = Alloc.Backend.snmalloc (Alloc.Allocator.create m) in
       let rv =
         Revoker.create m ~strategy:Revoker.Reloaded ~core:2

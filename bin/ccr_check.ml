@@ -15,12 +15,9 @@
      dune exec bin/ccr_check.exe -- --profiles hmmer_retro --skip-mutations *)
 
 open Cmdliner
-module Machine = Sim.Machine
-module Cap = Cheri.Capability
 module Runtime = Ccr.Runtime
 module Revoker = Ccr.Revoker
 module Mrs = Ccr.Mrs
-module Epoch = Ccr.Epoch
 module Sanitizer = Analysis.Sanitizer
 module Race = Analysis.Race
 
@@ -74,56 +71,10 @@ let profile_tasks ~seed ~scale profiles =
 
 (* ---- phase 2: seeded protocol mutations ---- *)
 
-let cfg =
-  { Machine.default_config with heap_bytes = 4 lsl 20; mem_bytes = 16 lsl 20 }
-
-(* The test_revoker churn rig: scatter aliases of a victim allocation
-   through memory, registers and a kernel hoard, free it, and churn until
-   its batch's epoch closes. *)
-let mutation_run strategy fault =
-  let m = Machine.create cfg in
-  Machine.attach_tracer m (Some (Sim.Trace.create ()));
-  let alloc = Alloc.Backend.snmalloc (Alloc.Allocator.create m) in
-  let hoards = Kernel.Hoard.create () in
-  let rv = Revoker.create m ~strategy ~core:2 ~hoards () in
-  let mrs = Mrs.create m ~alloc ~revoker:rv () in
-  let san = Sanitizer.attach ~revoker:rv m in
-  Revoker.inject_fault rv fault;
-  ignore
-    (Machine.spawn m ~name:"app" ~core:3 (fun ctx ->
-         let regs = Machine.regs (Machine.self ctx) in
-         let table = Mrs.malloc mrs ctx 4096 in
-         Sim.Regfile.set regs 0 table;
-         let slot i = Cap.set_addr table (Cap.base table + (i * 16)) in
-         let victim = Mrs.malloc mrs ctx 128 in
-         Machine.store_u64 ctx victim 0x5ec2e7L;
-         Machine.store_cap ctx (slot 0) victim;
-         Sim.Regfile.set regs 5 victim;
-         ignore (Kernel.Hoard.register hoards ctx victim);
-         let painted_at = Epoch.counter (Revoker.epoch rv) in
-         Mrs.free mrs ctx victim;
-         let rng = Sim.Prng.create ~seed:11 in
-         while not (Epoch.is_clean (Revoker.epoch rv) ~painted_at) do
-           let c = Mrs.malloc mrs ctx (64 + (16 * Sim.Prng.int rng 16)) in
-           Machine.store_u64 ctx c 1L;
-           Mrs.free mrs ctx c
-         done;
-         Mrs.finish mrs ctx));
-  Machine.run m;
-  Sanitizer.finish san;
-  san
-
-let mutations =
-  [
-    (Revoker.Reloaded, Revoker.Early_dequarantine, "early-dequarantine");
-    (Revoker.Cornucopia, Revoker.Skip_shootdown, "missing-shootdown");
-    (Revoker.Reloaded, Revoker.Skip_hoard_scan, "missing-hoard-scan");
-  ]
-
 let baseline_cell strategy () =
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
-  let san = mutation_run strategy None in
+  let san, _ = Analysis.Check.churn_rig strategy in
   let ok = Sanitizer.ok san in
   Format.fprintf fmt "rig %-12s no fault            %-4s@."
     (Revoker.strategy_name strategy)
@@ -135,7 +86,7 @@ let baseline_cell strategy () =
 let mutation_cell (strategy, fault, rule) () =
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
-  let san = mutation_run strategy (Some fault) in
+  let san, _ = Analysis.Check.churn_rig ~fault strategy in
   let n = Sanitizer.count san rule in
   let ok = n > 0 in
   Format.fprintf fmt "rig %-12s %-19s %-4s (%d %S report(s))@."
@@ -149,7 +100,7 @@ let mutation_cell (strategy, fault, rule) () =
 
 let mutation_tasks () =
   List.map baseline_cell [ Revoker.Reloaded; Revoker.Cornucopia ]
-  @ List.map mutation_cell mutations
+  @ List.map mutation_cell Analysis.Check.mutations
 
 (* ---- driver ---- *)
 

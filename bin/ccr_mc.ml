@@ -208,16 +208,8 @@ let run_matrix ~scenarios ~strategies ~max_schedules ~depth ~jobs ~skip_naive
 
 (* ---- seeded-mutation mode ---- *)
 
-(* The three PR-seeded protocol mutations, each expected to be caught
-   under its own rule from a neutral schedule of the alias-rig scenario
-   (the same triples ccr_check's phase 2 asserts). *)
-let mutations =
-  [
-    (Revoker.Reloaded, Revoker.Early_dequarantine, "early-dequarantine");
-    (Revoker.Cornucopia, Revoker.Skip_shootdown, "missing-shootdown");
-    (Revoker.Reloaded, Revoker.Skip_hoard_scan, "missing-hoard-scan");
-  ]
-
+(* Each seeded protocol mutation must be caught under its own rule from
+   a neutral schedule of the alias-rig scenario. *)
 let run_mutations ~max_schedules ~depth ~jobs ~repro_dir =
   let scenario =
     match Scenario.find "free-during-sweep" with
@@ -261,7 +253,7 @@ let run_mutations ~max_schedules ~depth ~jobs ~repro_dir =
               (Revoker.fault_name fault) o.Explorer.executions);
         Format.pp_print_flush fmt ();
         (ok, Buffer.contents buf))
-      mutations
+      Analysis.Check.mutations
   in
   let results = Parallel.Pool.map ~jobs (fun f -> f ()) tasks in
   List.iter (fun (_, txt) -> print_string txt) results;

@@ -51,7 +51,7 @@ let phases_arg =
 let trace_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli.pos_int) None
     & info [ "trace" ]
         ~doc:"Attach an event tracer and dump the last $(docv) events."
         ~docv:"N")
@@ -61,14 +61,7 @@ let mk_tracer = function
   | Some _ -> Some (Sim.Trace.create ~capacity:65536 ())
 
 let sched_conv =
-  Arg.conv
-    ( (function
-      | "round-robin" | "rr" -> Ok Os.Revsched.Round_robin
-      | "pressure" -> Ok Os.Revsched.Pressure
-      | "slo" -> Ok Os.Revsched.Slo
-      | "quota" -> Ok Os.Revsched.Quota
-      | s -> Error (`Msg (Printf.sprintf "unknown scheduler %S" s))),
-      fun fmt p -> Format.pp_print_string fmt (Os.Revsched.policy_name p) )
+  Cli.named ~what:"scheduler" Os.Revsched.policy_of_name Os.Revsched.policy_name
 
 let sched_doc =
   "Revocation scheduling policy: round-robin (fairness), pressure (most \
@@ -175,7 +168,7 @@ let pgbench_cmd =
   in
   let run transactions rate mode seed phases trace =
     let config =
-      { Workload.Pgbench.default_config with transactions; rate; seed }
+      { Workload.Pgbench.transactions; rate; seed }
     in
     let tracer = mk_tracer trace in
     report ~phases (Workload.Pgbench.run ~config ?tracer ~mode ());

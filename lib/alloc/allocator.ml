@@ -63,7 +63,6 @@ type t = {
   mutable total_freed : int;
   mutable allocations : int;
   mutable peak_rss : int;
-  mutable scrubs : int;
   mutable scrub_bytes : int;
 }
 
@@ -142,7 +141,6 @@ let create ?aspace m =
     total_freed = 0;
     allocations = 0;
     peak_rss = 0;
-    scrubs = 0;
     scrub_bytes = 0;
   }
 
@@ -173,7 +171,6 @@ let clone t ~aspace =
     total_freed = 0;
     allocations = 0;
     peak_rss = 0;
-    scrubs = 0;
     scrub_bytes = 0;
   }
 
@@ -233,7 +230,6 @@ let malloc t ctx req =
      here while fresh mappings arrive pre-zeroed. *)
   if is_dirty t g then begin
     set_dirty t g false;
-    t.scrubs <- t.scrubs + 1;
     t.scrub_bytes <- t.scrub_bytes + size;
     Machine.zero ctx cap
   end
@@ -294,5 +290,4 @@ let total_freed_bytes t = t.total_freed
 let allocation_count t = t.allocations
 let peak_rss_pages t = t.peak_rss
 
-let scrub_count t = t.scrubs
 let scrub_bytes t = t.scrub_bytes

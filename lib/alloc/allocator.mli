@@ -58,9 +58,6 @@ val total_freed_bytes : t -> int
 val allocation_count : t -> int
 val peak_rss_pages : t -> int
 
-val scrub_count : t -> int
-(** Number of reuse-time zeroings performed. *)
-
 val scrub_bytes : t -> int
 val note_rss : t -> unit
 (** Fold the current mapped-page count into the peak (mrs calls this when

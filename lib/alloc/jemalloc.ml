@@ -230,7 +230,6 @@ let free t ctx cap =
   Machine.touch ctx cap ~write:true;
   release_range t ctx ~addr:base ~size
 
-let usable_size t ~addr = Hashtbl.find_opt t.live addr
 let live_bytes t = t.live_bytes
 let allocation_count t = t.allocations
 let peak_rss_pages t = t.peak_rss

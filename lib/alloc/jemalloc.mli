@@ -31,7 +31,6 @@ val withdraw : t -> Sim.Machine.ctx -> Cheri.Capability.t -> int
 val release_range : t -> Sim.Machine.ctx -> addr:int -> size:int -> unit
 (** Return a withdrawn region to its run (or the large map). *)
 
-val usable_size : t -> addr:int -> int option
 val live_bytes : t -> int
 val allocation_count : t -> int
 val peak_rss_pages : t -> int

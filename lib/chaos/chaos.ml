@@ -268,11 +268,6 @@ let install m ~revoker ~mrs ?kill ?drop_inflight schedule =
   | Some _ | None -> ());
   t
 
-let uninstall t =
-  Machine.set_drain_hook t.m None;
-  Machine.set_shootdown_ack_hook t.m None;
-  Machine.set_tag_read_hook t.m None
-
 (* ---- branchable fault points (model checking) ----
 
    Instead of arming cycles drawn from a seed, every potential injection

@@ -74,10 +74,6 @@ val install :
     threads killed / requests destroyed (0 marks the fault
     spent-unfired). Call before {!Sim.Machine.run}. *)
 
-val uninstall : t -> unit
-(** Clear the machine-level hooks (revoker/shim hooks die with their
-    owners). *)
-
 val install_branch :
   Sim.Machine.t ->
   ?revoker:Ccr.Revoker.t ->

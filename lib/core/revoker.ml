@@ -48,7 +48,7 @@ let fault_name = function
   | Skip_hoard_scan -> "skip-hoard-scan"
   | Early_dequarantine -> "early-dequarantine"
 
-let all_faults = [ Skip_shootdown; Skip_hoard_scan; Early_dequarantine ]
+let all_faults = [ Early_dequarantine; Skip_shootdown; Skip_hoard_scan ]
 let fault_of_name s = List.find_opt (fun f -> fault_name f = s) all_faults
 
 let strategy_of_name s =
@@ -149,7 +149,6 @@ type t = {
   mutable fault_cycles : int;
   mutable fault_count : int;
   mutable revocations : int;
-  mutable total_bytes : int;
   mutable current_entries : (int * int) list;
   mutable barrier_armed : bool;
       (* Reloaded: set once the epoch-opening stop-the-world has completed,
@@ -234,7 +233,6 @@ let barrier_armed t = t.barrier_armed
 let queued_bytes t = t.queued_bytes
 let records t = List.rev t.records
 let revocation_count t = t.revocations
-let total_bytes_processed t = t.total_bytes
 
 let heap_vpages t =
   let layout = Vm.Aspace.layout t.aspace in
@@ -786,7 +784,6 @@ let run_epoch t ctx batches =
       t.barrier_armed <- false;
       t.consecutive_aborts <- 0;
       t.revocations <- t.revocations + 1;
-      t.total_bytes <- t.total_bytes + bytes;
       t.records <-
         {
           epoch_index = idx;
@@ -939,8 +936,11 @@ let rebind t ~aspace =
   List.iter (fun th -> Machine.assign_aspace th aspace) t.service_threads;
   register_barrier t
 
-let create m ~strategy ~core ?(non_temporal = false)
-    ?(background_threads = 1) ?(helper_cores = [ 1; 0 ])
+(* §7.1 helper threads take these cores in turn: the two left idle when
+   the revoker runs on core 2 and the application on core 3. *)
+let helper_cores = [ 1; 0 ]
+
+let create m ~strategy ~core ?(non_temporal = false) ?(background_threads = 1)
     ?(pte_flag_barrier = false) ?(recovery = default_recovery) ?hoards ?aspace
     ?(pid = 0) () =
   let hoards = match hoards with Some h -> h | None -> Kernel.Hoard.create () in
@@ -970,7 +970,6 @@ let create m ~strategy ~core ?(non_temporal = false)
       fault_cycles = 0;
       fault_count = 0;
       revocations = 0;
-      total_bytes = 0;
       current_entries = [];
       barrier_armed = false;
       fault = None;

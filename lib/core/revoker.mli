@@ -54,6 +54,7 @@ type fault = Skip_shootdown | Skip_hoard_scan | Early_dequarantine
 val fault_name : fault -> string
 
 val all_faults : fault list
+(** Every mutation, in the order the checkers report them. *)
 
 val fault_of_name : string -> fault option
 (** Inverse of {!fault_name} — replay files and CLI flags name faults. *)
@@ -130,7 +131,6 @@ val create :
   core:int ->
   ?non_temporal:bool ->
   ?background_threads:int ->
-  ?helper_cores:int list ->
   ?pte_flag_barrier:bool ->
   ?recovery:recovery ->
   ?hoards:Kernel.Hoard.t ->
@@ -139,7 +139,7 @@ val create :
   unit ->
   t
 (** [background_threads] > 1 spawns §7.1-style helper threads (on
-    [helper_cores], default cores 1 and 0) that share Reloaded's and
+    cores 1 and 0 in turn) that share Reloaded's and
     CHERIoT's background sweeps. [pte_flag_barrier] enables the §4.1
     ablation in which starting an epoch updates every PTE under
     stop-the-world instead of toggling the in-core generation bit.
@@ -218,7 +218,6 @@ val records : t -> phase_record list
 (** Per-epoch phase records, oldest first. *)
 
 val revocation_count : t -> int
-val total_bytes_processed : t -> int
 
 val set_epoch_gate :
   t -> acquire:(Sim.Machine.ctx -> unit) -> release:(Sim.Machine.ctx -> unit) -> unit

@@ -15,6 +15,14 @@ let mode_of_name = function
   | "paint" | "paint-sync" -> Some (Safe Revoker.Paint_sync)
   | s -> Option.map (fun st -> Safe st) (Revoker.strategy_of_name s)
 
+let machine_config ?(processes = 1) ~heap_bytes ~seed () =
+  {
+    Machine.default_config with
+    heap_bytes;
+    mem_bytes = (processes * (heap_bytes + (heap_bytes / 16))) + (8 * 1024 * 1024);
+    seed;
+  }
+
 type t = {
   machine : Machine.t;
   alloc : Backend.t;

@@ -20,6 +20,13 @@ val mode_of_name : string -> mode option
     {!Revoker.strategy_of_name} knows, plus the aliases [paint] and
     [paint-sync] for [paint+sync]. *)
 
+val machine_config :
+  ?processes:int -> heap_bytes:int -> seed:int -> unit -> Sim.Machine.config
+(** The machine every workload sizes from its heap. Each of [processes]
+    (default 1) maps its heap plus a sixteenth, for the shadow bitmap and
+    page tables, out of one frame pool; physical memory is that times
+    [processes], plus 8 MiB. *)
+
 type t = {
   machine : Sim.Machine.t;
   alloc : Alloc.Backend.t;

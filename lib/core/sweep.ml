@@ -8,14 +8,6 @@ type stats = { granules : int; tagged : int; revoked : int; upgraded : bool }
 
 let zero_stats = { granules = 0; tagged = 0; revoked = 0; upgraded = false }
 
-let add_stats a b =
-  {
-    granules = a.granules + b.granules;
-    tagged = a.tagged + b.tagged;
-    revoked = a.revoked + b.revoked;
-    upgraded = a.upgraded || b.upgraded;
-  }
-
 let granule = Tagmem.Mem.granule
 
 (* The revoker's hot loop. Two implementations with an exact-equivalence

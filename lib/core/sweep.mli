@@ -15,7 +15,6 @@ type stats = {
 }
 
 val zero_stats : stats
-val add_stats : stats -> stats -> stats
 
 val sweep_page :
   ?non_temporal:bool ->

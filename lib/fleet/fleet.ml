@@ -8,6 +8,19 @@ module Runtime = Ccr.Runtime
 module Loadgen = Service.Loadgen
 module Squeue = Service.Squeue
 
+(* Shift applied to every intended arrival, so that host boot (the
+   session-table build) happens before the measured trace. *)
+let warmup_us = 2_000.0
+
+(* The balancer's service-time model for least-loaded accounting. *)
+let est_service_us = 60.0
+
+(* Every host: a 12 MiB heap under the default quarantine policy, a
+   4096-entry session table, and 30k cycles of compute per request. *)
+let heap_mb = 12
+let session_slots = 4_096
+let compute_per_req = 30_000
+
 type resilience = {
   retry : Retry.policy;
   hedge : Retry.hedge option;
@@ -37,20 +50,12 @@ type config = {
   users : int;
   critical : float;
   background : float;
-  warmup_us : float;
-  est_service_us : float;
   mode : Runtime.mode;
   governed : bool;
   servers_per_host : int;
   queue_depth : int;
   deadline_us : float option;
   target_p99_us : float;
-  session_slots : int;
-  temps_per_req : int;
-  compute_per_req : int;
-  heap_mb : int;
-  policy : Ccr.Policy.t option;
-  recovery : Ccr.Revoker.recovery option;
   slices : int;
   resilience : resilience;
   seed : int;
@@ -68,20 +73,12 @@ let default_config =
     users = 1_000_000;
     critical = 0.15;
     background = 0.25;
-    warmup_us = 2_000.0;
-    est_service_us = 60.0;
     mode = Runtime.Safe Ccr.Revoker.Reloaded;
     governed = true;
     servers_per_host = 2;
     queue_depth = 64;
     deadline_us = None;
     target_p99_us = 1_000.0;
-    session_slots = 4_096;
-    temps_per_req = 3;
-    compute_per_req = 30_000;
-    heap_mb = 12;
-    policy = None;
-    recovery = None;
     slices = 12;
     resilience = default_resilience;
     seed = 11;
@@ -149,7 +146,7 @@ let precompute cfg =
     Loadgen.schedule
       { Loadgen.pattern = cfg.pattern; requests = cfg.requests; seed = cfg.seed }
   in
-  let warmup = Cost.cycles_of_us cfg.warmup_us in
+  let warmup = Cost.cycles_of_us warmup_us in
   let horizon = warmup + offsets.(cfg.requests - 1) in
   let windows =
     match cfg.windows_override with
@@ -217,8 +214,7 @@ let route_round cfg pre ~attempts ~prev =
   let health =
     Option.map
       (fun c ->
-        Health.create ~hosts:cfg.hosts ~config:c
-          ~est_service_us:cfg.est_service_us ())
+        Health.create ~hosts:cfg.hosts ~config:c ~est_service_us ())
       cfg.resilience.breaker
   in
   let penalty =
@@ -228,7 +224,7 @@ let route_round cfg pre ~attempts ~prev =
   in
   let bal =
     Balancer.create cfg.balancer ~hosts:cfg.hosts
-      ~est_service_cycles:(max 1 (Cost.cycles_of_us cfg.est_service_us))
+      ~est_service_cycles:(max 1 (Cost.cycles_of_us est_service_us))
   in
   let evs = ref [] in
   Array.iter
@@ -522,17 +518,15 @@ let run ?(check = false) ?jobs cfg =
       Rig.name = Printf.sprintf "fleet-h%d" host;
       mode = cfg.mode;
       governed = cfg.governed;
-      policy = cfg.policy;
-      recovery = cfg.recovery;
-      heap_mb = cfg.heap_mb;
+      policy = None;
+      heap_mb;
       servers = cfg.servers_per_host;
       queue_depth = cfg.queue_depth;
       deadline_us = cfg.deadline_us;
       brownout = cfg.resilience.brownout;
       target_p99_us = cfg.target_p99_us;
-      session_slots = cfg.session_slots;
-      temps_per_req = cfg.temps_per_req;
-      compute_per_req = cfg.compute_per_req;
+      session_slots;
+      compute_per_req;
       seed = host_seed cfg.seed host;
       clock = Rig.Absolute;
       windows = Failplan.host_windows pre.p_windows ~host;

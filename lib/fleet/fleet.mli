@@ -76,11 +76,6 @@ type config = {
   users : int;  (** simulated user population the trace samples from *)
   critical : float;  (** fraction of requests in the critical class *)
   background : float;  (** fraction in the background class *)
-  warmup_us : float;
-      (** shift applied to every intended arrival so host boot
-          (session-table init) happens before the measured trace *)
-  est_service_us : float;
-      (** the balancer's service-time model for least-loaded accounting *)
   mode : Ccr.Runtime.mode;
   governed : bool;
   servers_per_host : int;
@@ -89,12 +84,6 @@ type config = {
       (** base queueing deadline, stretched per class (critical 1x,
           normal 4x, background exempt) *)
   target_p99_us : float;
-  session_slots : int;
-  temps_per_req : int;
-  compute_per_req : int;
-  heap_mb : int;
-  policy : Ccr.Policy.t option;
-  recovery : Ccr.Revoker.recovery option;
   slices : int;
       (** time slices for the latency-over-time record (the restart-wave
           p99.9 curve) *)
@@ -105,7 +94,13 @@ type config = {
 val default_config : config
 (** 3 hosts, round-robin, rolling restarts, a diurnal trace of 6000
     requests sampled from a million users (15% critical / 25%
-    background), 12 time slices, {!default_resilience}. *)
+    background), 12 time slices, {!default_resilience}.
+
+    Fixed for every run: arrivals start 2 ms into the run so that host
+    boot happens before the measured trace; the least-loaded balancer
+    models a 60 µs service time; each host has a 12 MiB heap under the
+    default quarantine policy, 4096 sessions, 3 temporaries and 30k
+    cycles of compute per request. *)
 
 val topology : config -> string
 (** Topology label carried into result records, e.g. ["flat/3"]: every

@@ -9,11 +9,6 @@ module Cost = Sim.Cost
 
 type state = Closed | Open | Half_open
 
-let state_name = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
 type config = {
   failure_threshold : int;
   cooloff_us : float;
@@ -149,7 +144,6 @@ let penalty t ~host =
             ((h.ewma_us -. t.est_service_us) /. (4.0 *. t.est_service_us))))
 
 let state t ~host = t.hs.(host).st
-let ewma_us t ~host = t.hs.(host).ewma_us
 let in_flight t ~host = t.hs.(host).in_flight
 let trips t = Array.fold_left (fun acc h -> acc + h.trips) 0 t.hs
 let host_trips t ~host = t.hs.(host).trips

@@ -20,8 +20,6 @@
 
 type state = Closed | Open | Half_open
 
-val state_name : state -> string
-
 type config = {
   failure_threshold : int;  (** consecutive failures that trip the breaker *)
   cooloff_us : float;  (** [Open] duration before probation *)
@@ -72,8 +70,6 @@ val penalty : t -> host:int -> int
     whichever host last looked fast, re-congesting it and oscillating. *)
 
 val state : t -> host:int -> state
-val ewma_us : t -> host:int -> float  (** 0 until the first sample *)
-
 val in_flight : t -> host:int -> int
 val trips : t -> int  (** breaker trips, summed over hosts *)
 

@@ -17,11 +17,6 @@ type policy =
       burst : int;
     }
 
-let policy_name = function
-  | No_retry -> "none"
-  | Naive _ -> "naive"
-  | Budgeted _ -> "budgeted"
-
 (* CLI keyword -> policy shape with default parameters; the per-field
    flags override the numbers afterwards. *)
 let policy_of_name = function

@@ -30,9 +30,6 @@ type policy =
       burst : int;  (** budget bucket capacity (and initial fill) *)
     }
 
-val policy_name : policy -> string
-(** ["none"], ["naive"] or ["budgeted"]. *)
-
 val policy_of_name : string -> policy option
 (** Keyword to policy with default parameters (naive: 4 attempts 200 µs
     apart; budgeted: 4 attempts, 400 µs base, 20 ms cap, 0.1 refill,

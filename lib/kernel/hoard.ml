@@ -5,11 +5,9 @@ module Cost = Sim.Cost
 type t = {
   caps : (int, Capability.t) Hashtbl.t;
   mutable next : int;
-  mutable on_scan : (int -> unit) option;
-  mutable scans : int;
 }
 
-let create () = { caps = Hashtbl.create 64; next = 0; on_scan = None; scans = 0 }
+let create () = { caps = Hashtbl.create 64; next = 0 }
 
 let register t ctx c =
   Machine.charge ctx Cost.syscall_entry;
@@ -33,11 +31,7 @@ let scan t ~f =
   Hashtbl.iter
     (fun h c -> if Capability.tag c then Hashtbl.replace t.caps h (f c))
     t.caps;
-  t.scans <- t.scans + 1;
-  (match t.on_scan with Some g -> g n | None -> ());
   n
 
-let set_scan_hook t g = t.on_scan <- g
-let scan_count t = t.scans
 let iter t ~f = Hashtbl.iter f t.caps
 let size t = Hashtbl.length t.caps

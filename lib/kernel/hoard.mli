@@ -26,16 +26,7 @@ val deregister : t -> Sim.Machine.ctx -> int -> unit
 
 val scan : t -> f:(Cheri.Capability.t -> Cheri.Capability.t) -> int
 (** Apply the revoker's check to every hoarded capability; returns the
-    number held (for cost accounting by the caller). Bumps the scan
-    counter and invokes the scan hook, if any. *)
-
-val set_scan_hook : t -> (int -> unit) option -> unit
-(** Observation hook invoked after every {!scan} with the number of
-    capabilities held — lets checkers assert the revoker really visited
-    the kernel's hoards during an epoch. *)
-
-val scan_count : t -> int
-(** Number of {!scan} passes performed since creation. *)
+    number held (for cost accounting by the caller). *)
 
 val iter : t -> f:(int -> Cheri.Capability.t -> unit) -> unit
 (** Non-mutating, uncharged walk over the held capabilities — for

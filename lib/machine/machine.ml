@@ -117,9 +117,6 @@ and t = {
   mutable ctx_switches : int;
   mutable stw_count : int;
   mutable clg_faults : int;
-  mutable park_busy : int; (* STW parks caught in a runnable state *)
-  mutable park_idle : int; (* STW parks of already-blocked threads *)
-  park_debug : bool; (* CCR_PARK_DEBUG, read once at creation *)
   mutable trace : Trace.t option;
 }
 
@@ -197,9 +194,6 @@ let create cfg =
     ctx_switches = 0;
     stw_count = 0;
     clg_faults = 0;
-    park_busy = 0;
-    park_idle = 0;
-    park_debug = Sys.getenv_opt "CCR_PARK_DEBUG" <> None;
     trace = None;
   }
 
@@ -258,7 +252,6 @@ let thread_name th = th.name
 let thread_id th = th.tid
 let thread_cpu_cycles th = th.cpu
 let thread_pid th = th.pid
-let thread_aspace th = th.asp
 let regs th = th.regs
 let self ctx = ctx.th
 let machine ctx = ctx.m
@@ -266,9 +259,7 @@ let core_id ctx = ctx.th.tcore
 let[@inline] core_of ctx = ctx.m.cores.(ctx.th.tcore)
 let now ctx = (core_of ctx).clock
 let ctx_pid ctx = ctx.th.pid
-let ctx_aspace ctx = ctx.th.asp
 let user_threads m = List.filter (fun th -> th.user) m.threads
-let find_thread m name = List.find_opt (fun th -> th.name = name) m.threads
 let core_asid m i = m.cores.(i).casid
 
 (* Host-side: rebind a thread to another address space; the switch takes
@@ -368,16 +359,8 @@ let wake_initiator s =
   ()
 
 (* Park [th] in place at [time] (plus syscall drain if applicable),
-   remembering the state to restore at release. The busy/idle counters
-   live in the machine (not module globals): campaigns fan machines out
-   across domains with [Parallel.Pool.map], and shared refs would race. *)
-let park m s th ~time =
-  (match th.state with
-   | Running | Runnable | Created ->
-       m.park_busy <- m.park_busy + 1;
-       if m.park_debug then
-         Printf.eprintf "park busy: %s at %d\n" th.name time
-   | _ -> m.park_idle <- m.park_idle + 1);
+   remembering the state to restore at release. *)
+let park s th ~time =
   let time = if th.in_syscall then time + th.syscall_drain else time in
   s.pending <- remove_thread s.pending th;
   s.parked <- th :: s.parked;
@@ -386,8 +369,6 @@ let park m s th ~time =
   | Running | Created -> th.state <- Parked Runnable
   | st -> th.state <- Parked st);
   if s.pending = [] then wake_initiator s
-
-let park_counts m = (m.park_busy, m.park_idle)
 
 let perform_yield () = Effect.perform Yield
 
@@ -400,7 +381,7 @@ let checkpoint ctx =
          && ctx.th.tid <> s.initiator.tid
          && List.exists (fun x -> x.tid = ctx.th.tid) s.pending ->
       let time = max (core_of ctx).clock s.t0 in
-      park ctx.m s ctx.th ~time;
+      park s ctx.th ~time;
       perform_yield ()
   | Some _ | None -> ()
 
@@ -581,7 +562,7 @@ let stop_the_world ctx ?scope ?timeout f =
       match x.state with
       | Runnable | Running -> ()
       | Created | Sleeping | Waiting _ ->
-          park m s x ~time:(max m.cores.(x.tcore).clock t0)
+          park s x ~time:(max m.cores.(x.tcore).clock t0)
       | Waiting_stw | Parked _ | Finished -> ())
     s.pending;
   if s.pending <> [] then begin
@@ -954,39 +935,30 @@ let store_cap_at ctx cap va v = store_cap_body ctx cap va v ~fast:true
    repeat access, and re-reads. The loop terminates because the hook
    models *transient* upsets (the engine disarms each hit); a hook that
    corrupted a read forever would spin, which is the correct model of
-   unrecoverable memory. *)
-let rec tag_retry ctx ~pa ~sweep =
+   unrecoverable memory. Only the sweep's reads consult the hook, so the
+   event's arg2 is always 1. *)
+let rec tag_retry ctx ~pa =
   match ctx.m.tag_hook with
   | Some h when h ~pa ->
       trace_emit ctx.m ~time:(core_of ctx).clock ~core:ctx.th.tcore
-        ~pid:ctx.th.pid ~arg2:(if sweep then 1 else 0) Trace.Tag_corruption pa;
+        ~pid:ctx.th.pid ~arg2:1 Trace.Tag_corruption pa;
       charge ctx (Cost.trap + Cache.access (core_of ctx).cache ~addr:pa ~write:false);
-      tag_retry ctx ~pa ~sweep
+      tag_retry ctx ~pa
   | Some _ | None -> ()
-
-let kern_read_cap ctx ~pa =
-  charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write:false);
-  tag_retry ctx ~pa ~sweep:true;
-  Mem.read_cap ctx.m.mem pa
 
 let kern_read_cap_nt ctx ~pa =
   charge ctx (Cache.access_nt (core_of ctx).cache ~addr:pa ~write:false);
-  tag_retry ctx ~pa ~sweep:true;
+  tag_retry ctx ~pa;
   Mem.read_cap ctx.m.mem pa
 
 let kern_read_cap_stream ctx ~pa =
   charge ctx (Cache.access_stream (core_of ctx).cache ~addr:pa ~write:false);
-  tag_retry ctx ~pa ~sweep:true;
+  tag_retry ctx ~pa;
   Mem.read_cap ctx.m.mem pa
 
 let kern_clear_tag ctx ~pa =
   charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write:true);
   Mem.clear_tag ctx.m.mem pa
-
-let kern_read_tag ctx ~pa =
-  charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write:false);
-  tag_retry ctx ~pa ~sweep:false;
-  Mem.read_tag ctx.m.mem pa
 
 let kern_access ctx ~pa ~write =
   charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write)
@@ -1067,15 +1039,6 @@ let map ctx ~vaddr ~len ~writable =
   with_pmap_lock ctx (fun () ->
       let fresh = Aspace.map_range ctx.th.asp ~vaddr ~len ~writable in
       charge ctx (fresh * (Cost.page_zero + Cost.pte_update)))
-
-let unmap ctx ~vaddr ~len =
-  let vpages =
-    with_pmap_lock ctx (fun () ->
-        let vpages = Aspace.unmap_range ctx.th.asp ~vaddr ~len in
-        charge ctx (List.length vpages * Cost.pte_update);
-        vpages)
-  in
-  tlb_shootdown ctx ~asid:(Aspace.asid ctx.th.asp) ~vpages
 
 (* Switch the calling thread to another address space immediately:
    exec's tail end. The core takes a full TLB flush and resyncs its CLG

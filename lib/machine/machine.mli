@@ -88,7 +88,6 @@ val thread_cpu_cycles : thread -> int
 (** Total on-core cycles this thread has consumed. *)
 
 val thread_pid : thread -> int
-val thread_aspace : thread -> Vm.Aspace.t
 val regs : thread -> Regfile.t
 val self : ctx -> thread
 val machine : ctx -> t
@@ -99,11 +98,7 @@ val now : ctx -> int
 val ctx_pid : ctx -> int
 (** Process id of the current thread (0 in single-process runs). *)
 
-val ctx_aspace : ctx -> Vm.Aspace.t
-(** Address space the current thread executes in. *)
-
 val user_threads : t -> thread list
-val find_thread : t -> string -> thread option
 
 exception Thread_killed
 (** Delivered inside a fiber torn down by {!kill_pid}: the scheduler
@@ -345,9 +340,7 @@ val zero : ctx -> Cheri.Capability.t -> unit
 
 (** {1 Kernel-mode access} (physical, no load barrier, cache-charged) *)
 
-val kern_read_cap : ctx -> pa:int -> Cheri.Capability.t
 val kern_clear_tag : ctx -> pa:int -> unit
-val kern_read_tag : ctx -> pa:int -> bool
 val kern_access : ctx -> pa:int -> write:bool -> unit
 (** Charge one cache access without data movement (bitmap probes etc.). *)
 
@@ -388,9 +381,6 @@ val kern_read_untagged_run : ?non_temporal:bool -> ctx -> pa:int -> count:int ->
 
 val map : ctx -> vaddr:int -> len:int -> writable:bool -> unit
 (** Map pages (zeroed), charging per fresh page. *)
-
-val unmap : ctx -> vaddr:int -> len:int -> unit
-(** Unmap and shoot down. *)
 
 val tlb_shootdown : ?asid:int -> ctx -> vpages:int list -> unit
 (** Invalidate the pages on every core with address space [asid]
@@ -434,8 +424,3 @@ type totals = {
 val totals : t -> totals
 val clg_fault_count : t -> int
 val bus_transactions_of_core : t -> int -> int
-
-val park_counts : t -> int * int
-(** Diagnostic counters: STW parks from runnable vs blocked states,
-    per machine (set [CCR_PARK_DEBUG] to also log busy parks; the
-    variable is read once at machine creation). *)

@@ -36,11 +36,3 @@ let pareto t ~scale ~shape =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in
   scale /. (u ** (1.0 /. shape))
-
-let geometric t ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Prng.geometric";
-  if p >= 1.0 then 0
-  else
-    let u = float t 1.0 in
-    let u = if u <= 0.0 then 1e-12 else u in
-    int_of_float (log u /. log (1.0 -. p))

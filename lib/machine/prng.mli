@@ -24,5 +24,3 @@ val exponential : t -> mean:float -> float
 val pareto : t -> scale:float -> shape:float -> float
 (** Heavy-tailed draw, [>= scale]. Used for syscall drain tails. *)
 
-val geometric : t -> p:float -> int
-(** Number of failures before the first success; [0 < p <= 1]. *)

@@ -13,7 +13,6 @@ let set t i c =
   if i < 0 || i >= registers then invalid_arg "Regfile.set";
   t.(i) <- c
 
-let clear t = Array.fill t 0 registers Capability.null
 let iteri t f = Array.iteri f t
 
 let map_tagged t f =
@@ -28,5 +27,3 @@ let map_tagged t f =
     end
   done;
   !changed
-
-let copy_into ~src ~dst = Array.blit src 0 dst 0 registers

@@ -13,12 +13,9 @@ val registers : int
 val create : unit -> t
 val get : t -> int -> Cheri.Capability.t
 val set : t -> int -> Cheri.Capability.t -> unit
-val clear : t -> unit
 
 val iteri : t -> (int -> Cheri.Capability.t -> unit) -> unit
 
 val map_tagged : t -> (Cheri.Capability.t -> Cheri.Capability.t) -> int
 (** Apply a function to every tagged register (the revoker scan);
     returns how many registers were modified. *)
-
-val copy_into : src:t -> dst:t -> unit

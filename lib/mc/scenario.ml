@@ -64,33 +64,15 @@ let std_end_checks ~revokers ~mrss () =
     mrss;
   List.rev !msgs
 
-(* The ccr_check mutation rig's alias scatter: the freed victim stays
-   reachable through a table slot, a register and a kernel hoard, so a
-   protocol mutation is observable on every schedule. *)
-let alias_victim mrs hoards ctx =
-  let regs = Machine.regs (Machine.self ctx) in
-  let table = Mrs.malloc mrs ctx 4096 in
-  Sim.Regfile.set regs 0 table;
-  let slot i = Cap.set_addr table (Cap.base table + (i * 16)) in
-  let victim = Mrs.malloc mrs ctx 128 in
-  Machine.store_u64 ctx victim 0x5ec2e7L;
-  Machine.store_cap ctx (slot 0) victim;
-  Sim.Regfile.set regs 5 victim;
-  ignore (Kernel.Hoard.register hoards ctx victim);
-  victim
-
 (* Direct machine + revoker + shim world shared by the three
    single-process scenarios. *)
 let single_process ~strategy ~fault ?recovery () =
-  let m = Machine.create cfg in
+  let rt = Runtime.create ~config:cfg ~revoker_core:0 ?recovery (Runtime.Safe strategy) in
+  let m = rt.Runtime.machine and rv = Option.get rt.Runtime.revoker in
   let tr = Trace.create ~capacity:65536 () in
   Machine.attach_tracer m (Some tr);
-  let alloc = Alloc.Backend.snmalloc (Alloc.Allocator.create m) in
-  let hoards = Kernel.Hoard.create () in
-  let rv = Revoker.create m ~strategy ~core:0 ?recovery ~hoards () in
-  let mrs = Mrs.create m ~alloc ~revoker:rv () in
   Revoker.inject_fault rv fault;
-  (m, tr, rv, mrs, hoards)
+  (m, tr, rv, Option.get rt.Runtime.mrs, rt.Runtime.hoards)
 
 let build_free_during_sweep ~strategy ~fault
     ~(sanitizer : ?revoker:Revoker.t -> Machine.t -> Sanitizer.t) ~decide:_ =
@@ -101,7 +83,7 @@ let build_free_during_sweep ~strategy ~fault
   let cv = Machine.condvar () in
   ignore
     (Machine.spawn m ~name:"app1" ~core:1 (fun ctx ->
-         let victim = alias_victim mrs hoards ctx in
+         let victim = Analysis.Check.alias_victim mrs hoards ctx in
          Mrs.free mrs ctx victim;
          Mrs.flush mrs ctx;
          Mrs.wait_drained mrs ctx;
@@ -133,7 +115,7 @@ let build_bulk_free ~strategy ~fault
   let cv = Machine.condvar () in
   ignore
     (Machine.spawn m ~name:"app1" ~core:1 (fun ctx ->
-         let victim = alias_victim mrs hoards ctx in
+         let victim = Analysis.Check.alias_victim mrs hoards ctx in
          let burst =
            List.map (fun sz -> Mrs.malloc mrs ctx sz) [ 256; 192; 320 ]
          in
@@ -192,7 +174,7 @@ let build_crash_mid_sweep ~strategy ~fault
        ~decide ());
   ignore
     (Machine.spawn m ~name:"app" ~core:1 (fun ctx ->
-         let victim = alias_victim mrs hoards ctx in
+         let victim = Analysis.Check.alias_victim mrs hoards ctx in
          Mrs.free mrs ctx victim;
          Mrs.flush mrs ctx;
          (* one syscall the quiesce can catch mid-drain: with the

@@ -22,6 +22,13 @@ module Revsched = struct
     | Slo -> "slo"
     | Quota -> "quota"
 
+  let policy_of_name = function
+    | "round-robin" | "rr" -> Some Round_robin
+    | "pressure" -> Some Pressure
+    | "slo" -> Some Slo
+    | "quota" -> Some Quota
+    | _ -> None
+
   type entry = {
     e_pid : int;
     pressure : unit -> int;
@@ -150,14 +157,7 @@ end
 
 type state = Running | Zombie | Reaped
 
-let state_name = function
-  | Running -> "running"
-  | Zombie -> "zombie"
-  | Reaped -> "reaped"
-
 type fault = Adopt_quarantine
-
-let fault_name = function Adopt_quarantine -> "adopt-quarantine"
 
 type proc = {
   pid : int;
@@ -190,7 +190,6 @@ type t = {
 let machine t = t.m
 let sched t = t.sched
 let pid (p : proc) = p.pid
-let proc_name p = p.p_name
 let runtime p = p.rt
 let proc_aspace p = p.aspace
 let proc_state p = p.p_state

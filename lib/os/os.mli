@@ -49,6 +49,9 @@ module Revsched : sig
 
   val policy_name : policy -> string
 
+  val policy_of_name : string -> policy option
+  (** Inverse of {!policy_name}, plus the alias [rr] for [round-robin]. *)
+
   type t
 
   val set_load : t -> pid:int -> (unit -> float) -> unit
@@ -73,8 +76,6 @@ end
 
 type state = Running | Zombie | Reaped
 
-val state_name : state -> string
-
 type fault = Adopt_quarantine
     (** Deliberate protocol mutation for sanitizer self-tests: at fork,
         the child releases its inherited quarantine for immediate reuse
@@ -82,8 +83,6 @@ type fault = Adopt_quarantine
         parent's copies of the stale capabilities are still live and the
         parent's epoch has not closed (a §2.2.3 violation across
         [fork]). *)
-
-val fault_name : fault -> string
 
 type proc
 type t
@@ -110,7 +109,6 @@ val init : t -> proc
 (** Process 0. *)
 
 val pid : proc -> int
-val proc_name : proc -> string
 val runtime : proc -> Ccr.Runtime.t
 (** The process's own machine/allocator/mrs/revoker bundle — pass it to
     workload drivers exactly like a single-process {!Ccr.Runtime.t}. *)

@@ -23,20 +23,20 @@ let of_samples ~label = function
           max = s.Summary.max;
         }
 
-let render fmt ?(width = 60) ?(log = true) ~unit boxes =
+(* Axis width in characters. *)
+let width = 60
+
+let render fmt ~unit boxes =
   match boxes with
   | [] -> ()
   | _ ->
       let lo = List.fold_left (fun a b -> min a b.min) infinity boxes in
       let hi = List.fold_left (fun a b -> max a b.max) neg_infinity boxes in
-      let lo = if log then max lo (max (hi /. 1e6) 1e-9) else lo in
+      let lo = max lo (max (hi /. 1e6) 1e-9) in
       let hi = if hi <= lo then lo *. 10.0 else hi in
       let pos v =
         let v = max v lo in
-        let frac =
-          if log then Float.log (v /. lo) /. Float.log (hi /. lo)
-          else (v -. lo) /. (hi -. lo)
-        in
+        let frac = Float.log (v /. lo) /. Float.log (hi /. lo) in
         let c = int_of_float (frac *. float_of_int (width - 1)) in
         max 0 (min (width - 1) c)
       in
@@ -62,7 +62,6 @@ let render fmt ?(width = 60) ?(log = true) ~unit boxes =
             (Bytes.to_string line)
             (Table.cell_f b.median))
         boxes;
-      Format.fprintf fmt "  %-*s  %s%*s%s  (%s, %s axis)@." lwidth "" (Table.cell_f lo)
+      Format.fprintf fmt "  %-*s  %s%*s%s  (%s, log axis)@." lwidth "" (Table.cell_f lo)
         (width - String.length (Table.cell_f lo) - String.length (Table.cell_f hi))
         "" (Table.cell_f hi) unit
-        (if log then "log" else "linear")

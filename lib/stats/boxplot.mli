@@ -14,10 +14,8 @@ type t = {
 val of_samples : label:string -> float list -> t option
 (** [None] on an empty sample list. *)
 
-val render :
-  Format.formatter -> ?width:int -> ?log:bool -> unit:string -> t list -> unit
-(** Draw the boxes on a shared axis:
+val render : Format.formatter -> unit:string -> t list -> unit
+(** Draw the boxes on a shared 60-column log axis, appropriate for phase
+    times spanning orders of magnitude:
     [      |----[  =  ]------|      ]
-    whiskers at min/max, box q1..q3, [=] at the median. [log] (default
-    true) uses a log axis, appropriate for phase times spanning orders of
-    magnitude. *)
+    whiskers at min/max, box q1..q3, [=] at the median. *)

@@ -27,7 +27,10 @@ let inverse t q =
   let idx = int_of_float (ceil (q *. float_of_int len)) - 1 in
   t.(max 0 (min (len - 1) idx))
 
-let points t ?(resolution = 200) () =
+(* Most points [points] returns. *)
+let resolution = 200
+
+let points t =
   let len = Array.length t in
   if len = 0 then []
   else begin
@@ -42,7 +45,11 @@ let points t ?(resolution = 200) () =
     List.rev !acc
   end
 
-let render fmt ?(width = 72) ?(height = 16) curves =
+(* Plot size in characters. *)
+let width = 72
+let height = 16
+
+let render fmt curves =
   let curves = List.filter (fun (_, c) -> n c > 0) curves in
   if curves <> [] then begin
     let mins = List.map (fun (_, c) -> c.(0)) curves in

@@ -12,14 +12,10 @@ val inverse : t -> float -> float
 (** [inverse cdf q] with [q] in [\[0,1\]]: the smallest sample value at
     which the CDF reaches [q]. *)
 
-val points : t -> ?resolution:int -> unit -> (float * float) list
+val points : t -> (float * float) list
 (** Sampled [(value, fraction)] pairs suitable for plotting, deduplicated,
-    at most [resolution] (default 200) points. *)
+    at most 200 points. *)
 
-val render :
-  Format.formatter ->
-  ?width:int ->
-  ?height:int ->
-  (string * t) list ->
-  unit
-(** Crude ASCII rendering of several CDFs on a shared log-x axis. *)
+val render : Format.formatter -> (string * t) list -> unit
+(** Crude ASCII rendering of several CDFs on a shared log-x axis, 72
+    columns by 16 rows. *)

@@ -28,7 +28,6 @@ let bucket_of t v =
 
 (* upper edge of a bucket *)
 let value_of t b = t.lo *. (10.0 ** (float_of_int (b + 1) /. float_of_int t.bpd))
-let mid_of t b = t.lo *. (10.0 ** ((float_of_int b +. 0.5) /. float_of_int t.bpd))
 
 let record t v =
   let b = bucket_of t v in
@@ -52,12 +51,6 @@ let percentile t p =
   go 0 0
 
 let percentile_opt t p = if t.total = 0 then None else Some (percentile t p)
-
-let mean t =
-  if t.total = 0 then invalid_arg "Histogram.mean: empty";
-  let sum = ref 0.0 in
-  Array.iteri (fun b n -> sum := !sum +. (float_of_int n *. mid_of t b)) t.counts;
-  !sum /. float_of_int t.total
 
 let merge a b =
   if a.bpd <> b.bpd || a.lo <> b.lo || a.hi <> b.hi then

@@ -28,9 +28,6 @@ val percentile_opt : t -> float -> float option
     raising — for callers aggregating sparse slices (e.g. per-time-slice
     fleet curves) where emptiness is data, not a bug. *)
 
-val mean : t -> float
-(** Approximate (bucket-midpoint) mean. *)
-
 val merge : t -> t -> t
 (** Combine two histograms with identical geometry. *)
 

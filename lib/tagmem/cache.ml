@@ -145,14 +145,6 @@ let access_nt_run t ~addr ~write ~count =
 
 let stats t = t.st
 
-let reset_stats t =
-  let st = t.st in
-  st.l1_hits <- 0;
-  st.l2_hits <- 0;
-  st.bus_reads <- 0;
-  st.bus_writes <- 0;
-  st.accesses <- 0
-
 let flush t =
   let drop lv ~count =
     Array.iteri

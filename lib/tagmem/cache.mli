@@ -77,7 +77,6 @@ val access_nt_run : t -> addr:int -> write:bool -> count:int -> int
     per-granule loop would be charged. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit
 val flush : t -> unit
 (** Write back and drop every line (counts writebacks for dirty lines). *)
 

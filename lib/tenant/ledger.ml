@@ -31,8 +31,6 @@ let overcommit_of_name = function
 
 type fault = Skip_credit
 
-let fault_name = function Skip_credit -> "skip-credit"
-
 (* Whether an allocation's charge is still live or parked in quarantine
    (freed, awaiting revocation — still billed to its owner). *)
 type entry_state = Live | Quarantined
@@ -93,7 +91,6 @@ let create m ~phys_limit ~overcommit () =
 
 let phys_limit t = t.phys_limit
 let overcommit t = t.overcommit
-let committed t = t.committed
 let peak_committed t = t.peak_committed
 let inject_fault t f = t.fault <- f
 
@@ -403,9 +400,3 @@ let account_stats_of a =
   }
 
 let account_stats t ~tenant = account_stats_of (account t tenant)
-
-let all_stats t =
-  Hashtbl.fold (fun _ a acc -> account_stats_of a :: acc) t.accounts []
-  |> List.sort (fun x y -> compare x.s_tenant y.s_tenant)
-
-let cap_tenant (c : cap) = c.c_tenant

@@ -55,8 +55,6 @@ type fault = Skip_credit
         entry vanishes without a [Quota_credit], so the region's [Reuse]
         must trip the sanitizer's [quota-conservation] rule. *)
 
-val fault_name : fault -> string
-
 val create : Sim.Machine.t -> phys_limit:int -> overcommit:overcommit -> unit -> t
 (** A ledger arbitrating one physical heap of [phys_limit] bytes.
     Raises [Invalid_argument] if [phys_limit <= 0]. *)
@@ -110,17 +108,11 @@ val tenants : t -> int list
 val phys_limit : t -> int
 val overcommit : t -> overcommit
 
-val committed : t -> int
-(** Σ outstanding balances across all tenants — the ledger's view of
-    physical heap pressure. *)
-
 val peak_committed : t -> int
 
 val inject_fault : t -> fault option -> unit
 (** Arm (or disarm) the seeded ledger mutation. Only conservation-rule
     self-tests should set this. *)
-
-val cap_tenant : cap -> int
 
 type account_stats = {
   s_tenant : int;
@@ -138,5 +130,3 @@ type account_stats = {
 }
 
 val account_stats : t -> tenant:int -> account_stats
-val all_stats : t -> account_stats list
-(** Sorted by tenant pid. *)

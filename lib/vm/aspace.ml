@@ -39,7 +39,6 @@ let translate t va =
   | Some pte -> Some (Phys.frame_addr pte.Pte.frame + (va land (page - 1)), pte)
 
 let mapped_pages t = Pmap.page_count t.pmap
-let resident_bytes t = mapped_pages t * page
 let asid t = Pmap.asid t.pmap
 
 (* Copy-on-write fork. Every mapping is shared frame-for-frame: writable

@@ -24,8 +24,6 @@ val translate : t -> int -> (int * Pte.t) option
     [None] if unmapped. *)
 
 val mapped_pages : t -> int
-val resident_bytes : t -> int
-
 val asid : t -> int
 (** The pmap's address-space id. *)
 

@@ -57,7 +57,6 @@ let lookup t ~vpage =
   end
 let mem t ~vpage = Hashtbl.mem t.pages vpage
 let page_count t = Hashtbl.length t.pages
-let fold t ~init ~f = Hashtbl.fold f t.pages init
 let iter t ~f = Hashtbl.iter f t.pages
 
 let sorted_vpages t =

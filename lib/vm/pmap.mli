@@ -18,7 +18,6 @@ val lookup : t -> vpage:int -> Pte.t option
 val mem : t -> vpage:int -> bool
 val page_count : t -> int
 
-val fold : t -> init:'a -> f:(int -> Pte.t -> 'a -> 'a) -> 'a
 val iter : t -> f:(int -> Pte.t -> unit) -> unit
 
 val sorted_vpages : t -> int list

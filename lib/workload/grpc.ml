@@ -2,26 +2,18 @@ module Machine = Sim.Machine
 module Prng = Sim.Prng
 module Runtime = Ccr.Runtime
 
-type config = {
-  messages : int;
-  outstanding : int;
-  session_slots : int;
-  temps_per_msg : int;
-  compute_per_msg : int;
-  warmup_fraction : float;
-  seed : int;
-}
+(* Pipelined requests each client thread keeps outstanding. *)
+let outstanding = 16
 
-let default_config =
-  {
-    messages = 24_000;
-    outstanding = 16;
-    session_slots = 20_000;
-    temps_per_msg = 3;
-    compute_per_msg = 50_000;
-    warmup_fraction = 0.05;
-    seed = 9;
-  }
+(* Cycles of compute per message. *)
+let compute_per_msg = 50_000
+
+(* Leading fraction of messages excluded from the latency samples. *)
+let warmup_fraction = 0.05
+
+type config = { messages : int; session_slots : int; seed : int }
+
+let default_config = { messages = 24_000; session_slots = 20_000; seed = 9 }
 
 type request = { id : int; intended : int; submitted : int; client : int }
 
@@ -38,18 +30,13 @@ type shared = {
 
 let run ?(config = default_config) ?tracer ~mode () =
   let cfg = config in
-  let heap_bytes = 24 * 1024 * 1024 in
-  let mconfig =
-    {
-      Machine.default_config with
-      heap_bytes;
-      mem_bytes = heap_bytes + (heap_bytes / 16) + (8 * 1024 * 1024);
-      seed = cfg.seed;
-    }
-  in
   (* The revoker shares core 3 with a server thread: unlike the pinned
      regimes, revocation competes directly with foreground work. *)
-  let rt = Runtime.create ~config:mconfig ~revoker_core:3 mode in
+  let rt =
+    Runtime.create
+      ~config:(Runtime.machine_config ~heap_bytes:(24 * 1024 * 1024) ~seed:cfg.seed ())
+      ~revoker_core:3 mode
+  in
   let m = rt.Runtime.machine in
   Machine.attach_tracer m tracer;
   let sh =
@@ -65,7 +52,7 @@ let run ?(config = default_config) ?tracer ~mode () =
     }
   in
   let latencies = ref [] and latencies_closed = ref [] in
-  let warmup = int_of_float (cfg.warmup_fraction *. float_of_int cfg.messages) in
+  let warmup = int_of_float (warmup_fraction *. float_of_int cfg.messages) in
   let wall_end = ref 0 in
   let server id core =
     Machine.spawn m ~name:(Printf.sprintf "grpc-server-%d" id) ~core (fun ctx ->
@@ -84,8 +71,7 @@ let run ?(config = default_config) ?tracer ~mode () =
           | [] -> () (* all messages submitted and drained *)
           | req :: rest ->
               sh.queue <- rest;
-              Rig.request rt ctx rng regs sessions ~temps:cfg.temps_per_msg ~touches:3
-                ~compute:cfg.compute_per_msg;
+              Rig.request rt ctx rng regs sessions ~touches:3 ~compute:compute_per_msg;
               sh.completed <- sh.completed + 1;
               let now = Machine.now ctx in
               if req.id >= warmup then begin
@@ -116,7 +102,7 @@ let run ?(config = default_config) ?tracer ~mode () =
              instead of silently thinning the sample stream. *)
           Machine.charge ctx 1_500;
           let intended = Machine.now ctx in
-          while sh.inflight.(id) >= cfg.outstanding do
+          while sh.inflight.(id) >= outstanding do
             Machine.wait ctx sh.done_cv
           done;
           let req =

@@ -25,15 +25,15 @@
 
 type config = {
   messages : int; (** total messages across all clients *)
-  outstanding : int; (** pipelined requests per client thread *)
   session_slots : int; (** long-lived server state objects *)
-  temps_per_msg : int;
-  compute_per_msg : int;
-  warmup_fraction : float;
   seed : int;
 }
 
 val default_config : config
+(** 24000 messages, 20k sessions. Fixed for every run: 16 requests
+    outstanding per client, 3 temporaries and 50k cycles of compute per
+    message, and the first 5% of messages excluded from the latency
+    samples. *)
 
 val run :
   ?config:config -> ?tracer:Sim.Trace.t -> mode:Ccr.Runtime.mode -> unit -> Result.t

@@ -3,34 +3,26 @@ module Machine = Sim.Machine
 module Prng = Sim.Prng
 module Runtime = Ccr.Runtime
 
-type config = {
-  transactions : int;
-  row_slots : int;
-  history_slots : int;
-  temp_allocs_per_tx : int;
-  row_reads_per_tx : int;
-  updates_per_tx : int;
-  compute_per_tx : int;
-  client_think : int;
-  warmup_fraction : float;
-  rate : float option;
-  seed : int;
-}
+(* Database size: rows, and history-ring entries. *)
+let row_slots = 2_400
+let history_slots = 1_200
 
-let default_config =
-  {
-    transactions = 6_000;
-    row_slots = 2_400;
-    history_slots = 1_200;
-    temp_allocs_per_tx = 20;
-    row_reads_per_tx = 30;
-    updates_per_tx = 3;
-    compute_per_tx = 40_000;
-    client_think = 50_000;
-    warmup_fraction = 0.05;
-    rate = None;
-    seed = 3;
-  }
+(* Per transaction: parse/plan temporaries, row lookups, MVCC row
+   updates, and executor compute cycles. *)
+let temp_allocs_per_tx = 20
+let row_reads_per_tx = 30
+let updates_per_tx = 3
+let compute_per_tx = 40_000
+
+(* Mean client think time between unscheduled transactions, cycles. *)
+let client_think = 50_000
+
+(* Leading fraction of transactions excluded from the latency samples. *)
+let warmup_fraction = 0.05
+
+type config = { transactions : int; rate : float option; seed : int }
+
+let default_config = { transactions = 6_000; rate = None; seed = 3 }
 
 (* client <-> server mailbox *)
 type mailbox = {
@@ -47,11 +39,10 @@ let r_temp_base = 4 (* r4.. hold in-flight temporaries *)
 let row_size rng = 96 + (Prng.int rng 16 * 16)
 let temp_size rng = 64 + (Prng.int rng 28 * 16)
 
-let transaction cfg rt ctx rng regs ~rows ~history ~hist_next =
+let transaction rt ctx rng regs ~rows ~history ~hist_next =
   (* parse/plan temporaries *)
-  let ntemp = cfg.temp_allocs_per_tx in
   let temps =
-    Array.init ntemp (fun i ->
+    Array.init temp_allocs_per_tx (fun i ->
         let c = Runtime.malloc rt ctx (temp_size rng) in
         if i < 8 then Sim.Regfile.set regs (r_temp_base + i) c;
         Machine.store_u64 ctx c (Int64.of_int i);
@@ -64,7 +55,7 @@ let transaction cfg rt ctx rng regs ~rows ~history ~hist_next =
         c)
   in
   (* B-tree style row lookups *)
-  for _ = 1 to cfg.row_reads_per_tx do
+  for _ = 1 to row_reads_per_tx do
     match Objtable.random_live rows rng ~hot:0.2 ~weight:0.7 with
     | None -> ()
     | Some slot ->
@@ -76,7 +67,7 @@ let transaction cfg rt ctx rng regs ~rows ~history ~hist_next =
         end
   done;
   (* MVCC updates: allocate the new row version, free the old *)
-  for _ = 1 to cfg.updates_per_tx do
+  for _ = 1 to updates_per_tx do
     match Objtable.random_live rows rng ~hot:0.2 ~weight:0.7 with
     | None -> ()
     | Some slot ->
@@ -107,7 +98,7 @@ let transaction cfg rt ctx rng regs ~rows ~history ~hist_next =
   (* WAL write *)
   Kernel.Syscall.perform_service ctx ~service:8_000;
   (* executor compute *)
-  Machine.charge ctx cfg.compute_per_tx;
+  Machine.charge ctx compute_per_tx;
   (* commit: free temporaries *)
   Array.iter (fun c -> Runtime.free rt ctx c) temps;
   for i = 0 to 7 do
@@ -116,16 +107,11 @@ let transaction cfg rt ctx rng regs ~rows ~history ~hist_next =
 
 let run ?(config = default_config) ?tracer ~mode () =
   let cfg = config in
-  let heap_bytes = 8 * 1024 * 1024 in
-  let mconfig =
-    {
-      Machine.default_config with
-      heap_bytes;
-      mem_bytes = heap_bytes + (heap_bytes / 16) + (8 * 1024 * 1024);
-      seed = cfg.seed;
-    }
+  let rt =
+    Runtime.create
+      ~config:(Runtime.machine_config ~heap_bytes:(8 * 1024 * 1024) ~seed:cfg.seed ())
+      ~revoker_core:2 mode
   in
-  let rt = Runtime.create ~config:mconfig ~revoker_core:2 mode in
   let m = rt.Runtime.machine in
   Machine.attach_tracer m tracer;
   let rng_server = Prng.create ~seed:(cfg.seed * 131) in
@@ -140,18 +126,18 @@ let run ?(config = default_config) ?tracer ~mode () =
     }
   in
   let latencies = ref [] in
-  let warmup = int_of_float (cfg.warmup_fraction *. float_of_int cfg.transactions) in
+  let warmup = int_of_float (warmup_fraction *. float_of_int cfg.transactions) in
   let wall_end = ref 0 in
   let server =
     Machine.spawn m ~name:"pgserver" ~core:3 (fun ctx ->
         let regs = Machine.regs (Machine.self ctx) in
-        let rows = Objtable.create rt ctx ~slots:cfg.row_slots in
-        for slot = 0 to cfg.row_slots - 1 do
+        let rows = Objtable.create rt ctx ~slots:row_slots in
+        for slot = 0 to row_slots - 1 do
           let c = Runtime.malloc rt ctx (row_size rng_server) in
           Machine.store_u64 ctx c (Int64.of_int slot);
           Objtable.put rows ctx slot c ~size:(Capability.length c)
         done;
-        let history = Objtable.create rt ctx ~slots:cfg.history_slots in
+        let history = Objtable.create rt ctx ~slots:history_slots in
         let hist_next = ref 0 in
         let rec serve () =
           while box.requests = 0 && not box.shutdown do
@@ -159,7 +145,7 @@ let run ?(config = default_config) ?tracer ~mode () =
           done;
           if box.requests > 0 then begin
             box.requests <- box.requests - 1;
-            transaction cfg rt ctx rng_server regs ~rows ~history ~hist_next;
+            transaction rt ctx rng_server regs ~rows ~history ~hist_next;
             box.completed <- box.completed + 1;
             Machine.broadcast ctx box.rep_cv;
             serve ()
@@ -202,8 +188,7 @@ let run ?(config = default_config) ?tracer ~mode () =
           | None ->
               let think =
                 int_of_float
-                  (Prng.exponential rng_client
-                     ~mean:(float_of_int cfg.client_think))
+                  (Prng.exponential rng_client ~mean:(float_of_int client_think))
               in
               Machine.charge ctx 2_000;
               Machine.sleep ctx think

@@ -17,7 +17,6 @@ type config = {
   mode : Runtime.mode;
   governed : bool;
   policy : Ccr.Policy.t option;
-  recovery : Revoker.recovery option;
   heap_mb : int;
   servers : int;
   queue_depth : int;
@@ -25,7 +24,6 @@ type config = {
   brownout : Squeue.brownout option;
   target_p99_us : float;
   session_slots : int;
-  temps_per_req : int;
   compute_per_req : int;
   seed : int;
   clock : clock;
@@ -57,12 +55,15 @@ let validate ~servers ~queue_depth ~deadline_us ~target_p99_us ?brownout () =
 
 let r_work = 1
 
+(* Linked temporaries each request allocates and frees. *)
+let temps_per_req = 3
+
 (* Unmarshal temporaries, touch session state with occasional
    replacement, compute, respond, free — enough capability churn on
    long-lived pages that the revoker has real work. *)
-let request rt ctx rng regs sessions ~temps ~touches ~compute =
+let request rt ctx rng regs sessions ~touches ~compute =
   let tmp =
-    Array.init temps (fun i ->
+    Array.init temps_per_req (fun i ->
         let c = Runtime.malloc rt ctx (128 + (Prng.int rng 56 * 16)) in
         Machine.store_u64 ctx c (Int64.of_int i);
         let prev = Sim.Regfile.get regs r_work in
@@ -212,19 +213,10 @@ let run ?tracer ?on_runtime cfg ~arrivals ~classes =
   | Error msg -> invalid_arg ("Rig.run: " ^ msg)
   | Ok () -> ());
   let n = Array.length arrivals in
-  let heap_bytes = cfg.heap_mb * 1024 * 1024 in
-  let mconfig =
-    {
-      Machine.default_config with
-      heap_bytes;
-      mem_bytes = heap_bytes + (heap_bytes / 16) + (8 * 1024 * 1024);
-      seed = cfg.seed;
-    }
+  let config =
+    Runtime.machine_config ~heap_bytes:(cfg.heap_mb * 1024 * 1024) ~seed:cfg.seed ()
   in
-  let rt =
-    Runtime.create ~config:mconfig ?policy:cfg.policy ?recovery:cfg.recovery
-      ~revoker_core:3 cfg.mode
-  in
+  let rt = Runtime.create ~config ?policy:cfg.policy ~revoker_core:3 cfg.mode in
   let m = rt.Runtime.machine in
   Machine.attach_tracer m tracer;
   Option.iter (fun f -> f rt) on_runtime;
@@ -320,8 +312,7 @@ let run ?tracer ?on_runtime cfg ~arrivals ~classes =
           | None -> ()
           | Some req ->
               let started = Machine.now ctx in
-              request rt ctx rng regs table ~temps:cfg.temps_per_req ~touches:2
-                ~compute:cfg.compute_per_req;
+              request rt ctx rng regs table ~touches:2 ~compute:cfg.compute_per_req;
               let completed = Machine.now ctx in
               (match crossed_crash cfg.windows ~started ~completed with
               | Some (down, up) ->

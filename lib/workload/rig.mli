@@ -51,7 +51,6 @@ type config = {
       (** install a {!Service.Governor} (ignored under [Baseline]); while
           the brownout band is engaged it defers revocation harder *)
   policy : Ccr.Policy.t option;
-  recovery : Ccr.Revoker.recovery option;
   heap_mb : int;
   servers : int;
   queue_depth : int;  (** admission-control bound *)
@@ -62,7 +61,6 @@ type config = {
   brownout : Service.Squeue.brownout option;
   target_p99_us : float;  (** SLO target fed to accounting + governor *)
   session_slots : int;
-  temps_per_req : int;
   compute_per_req : int;
   seed : int;
   clock : clock;
@@ -147,13 +145,12 @@ val request :
   Sim.Prng.t ->
   Sim.Regfile.t ->
   Objtable.t ->
-  temps:int ->
   touches:int ->
   compute:int ->
   unit
-(** One request: allocate [temps] linked temporaries, touch [touches]
-    session entries (replacing one in a hundred), charge [compute]
-    cycles, free the temporaries. *)
+(** One request: allocate 3 linked temporaries, touch [touches] session
+    entries (replacing one in a hundred), charge [compute] cycles, free
+    the temporaries. *)
 
 type sessions
 

@@ -2,6 +2,9 @@ module Loadgen = Service.Loadgen
 module Slo = Service.Slo
 module Governor = Service.Governor
 
+(* Cycles of compute per request. *)
+let compute_per_req = 30_000
+
 type config = {
   pattern : Loadgen.pattern;
   requests : int;
@@ -10,8 +13,6 @@ type config = {
   deadline_us : float option;
   target_p99_us : float;
   session_slots : int;
-  temps_per_req : int;
-  compute_per_req : int;
   seed : int;
 }
 
@@ -24,8 +25,6 @@ let default_config =
     deadline_us = None;
     target_p99_us = 1_000.0;
     session_slots = 20_000;
-    temps_per_req = 3;
-    compute_per_req = 30_000;
     seed = 11;
   }
 
@@ -48,7 +47,6 @@ let run ?(config = default_config) ?tracer ?on_runtime ?(governed = false) ~mode
         mode;
         governed;
         policy = None;
-        recovery = None;
         heap_mb = 24;
         servers = cfg.servers;
         queue_depth = cfg.queue_depth;
@@ -56,8 +54,7 @@ let run ?(config = default_config) ?tracer ?on_runtime ?(governed = false) ~mode
         brownout = None;
         target_p99_us = cfg.target_p99_us;
         session_slots = cfg.session_slots;
-        temps_per_req = cfg.temps_per_req;
-        compute_per_req = cfg.compute_per_req;
+        compute_per_req;
         seed = cfg.seed;
         clock = Rig.After_setup;
         windows = [];

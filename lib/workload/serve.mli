@@ -23,14 +23,13 @@ type config = {
   deadline_us : float option;  (** queue-delay drop threshold, if any *)
   target_p99_us : float;  (** SLO target fed to accounting + governor *)
   session_slots : int;
-  temps_per_req : int;
-  compute_per_req : int;
   seed : int;
 }
 
 val default_config : config
 (** Poisson 20k req/s, 6000 requests, 2 servers, depth 64, no deadline,
-    1 ms p99 target. *)
+    1 ms p99 target, 20k sessions. Fixed for every run: a 24 MiB heap, 3
+    temporaries and 30k cycles of compute per request. *)
 
 type outcome = {
   result : Result.t;  (** [latencies_us] = per-served-request, from intended arrival *)

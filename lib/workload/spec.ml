@@ -137,14 +137,8 @@ type interp = Reference | Compiled
 let run ?(seed = 1) ?(ops_scale = 1.0) ?policy ?(non_temporal = false)
     ?(allocator = Runtime.Snmalloc) ?tracer ?on_runtime ?(interp = Compiled)
     ~mode (p : Profile.t) =
-  let heap_bytes = Profile.heap_bytes_needed p in
   let config =
-    {
-      Machine.default_config with
-      heap_bytes;
-      mem_bytes = heap_bytes + (heap_bytes / 16) + (8 * 1024 * 1024);
-      seed;
-    }
+    Runtime.machine_config ~heap_bytes:(Profile.heap_bytes_needed p) ~seed ()
   in
   let rt =
     Runtime.create ~config ?policy ~revoker_core:2 ~non_temporal ~allocator mode

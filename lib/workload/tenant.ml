@@ -29,17 +29,9 @@ type result = {
 let run ?(seed = 1) ?(ops_scale = 1.0) ?policy ?(sched = Os.Revsched.Round_robin)
     ?(tenants = 2) ?tracer ?on_os ~mode (p : Profile.t) =
   if tenants < 1 then invalid_arg "Tenant.run: tenants";
-  let heap_bytes = Profile.heap_bytes_needed p in
   let config =
-    {
-      Machine.default_config with
-      heap_bytes;
-      (* every tenant maps its own heap and shadow out of the shared
-         frame pool *)
-      mem_bytes =
-        (tenants * (heap_bytes + (heap_bytes / 16))) + (8 * 1024 * 1024);
-      seed;
-    }
+    Runtime.machine_config ~processes:tenants ~heap_bytes:(Profile.heap_bytes_needed p)
+      ~seed ()
   in
   let os = Os.create ~config ?policy ~sched ~revoker_core:2 mode in
   let m = Os.machine os in

@@ -28,6 +28,20 @@ module Governor = Service.Governor
    core 0 hosts the generators and the reaper. *)
 let tenant_cores = [| 3; 1; 0 |]
 
+(* Each tenant's admission bound and the SLO target its governor and
+   latency accounting share. *)
+let queue_depth = 64
+let target_p99_us = 1_000.0
+
+(* The standing session ring: 256-byte blocks worth three quarters of
+   the tenant's quota. *)
+let block_bytes = 256
+let ring_frac = 0.75
+
+(* Per request: unmarshalling temporaries, and compute cycles. *)
+let temps_per_req = 2
+let compute_per_req = 20_000
+
 type config = {
   tenants : int;
   quota_base : int; (* tenant i's quota = quota_base * (i + 1) *)
@@ -37,13 +51,7 @@ type config = {
   requests : int; (* per tenant *)
   rate : float; (* per-tenant offered rate, req/s *)
   storm_at : float; (* fraction of the horizon; >= 1.0 disables the storm *)
-  queue_depth : int;
   governed : bool;
-  target_p99_us : float;
-  block_bytes : int; (* session-ring block size *)
-  ring_frac : float; (* standing ring charge as a fraction of quota *)
-  temps_per_req : int;
-  compute_per_req : int;
   slices : int; (* time slices for the p99.9 curve *)
   seed : int;
 }
@@ -58,13 +66,7 @@ let default_config =
     requests = 1_200;
     rate = 40_000.0;
     storm_at = 0.5;
-    queue_depth = 64;
     governed = true;
-    target_p99_us = 1_000.0;
-    block_bytes = 256;
-    ring_frac = 0.75;
-    temps_per_req = 2;
-    compute_per_req = 20_000;
     slices = 20;
     seed = 7;
   }
@@ -140,17 +142,10 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
      are the binding constraint: the biggest tenant's quota plus its
      quarantine in flight must fit comfortably. *)
   let heap_bytes = max (4 * 1024 * 1024) (4 * quota (cfg.tenants - 1)) in
-  let mconfig =
-    {
-      Machine.default_config with
-      heap_bytes;
-      mem_bytes =
-        ((cfg.tenants + 1) * (heap_bytes + (heap_bytes / 16)))
-        + (8 * 1024 * 1024);
-      seed = cfg.seed;
-    }
+  let config =
+    Runtime.machine_config ~processes:(cfg.tenants + 1) ~heap_bytes ~seed:cfg.seed ()
   in
-  let os = Os.create ~config:mconfig ~sched:cfg.sched ~revoker_core:2 mode in
+  let os = Os.create ~config ~sched:cfg.sched ~revoker_core:2 mode in
   let m = Os.machine os in
   Machine.attach_tracer m tracer;
   (match on_os with Some f -> f os | None -> ());
@@ -179,7 +174,7 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
           offered = 0;
           lost_arrivals = 0;
           crashed = false;
-          slo = Slo.create ~target_p99_us:cfg.target_p99_us ();
+          slo = Slo.create ~target_p99_us ();
         })
   in
   let ready = Machine.condvar () in
@@ -213,7 +208,7 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
      compute, respond, free — all charged to the tenant's capability. *)
   let process_request cap ctx rng ring ring_next =
     let temps =
-      List.init cfg.temps_per_req (fun _ ->
+      List.init temps_per_req (fun _ ->
           Ledger.malloc cap ctx (64 + (16 * Prng.int rng 12)))
     in
     List.iter
@@ -221,7 +216,7 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
         | Some c -> Machine.store_u64 ctx c 1L
         | None -> ())
       temps;
-    (match Ledger.malloc cap ctx cfg.block_bytes with
+    (match Ledger.malloc cap ctx block_bytes with
     | Some c ->
         Machine.store_u64 ctx c (Int64.of_int !ring_next);
         let slot = !ring_next mod Array.length ring in
@@ -231,7 +226,7 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
         | None -> ());
         ring.(slot) <- Some c
     | None -> ());
-    Machine.charge ctx cfg.compute_per_req;
+    Machine.charge ctx compute_per_req;
     List.iter
       (function Some c -> Ledger.free cap ctx c | None -> ())
       temps
@@ -245,17 +240,17 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
     Os.Revsched.set_debt (Os.sched os) ~pid (fun () ->
         Ledger.debt ledger ~tenant:pid);
     let queue =
-      Squeue.create m ~max_depth:cfg.queue_depth
+      Squeue.create m ~max_depth:queue_depth
         ~quota_gate:(fun tn -> Ledger.over_quota ledger ~tenant:tn)
         ()
     in
     Os.Revsched.set_load (Os.sched os) ~pid (fun () ->
         min 1.0
-          (float_of_int (Squeue.depth queue) /. float_of_int cfg.queue_depth));
+          (float_of_int (Squeue.depth queue) /. float_of_int queue_depth));
     let gov =
       if cfg.governed && rt.Runtime.revoker <> None then
         Some
-          (Governor.install ~target_p99_us:cfg.target_p99_us
+          (Governor.install ~target_p99_us
              ~p99:(fun () -> Slo.p99_estimate lane.slo)
              rt
              ~depth:(fun () -> Squeue.depth queue)
@@ -266,13 +261,13 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
        built before serving starts, replaced block by block under load —
        the storm tenant's free_all hands all of it to quarantine. *)
     let slots =
-      max 8 (int_of_float (cfg.ring_frac *. float_of_int (quota i))
-             / Alloc.Sizeclass.rounded_size cfg.block_bytes)
+      max 8 (int_of_float (ring_frac *. float_of_int (quota i))
+             / Alloc.Sizeclass.rounded_size block_bytes)
     in
     let ring = Array.make slots None in
     Array.iteri
       (fun s _ ->
-        match Ledger.malloc cap cctx cfg.block_bytes with
+        match Ledger.malloc cap cctx block_bytes with
         | Some c ->
             Machine.store_u64 cctx c (Int64.of_int s);
             ring.(s) <- Some c

@@ -30,18 +30,19 @@ type config = {
   requests : int;  (** per tenant *)
   rate : float;  (** per-tenant offered rate, req/s *)
   storm_at : float;  (** fraction of the horizon; >= 1.0 disables *)
-  queue_depth : int;
   governed : bool;
-  target_p99_us : float;
-  block_bytes : int;  (** session-ring block size *)
-  ring_frac : float;  (** standing ring charge as a fraction of quota *)
-  temps_per_req : int;
-  compute_per_req : int;
   slices : int;  (** time slices for the p99.9 curve *)
   seed : int;
 }
 
 val default_config : config
+(** 3 tenants with a 768 KiB quota base, physical memory at 80% of the
+    quotas, steal-from-idle over-commit, the quota-pressure revocation
+    scheduler, 1200 requests per tenant at 40k req/s, the storm at
+    half the horizon, governed, 20 slices. Fixed for every run: a
+    64-deep admission queue per tenant, a 1 ms p99 target, a session
+    ring of 256-byte blocks worth 75% of the tenant's quota, and per
+    request 2 temporaries and 20k cycles of compute. *)
 
 type tenant_outcome = {
   o_pid : int;

@@ -1,16 +1,16 @@
 (* Analysis-layer tests: the shadow-state sanitizer and the vector-clock
-   happens-before checker, on small churn rigs with and without seeded
-   protocol mutations. Mirrors bin/ccr_check's rig so the mutation
-   coverage also runs under alcotest. *)
+   happens-before checker, on the churn rig bin/ccr_check runs
+   ([Analysis.Check.churn_rig]) with and without seeded protocol
+   mutations, and on a rogue bitmap clear. *)
 
 module Machine = Sim.Machine
 module Cap = Cheri.Capability
 module Revoker = Ccr.Revoker
 module Mrs = Ccr.Mrs
-module Epoch = Ccr.Epoch
 module Revmap = Ccr.Revmap
 module Sanitizer = Analysis.Sanitizer
 module Race = Analysis.Race
+module Check = Analysis.Check
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -18,46 +18,10 @@ let check_int = Alcotest.(check int)
 let cfg =
   { Machine.default_config with heap_bytes = 4 lsl 20; mem_bytes = 16 lsl 20 }
 
-(* Scatter aliases of a victim allocation through memory, a register and
-   a kernel hoard, free it, and churn until its batch's epoch closes. *)
-let churn_rig ?(fault = None) strategy =
-  let m = Machine.create cfg in
-  Machine.attach_tracer m (Some (Sim.Trace.create ()));
-  let alloc = Alloc.Backend.snmalloc (Alloc.Allocator.create m) in
-  let hoards = Kernel.Hoard.create () in
-  let rv = Revoker.create m ~strategy ~core:2 ~hoards () in
-  let mrs = Mrs.create m ~alloc ~revoker:rv () in
-  let san = Sanitizer.attach ~revoker:rv m in
-  let race = Race.attach m in
-  Revoker.inject_fault rv fault;
-  ignore
-    (Machine.spawn m ~name:"app" ~core:3 (fun ctx ->
-         let regs = Machine.regs (Machine.self ctx) in
-         let table = Mrs.malloc mrs ctx 4096 in
-         Sim.Regfile.set regs 0 table;
-         let slot i = Cap.set_addr table (Cap.base table + (i * 16)) in
-         let victim = Mrs.malloc mrs ctx 128 in
-         Machine.store_u64 ctx victim 0x5ec2e7L;
-         Machine.store_cap ctx (slot 0) victim;
-         Sim.Regfile.set regs 5 victim;
-         ignore (Kernel.Hoard.register hoards ctx victim);
-         let painted_at = Epoch.counter (Revoker.epoch rv) in
-         Mrs.free mrs ctx victim;
-         let rng = Sim.Prng.create ~seed:11 in
-         while not (Epoch.is_clean (Revoker.epoch rv) ~painted_at) do
-           let c = Mrs.malloc mrs ctx (64 + (16 * Sim.Prng.int rng 16)) in
-           Machine.store_u64 ctx c 1L;
-           Mrs.free mrs ctx c
-         done;
-         Mrs.finish mrs ctx));
-  Machine.run m;
-  Sanitizer.finish san;
-  (san, race)
-
 let test_clean_runs () =
   List.iter
     (fun strategy ->
-      let san, race = churn_rig strategy in
+      let san, race = Check.churn_rig strategy in
       check
         (Revoker.strategy_name strategy ^ " sanitizer clean")
         true (Sanitizer.ok san);
@@ -71,16 +35,25 @@ let test_clean_runs () =
 (* Each seeded mutation must be caught, and under its own rule: the
    reports are diagnoses, not a generic tripwire. *)
 let test_mutation_detected (strategy, fault, rule) () =
-  let san, _ = churn_rig ~fault:(Some fault) strategy in
+  let san, _ = Check.churn_rig ~fault strategy in
   check "sanitizer trips" false (Sanitizer.ok san);
   check (rule ^ " reported") true (Sanitizer.count san rule > 0)
 
-let mutations =
-  [
-    (Revoker.Reloaded, Revoker.Early_dequarantine, "early-dequarantine");
-    (Revoker.Cornucopia, Revoker.Skip_shootdown, "missing-shootdown");
-    (Revoker.Reloaded, Revoker.Skip_hoard_scan, "missing-hoard-scan");
-  ]
+(* Every fault has exactly one row, and every row names a rule the
+   sanitizer can report. *)
+let test_mutation_table () =
+  List.iter
+    (fun fault ->
+      check_int
+        (Revoker.fault_name fault ^ " has one row")
+        1
+        (List.length (List.filter (fun (_, f, _) -> f = fault) Check.mutations)))
+    Revoker.all_faults;
+  List.iter
+    (fun (_, _, rule) ->
+      check (rule ^ " is a sanitizer rule") true
+        (List.mem_assoc rule Sanitizer.all_rules))
+    Check.mutations
 
 (* A thread clearing revocation bitmap state off to the side of the
    epoch protocol is a race; the same clear ordered behind a
@@ -134,6 +107,8 @@ let () =
       ( "sanitizer",
         Alcotest.test_case "clean strategies report nothing" `Slow
           test_clean_runs
+        :: Alcotest.test_case "mutation table covers every fault" `Quick
+             test_mutation_table
         :: List.map
              (fun ((strategy, fault, rule) as mu) ->
                Alcotest.test_case
@@ -143,7 +118,7 @@ let () =
                     rule)
                  `Slow
                  (test_mutation_detected mu))
-             mutations );
+             Check.mutations );
       ( "race",
         [
           Alcotest.test_case "rogue bitmap clear races" `Quick

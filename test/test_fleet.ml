@@ -603,7 +603,6 @@ let test_recovery_resumes_epoch () =
       mode = Runtime.Safe Revoker.Reloaded;
       governed = true;
       policy = Some (Policy.with_min Policy.default 16_384);
-      recovery = None;
       heap_mb = 8;
       servers = 2;
       queue_depth = 64;
@@ -611,7 +610,6 @@ let test_recovery_resumes_epoch () =
       brownout = None;
       target_p99_us = 1_000.0;
       session_slots = 512;
-      temps_per_req = 3;
       compute_per_req = 20_000;
       seed = 11;
       clock = Rig.Absolute;

@@ -37,7 +37,7 @@ let test_cdf () =
   checkf "all" 1.0 (Cdf.at c 10.0);
   checkf "inverse median" 2.0 (Cdf.inverse c 0.5);
   checkf "inverse max" 10.0 (Cdf.inverse c 1.0);
-  check "points nonempty" true (Cdf.points c () <> [])
+  check "points nonempty" true (Cdf.points c <> [])
 
 let test_table_renders () =
   let t = Table.create ~header:[ "a"; "bb" ] in
