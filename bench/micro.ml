@@ -92,6 +92,35 @@ let test_sweep_page =
   Test.make ~name:"sweep one 4KiB page"
     (Staged.stage (fun () -> ignore (Ccr.Sweep.sweep_page ctx rm ~pte)))
 
+(* The shape of a serving session-table page: all 256 granules hold a
+   capability, and every 16th points at painted (quarantined) memory, so
+   the sweep probes 256 granules and revokes 16. The revoked 16 are
+   stored again after each sweep (host-side, a small part of the time),
+   so every sample sweeps the same page. *)
+let test_sweep_dense_page =
+  let m, alloc, rm, ctx, _ = Lazy.force rig in
+  let d = Alloc.Allocator.malloc alloc ctx 8192 in
+  let base = (Cap.base d + 4095) land lnot 4095 in
+  let pa, pte =
+    match Vm.Aspace.translate (M.aspace m) base with
+    | Some (pa, pte) -> (pa, pte)
+    | None -> assert false
+  in
+  let plant g =
+    let va = base + (g * 16) in
+    Tagmem.Mem.write_cap (M.mem m) (pa + (g * 16)) (Cap.set_bounds d ~base:va ~length:16)
+  in
+  for g = 0 to 255 do
+    plant g;
+    if g mod 16 = 0 then Ccr.Revmap.paint rm ctx ~addr:(base + (g * 16)) ~size:16
+  done;
+  Test.make ~name:"sweep a dense 4KiB page"
+    (Staged.stage (fun () ->
+         ignore (Ccr.Sweep.sweep_page ctx rm ~pte);
+         for k = 0 to 15 do
+           plant (k * 16)
+         done))
+
 let benchmarks =
   [
     test_cap_derive;
@@ -102,6 +131,7 @@ let benchmarks =
     test_sim_malloc_free;
     test_revmap_paint;
     test_sweep_page;
+    test_sweep_dense_page;
   ]
 
 let run () =

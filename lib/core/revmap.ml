@@ -37,55 +37,33 @@ let rebind t ~aspace =
   t.aspace <- aspace;
   t.bits <- 0
 
-(* One shared branch-free implementation (Tagmem.Mem.popcount64): the
-   paint/clear accounting here and the tag-word sweep kernels count bits
-   the same way. *)
-let popcount64 = Tagmem.Mem.popcount64
-
 let check_range t ~addr ~size =
   if addr land (granule - 1) <> 0 || size land (granule - 1) <> 0 || size <= 0 then
     invalid_arg "Revmap: unaligned paint/clear";
   if not (Layout.contains_heap t.layout addr && addr + size <= t.layout.Layout.heap_limit)
   then invalid_arg "Revmap: range outside heap"
 
-(* Apply [op] to the shadow words covering granules [g0, g1): for each
-   64-bit word, a mask of the affected bits is computed and the word is
-   read-modified-written through the user mapping. Returns the number of
-   bits actually flipped; the caller folds it into [t.bits] in the same
-   host-side section as its trace emit — each [rmw_u64] is a scheduling
-   point, so updating the counter word-by-word would let a checker
-   comparing [set_bits] against the event ledger observe a half-applied
-   range from another thread. *)
+(* Set or clear the shadow bits of granules [g0, g1): each 64-bit word
+   covering them is read-modified-written through the user mapping, on
+   the bits in range only. Returns the number of bits actually flipped;
+   the caller folds it into [t.bits] in the same host-side section as its
+   trace emit — each [rmw_bits_at] is a scheduling point, so updating the
+   counter word-by-word would let a checker comparing [set_bits] against
+   the event ledger observe a half-applied range from another thread. *)
 let rmw_range t ctx ~addr ~size ~set =
   check_range t ~addr ~size;
   let g0 = (addr - t.layout.Layout.heap_base) / granule in
   let g1 = g0 + (size / granule) in
-  let w = ref (g0 / 64) in
-  let last_word = (g1 - 1) / 64 in
   let flipped = ref 0 in
-  while !w <= last_word do
-    let lo_bit = max g0 (!w * 64) - (!w * 64) in
-    let hi_bit = min g1 ((!w + 1) * 64) - (!w * 64) in
-    let mask =
-      if hi_bit - lo_bit = 64 then -1L
-      else
-        Int64.shift_left
-          (Int64.sub (Int64.shift_left 1L (hi_bit - lo_bit)) 1L)
-          lo_bit
-    in
-    let word_addr = t.layout.Layout.shadow_base + (!w * 8) in
-    let c = Capability.set_addr t.shadow_cap word_addr in
+  for w = g0 / 64 to (g1 - 1) / 64 do
+    let lo = Int.max g0 (w * 64) - (w * 64) and hi = Int.min g1 ((w + 1) * 64) - (w * 64) in
     (* atomic: a concurrent paint and clear of neighbouring bits in the
        same word must not lose or resurrect updates *)
-    let old =
-      Machine.rmw_u64 ctx c (fun old ->
-          if set then Int64.logor old mask else Int64.logand old (Int64.lognot mask))
-    in
-    let nw =
-      if set then Int64.logor old mask else Int64.logand old (Int64.lognot mask)
-    in
-    flipped := !flipped + popcount64 (Int64.logxor nw old);
-    incr w
+    flipped :=
+      !flipped
+      + Machine.rmw_bits_at ctx t.shadow_cap
+          (t.layout.Layout.shadow_base + (w * 8))
+          ~lo ~hi ~set
   done;
   !flipped
 
@@ -101,10 +79,11 @@ let clear t ctx ~addr ~size =
   Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
     ~pid:(Machine.ctx_pid ctx) ~arg2:size Sim.Trace.Unpaint addr
 
-(* Zero-alloc: one probe per tagged granule swept, so the moved
-   capability and the boxed word were the sweep loop's main GC traffic. *)
+(* Zero-alloc, with [Layout.contains_heap] inline: one probe per tagged
+   granule swept, so the moved capability and the boxed word were the
+   sweep loop's main GC traffic. *)
 let test t ctx a =
-  if not (Layout.contains_heap t.layout a) then false
+  if a < t.layout.Layout.heap_base || a >= t.layout.Layout.heap_limit then false
   else begin
     let g = (a - t.layout.Layout.heap_base) / granule in
     let word_addr = t.layout.Layout.shadow_base + (g / 64 * 8) in

@@ -236,11 +236,9 @@ let revocation_count t = t.revocations
 
 let heap_vpages t =
   let layout = Vm.Aspace.layout t.aspace in
-  let lo = layout.Layout.heap_base / Phys.page_size in
-  let hi = (layout.Layout.heap_limit - 1) / Phys.page_size in
-  List.filter
-    (fun vp -> vp >= lo && vp <= hi)
-    (Pmap.sorted_vpages (Vm.Aspace.pmap t.aspace))
+  Pmap.vpages_in (Vm.Aspace.pmap t.aspace)
+    ~lo:(layout.Layout.heap_base / Phys.page_size)
+    ~hi:((layout.Layout.heap_limit - 1) / Phys.page_size)
 
 (* Fold freshly capability-dirty pages into the visit set. Per §4.5, the
    re-implementation never removes a page from the set once it has held
@@ -732,7 +730,9 @@ let run_epoch t ctx batches =
   in
   (* mutation hook: hand the quarantine back before the sweep has run *)
   if t.fault = Some Early_dequarantine then deliver ();
-  Hashtbl.reset t.ck_done;
+  (* [clear], not [reset]: [reset] shrinks the table, and it would regrow
+     to the heap's page count every epoch *)
+  Hashtbl.clear t.ck_done;
   t.ck_stw_done <- false;
   (* Run the strategy body, retrying after induced sweep crashes from the
      [ck_done] checkpoint. Strategies with an always-armed barrier
@@ -758,7 +758,7 @@ let run_epoch t ctx batches =
         else begin
           (match t.strategy with
           | Cherivoke | Cornucopia | Paint_sync ->
-              Hashtbl.reset t.ck_done;
+              Hashtbl.clear t.ck_done;
               t.ck_stw_done <- false
           | Reloaded | Cheriot_filter -> ());
           t.rs_epoch_resumes <- t.rs_epoch_resumes + 1;

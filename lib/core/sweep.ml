@@ -15,14 +15,16 @@ let granule = Tagmem.Mem.granule
    bus transaction, cache-state transition and trace event must be
    identical between them.
 
-   The word-scan fast path reads the page's packed tag bitmap 64
-   granules per [Int64] load and batches the cost model over untagged
-   cache lines ([Machine.kern_read_untagged_run]); only tagged granules
-   materialise a capability and probe the revocation map. Probing can
-   yield at a safe point (the application may then write this very
-   page), so the cached tag word is refreshed after every probe — the
-   per-granule loop re-reads the tag at each visit, and bit-exact
-   equivalence includes those racy windows.
+   The batched kernel reads the page's packed tag bitmap 32 granules per
+   call, as an immediate int ([Tagmem.Mem.tag_bits]), and charges each
+   run of untagged granules between two tagged ones with one cost-model
+   call ([Machine.kern_read_untagged_run]), however many lines it
+   spans; only tagged granules materialise a capability and probe the
+   revocation map. Probing is the only thing in the loop that can yield
+   (at [Revmap.test]'s safe point, after which the application may have
+   written this very page), so the tag bits are re-read after every
+   probe and the per-granule loop, which reads each tag as it reaches it,
+   would see exactly the same tags.
 
    The per-granule loop remains the reference, and stays in use whenever
    a chaos tag-read hook is armed: the hook must be consulted on every
@@ -35,7 +37,7 @@ let granule = Tagmem.Mem.granule
    otherwise the value now there is probed in its place. A failed compare
    costs the one cache write the clear costs. *)
 let rec probe_tagged ctx revmap ~pte ~pa c ~upgraded =
-  if Revmap.test revmap ctx (Capability.base c) then begin
+  if Revmap.test revmap ctx c.Capability.base then begin
     if (not pte.Pte.writable) && not !upgraded then begin
       (* read-only page that turns out to need revocation: invoke the
          full fault machinery to upgrade it to writable (§4.3) *)
@@ -75,46 +77,42 @@ let sweep_page_granular ~non_temporal ctx revmap ~pte ~base ~n ~tagged ~revoked
     end
   done
 
-let word_granules = 64
+let chunk = 32 (* granules per [Tagmem.Mem.tag_bits] read *)
 
-let sweep_page_wordscan ~non_temporal ctx revmap ~pte ~base ~n ~tagged ~revoked
+(* Charge the untagged granules [from, stop). *)
+let charge_untagged ctx ~non_temporal ~from ~stop =
+  if stop > from then
+    Machine.kern_read_untagged_run ctx ~non_temporal ~pa:from
+      ~count:((stop - from) / granule)
+
+let sweep_page_batched ~non_temporal ctx revmap ~pte ~base ~n ~tagged ~revoked
     ~upgraded =
-  let m = Machine.machine ctx in
-  let mem = Machine.mem m in
-  let read =
-    if non_temporal then Machine.kern_read_cap_nt else Machine.kern_read_cap_stream
-  in
-  let gpl = Tagmem.Cache.line_size / granule in
-  let line_mask = Int64.of_int ((1 lsl gpl) - 1) in
-  for w = 0 to (n / word_granules) - 1 do
-    let word_pa = base + (w * word_granules * granule) in
-    (* refreshed after every probe: Revmap.test can yield, and a resumed
-       application thread may have re-written granules we haven't
-       visited yet *)
-    let word = ref (Tagmem.Mem.tag_word mem word_pa) in
-    for l = 0 to (word_granules / gpl) - 1 do
-      let line_pa = word_pa + (l * gpl * granule) in
-      let bits =
-        Int64.logand (Int64.shift_right_logical !word (l * gpl)) line_mask
-      in
-      if Int64.equal bits 0L then
-        (* all-untagged line: one batched charge for the whole line *)
-        Machine.kern_read_untagged_run ~non_temporal ctx ~pa:line_pa ~count:gpl
-      else
-        for g = 0 to gpl - 1 do
-          let pa = line_pa + (g * granule) in
-          let bit = Int64.shift_left 1L ((l * gpl) + g) in
-          if Int64.equal (Int64.logand !word bit) 0L then
-            Machine.kern_read_untagged_run ~non_temporal ctx ~pa ~count:1
-          else begin
-            let c = read ctx ~pa in
-            incr tagged;
-            if probe_tagged ctx revmap ~pte ~pa c ~upgraded then incr revoked;
-            word := Tagmem.Mem.tag_word mem word_pa
-          end
-        done
+  let mem = Machine.mem (Machine.machine ctx) in
+  (* [run] is the first granule of the untagged run not yet charged *)
+  let run = ref base in
+  for k = 0 to (n / chunk) - 1 do
+    let chunk_pa = base + (k * chunk * granule) in
+    let bits = ref (Tagmem.Mem.tag_bits mem chunk_pa) in
+    let g = ref 0 in
+    (* while a tagged granule remains at or after [g] *)
+    while !bits lsr !g <> 0 do
+      if !bits land (1 lsl !g) = 0 then incr g
+      else begin
+        let pa = chunk_pa + (!g * granule) in
+        charge_untagged ctx ~non_temporal ~from:!run ~stop:pa;
+        let c =
+          if non_temporal then Machine.kern_read_cap_nt ctx ~pa
+          else Machine.kern_read_cap_stream ctx ~pa
+        in
+        incr tagged;
+        if probe_tagged ctx revmap ~pte ~pa c ~upgraded then incr revoked;
+        bits := Tagmem.Mem.tag_bits mem chunk_pa;
+        incr g;
+        run := pa + granule
+      end
     done
-  done
+  done;
+  charge_untagged ctx ~non_temporal ~from:!run ~stop:(base + (n * granule))
 
 let sweep_page ?(non_temporal = false) ctx revmap ~pte =
   let base = Phys.frame_addr pte.Pte.frame in
@@ -122,7 +120,7 @@ let sweep_page ?(non_temporal = false) ctx revmap ~pte =
   let n = Phys.page_size / granule in
   let body =
     if Machine.tag_hook_armed (Machine.machine ctx) then sweep_page_granular
-    else sweep_page_wordscan
+    else sweep_page_batched
   in
   body ~non_temporal ctx revmap ~pte ~base ~n ~tagged ~revoked ~upgraded;
   Machine.trace_emit (Machine.machine ctx) ~time:(Machine.now ctx)

@@ -27,9 +27,10 @@ val sweep_page :
     invokes the full fault machinery (charged) when a capability must
     actually be revoked.
 
-    Internally uses the word-scan kernel ({!Tagmem.Mem.tag_word}): the
-    page's packed tag bitmap is read 64 granules per load, untagged
-    cache lines are charged in one batch, and only tagged granules
+    Internally uses a batched kernel: the page's packed tag bitmap is
+    read 32 granules per call as an immediate int
+    ({!Tagmem.Mem.tag_bits}), each run of untagged granules between two
+    tagged ones is charged in one batch, and only tagged granules
     materialise capabilities and probe the revocation map. Cycle
     counts, bus traffic, cache state and trace events are bit-for-bit
     identical to the per-granule reference loop, which remains in use

@@ -287,23 +287,23 @@ let charge ctx n =
   charge_on ctx (core_of ctx) n
 
 (* Earliest simulated instant at which [th] could next be scheduled, or
-   [None] if it cannot run until some event changes its state. Defined
-   here (rather than with the scheduler below) because the yield fast
-   path in {!safe_point} consults it. *)
+   [-1] if it cannot run until some event changes its state — an int, not
+   an option, since every pick asks it of every thread. Defined here
+   (rather than with the scheduler below) because the yield fast path in
+   {!safe_point} consults it. *)
 let eligible_time m th =
   let c = m.cores.(th.tcore) in
   match th.state with
-  | Created | Runnable -> Some (max c.clock th.wake_time)
-  | Sleeping -> Some (max c.clock th.wake_time)
+  | Created | Runnable | Sleeping -> Int.max c.clock th.wake_time
   | Waiting_stw -> (
       (* A watchdogged STW initiator is schedulable at its deadline even
          if the quiesce never completes; without a deadline it can only
          be woken by [wake_initiator]. *)
       match m.stw with
-      | Some s when s.initiator.tid = th.tid && s.deadline <> None ->
-          Some (max c.clock th.wake_time)
-      | _ -> None)
-  | Running | Waiting _ | Parked _ | Finished -> None
+      | Some { initiator; deadline = Some _; _ } when initiator.tid = th.tid ->
+          Int.max c.clock th.wake_time
+      | _ -> -1)
+  | Running | Waiting _ | Parked _ | Finished -> -1
 
 (* Sole-eligible yield fast path: when yielding at [tmine] while every
    other thread is either unschedulable or strictly later, [pick] is
@@ -315,24 +315,26 @@ let eligible_time m th =
    plus a continuation switch per quantum. Disabled under an STW (parking
    must go through the real scheduler) and under a scheduling oracle
    (the oracle must be offered every candidate set). *)
+let rec others_later m th tmine = function
+  | [] -> true
+  | other :: rest ->
+      (other.tid = th.tid
+      ||
+      let t = eligible_time m other in
+      t < 0 || t > tmine)
+      && others_later m th tmine rest
+
 let sole_eligible m th tmine =
   (match m.stw with None -> true | Some _ -> false)
   && (match m.sched_oracle with None -> true | Some _ -> false)
-  && List.for_all
-       (fun other ->
-         other.tid = th.tid
-         ||
-         match eligible_time m other with
-         | None -> true
-         | Some t -> t > tmine)
-       m.threads
+  && others_later m th tmine m.threads
 
 (* [resume]'s self-resume bookkeeping, exactly: same-core, same-resident,
    same-aspace, so no context-switch or TLB work applies. *)
 let self_resume ctx tmine =
   let th = ctx.th in
   let c = core_of ctx in
-  c.clock <- max c.clock tmine;
+  c.clock <- Int.max c.clock tmine;
   th.slice_start <- c.clock;
   th.sp_checked <- false;
   ctx.m.seq <- ctx.m.seq + 1;
@@ -389,7 +391,7 @@ let checkpoint ctx =
    self-resumes inline when this thread is the sole-eligible one. *)
 let quantum_yield ctx =
   let th = ctx.th in
-  let tmine = max (core_of ctx).clock th.wake_time in
+  let tmine = Int.max (core_of ctx).clock th.wake_time in
   if sole_eligible ctx.m th tmine then self_resume ctx tmine
   else begin
     th.state <- Runnable;
@@ -465,10 +467,10 @@ let broadcast ctx cv =
       (match th.state with
       | Waiting _ ->
           th.state <- Runnable;
-          th.wake_time <- max th.wake_time t
+          th.wake_time <- Int.max th.wake_time t
       | Parked (Waiting _) ->
           th.state <- Parked Runnable;
-          th.wake_time <- max th.wake_time t
+          th.wake_time <- Int.max th.wake_time t
       | _ -> ());
       ())
     cv.waiters;
@@ -754,20 +756,25 @@ let translate ctx va =
   | None -> None
   | Some e -> Some (frame_pa e va, e.Tlb.pte)
 
-(* [Cache.access] with the L1 hit taken inline. *)
-let[@inline] cache_access c pa ~write =
-  let cache = c.cache in
+(* An L1 hit taken inline, counted as every [Cache.access*] variant
+   counts one; [false] (and nothing updated) on an L1 miss. *)
+let[@inline] l1_hit cache pa ~write =
   let l1 = cache.Cache.l1 in
   let line = pa lsr Cache.line_shift in
   let s = line land l1.Cache.mask in
-  if Array.unsafe_get l1.Cache.lines s = line then begin
-    if write then Bytes.unsafe_set l1.Cache.dirty s '\001';
-    let st = cache.Cache.st in
-    st.Cache.accesses <- st.Cache.accesses + 1;
-    st.Cache.l1_hits <- st.Cache.l1_hits + 1;
-    Cache.l1_latency
-  end
-  else Cache.access cache ~addr:pa ~write
+  Array.unsafe_get l1.Cache.lines s = line
+  && begin
+       if write then Bytes.unsafe_set l1.Cache.dirty s '\001';
+       let st = cache.Cache.st in
+       st.Cache.accesses <- st.Cache.accesses + 1;
+       st.Cache.l1_hits <- st.Cache.l1_hits + 1;
+       true
+     end
+
+(* [Cache.access] with the L1 hit taken inline. *)
+let[@inline] cache_access c pa ~write =
+  let cache = c.cache in
+  if l1_hit cache pa ~write then Cache.l1_latency else Cache.access cache ~addr:pa ~write
 
 (* ---- data access ---- *)
 
@@ -816,13 +823,12 @@ let load_u64_bit ctx cap va ~bit =
   let pa = data_access_at ctx cap va ~width:8 ~write:false ~op:"load_u64" in
   Mem.read_u64_bit ctx.m.mem pa bit
 
-let rmw_u64 ctx cap f =
-  let pa = data_access ctx cap ~width:8 ~write:true ~op:"rmw_u64" in
+let rmw_bits_at ctx cap va ~lo ~hi ~set =
+  let pa = data_access_at ctx cap va ~width:8 ~write:true ~op:"rmw_bits_at" in
   (* one extra cache access for the read half; no safe point in between *)
-  charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write:false);
-  let old = Mem.read_u64 ctx.m.mem pa in
-  Mem.write_u64 ctx.m.mem pa (f old);
-  old
+  let c = core_of ctx in
+  charge_on ctx c (cache_access c pa ~write:false);
+  Mem.update_bits ctx.m.mem pa ~lo ~hi ~set
 
 let touch ctx cap ~write =
   ignore (data_access ctx cap ~width:1 ~write ~op:"touch")
@@ -946,22 +952,28 @@ let rec tag_retry ctx ~pa =
       tag_retry ctx ~pa
   | Some _ | None -> ()
 
-let kern_read_cap_nt ctx ~pa =
-  charge ctx (Cache.access_nt (core_of ctx).cache ~addr:pa ~write:false);
-  tag_retry ctx ~pa;
+(* The sweep's granule reads, L1 hit inline. *)
+let[@inline] kern_read_cap ctx ~pa ~nt =
+  let c = core_of ctx in
+  let cache = c.cache in
+  charge_on ctx c
+    (if l1_hit cache pa ~write:false then Cache.l1_latency
+     else if nt then Cache.access_nt cache ~addr:pa ~write:false
+     else Cache.access_stream cache ~addr:pa ~write:false);
+  (match ctx.m.tag_hook with None -> () | Some _ -> tag_retry ctx ~pa);
   Mem.read_cap ctx.m.mem pa
 
-let kern_read_cap_stream ctx ~pa =
-  charge ctx (Cache.access_stream (core_of ctx).cache ~addr:pa ~write:false);
-  tag_retry ctx ~pa;
-  Mem.read_cap ctx.m.mem pa
+let kern_read_cap_nt ctx ~pa = kern_read_cap ctx ~pa ~nt:true
+let kern_read_cap_stream ctx ~pa = kern_read_cap ctx ~pa ~nt:false
 
 let kern_clear_tag ctx ~pa =
-  charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write:true);
+  let c = core_of ctx in
+  charge_on ctx c (cache_access c pa ~write:true);
   Mem.clear_tag ctx.m.mem pa
 
 let kern_access ctx ~pa ~write =
-  charge ctx (Cache.access (core_of ctx).cache ~addr:pa ~write)
+  let c = core_of ctx in
+  charge_on ctx c (cache_access c pa ~write)
 
 let tag_hook_armed m = m.tag_hook <> None
 
@@ -971,25 +983,32 @@ let chaos_armed m =
 
 let load_filter_armed m = Hashtbl.length m.load_filters > 0
 
-(* Batched sweep read of [count] consecutive known-untagged granules in
-   one cache line: a single charge covering exactly what [count]
-   [kern_read_cap_stream] (resp. [_nt]) calls would have cost, without
-   materialising the untagged capability values. Only sound when no tag
-   read hook is armed ([tag_hook_armed] is false): the per-granule loop
-   consults the hook on every read, and this helper does not. *)
-let kern_read_untagged_run ?(non_temporal = false) ctx ~pa ~count =
-  let cache = (core_of ctx).cache in
-  charge ctx
-    (if non_temporal then Cache.access_nt_run cache ~addr:pa ~write:false ~count
-     else Cache.access_stream_run cache ~addr:pa ~write:false ~count)
+(* Batched sweep read of [count] consecutive known-untagged granules: a
+   single charge covering exactly what [count] [kern_read_cap_stream]
+   (resp. [_nt]) calls would have cost, without materialising the
+   untagged capability values. Only sound when no tag read hook is armed
+   ([tag_hook_armed] is false): the per-granule loop consults the hook on
+   every read, and this helper does not. *)
+let kern_read_untagged_run ctx ~non_temporal ~pa ~count =
+  let c = core_of ctx in
+  charge_on ctx c
+    (if non_temporal then Cache.access_nt_run c.cache ~addr:pa ~write:false ~count
+     else Cache.access_stream_run c.cache ~addr:pa ~write:false ~count)
 
 (* ---- VM operations ---- *)
 
 let with_pmap_lock ctx f =
   let pmap = Aspace.pmap ctx.th.asp in
-  let contended = Pmap.lock pmap ~who:ctx.th.tid in
+  let who = ctx.th.tid in
+  let contended = Pmap.lock pmap ~who in
   charge ctx (if contended then 2 * Cost.pmap_lock else Cost.pmap_lock);
-  Fun.protect ~finally:(fun () -> Pmap.unlock pmap ~who:ctx.th.tid) f
+  match f () with
+  | v ->
+      Pmap.unlock pmap ~who;
+      v
+  | exception e ->
+      Pmap.unlock pmap ~who;
+      raise e
 
 (* Invalidate [vpages] on every core that has the given address space
    installed (all cores when [asid] is omitted — the machine-wide IPI of
@@ -1055,35 +1074,37 @@ let adopt_aspace ctx a =
 
 (* [eligible_time] is defined above, next to the yield fast path. *)
 
+(* The earliest-eligible thread of the list, ties going to the one that
+   ran least recently, against the best so far ([bt], [bth]). *)
+let rec best_eligible m bt bth = function
+  | [] -> bth
+  | th :: rest ->
+      let t = eligible_time m th in
+      if t < 0 || bt < t || (bt = t && bth.last_ran <= th.last_ran) then
+        best_eligible m bt bth rest
+      else best_eligible m t th rest
+
+let rec first_eligible m = function
+  | [] -> None
+  | th :: rest ->
+      let t = eligible_time m th in
+      if t < 0 then first_eligible m rest else Some (best_eligible m t th rest)
+
 let pick m =
-  let best = ref None in
-  List.iter
-    (fun th ->
-      match eligible_time m th with
-      | None -> ()
-      | Some t -> (
-          match !best with
-          | Some (bt, bth) when bt < t || (bt = t && bth.last_ran <= th.last_ran) ->
-              ()
-          | _ -> best := Some (t, th)))
-    m.threads;
-  match (m.sched_oracle, !best) with
+  match (m.sched_oracle, first_eligible m m.threads) with
   | None, b | _, (None as b) -> b
-  | Some oracle, Some (_, default) -> (
+  | Some oracle, Some default ->
       (* Present every eligible thread (m.threads is in spawn order, so
          the candidate list is deterministic) and run the oracle's
          choice at its own eligible time. Any eligible thread is a legal
          next step: wake times and core clocks are re-imposed by
          [resume], so the oracle only reorders commits, never violates
          causality. *)
-      let cands =
-        List.filter (fun th -> eligible_time m th <> None) m.threads
-      in
+      let cands = List.filter (fun th -> eligible_time m th >= 0) m.threads in
       let chosen = oracle ~default cands in
-      match eligible_time m chosen with
-      | Some t -> Some (t, chosen)
-      | None ->
-          invalid_arg "Machine: scheduling oracle returned an ineligible thread")
+      if eligible_time m chosen < 0 then
+        invalid_arg "Machine: scheduling oracle returned an ineligible thread";
+      Some chosen
 
 let dump_states m =
   let b = Buffer.create 256 in
@@ -1115,8 +1136,9 @@ let on_finish m th =
 
 let resume m th =
   let c = m.cores.(th.tcore) in
-  let t = match eligible_time m th with Some t -> t | None -> assert false in
-  c.clock <- max c.clock t;
+  let t = eligible_time m th in
+  assert (t >= 0);
+  c.clock <- Int.max c.clock t;
   if c.resident <> th.tid then begin
     if c.resident >= 0 then begin
       m.ctx_switches <- m.ctx_switches + 1;
@@ -1185,7 +1207,7 @@ let resume m th =
 let run m =
   let rec loop () =
     match pick m with
-    | Some (_, th) ->
+    | Some th ->
         resume m th;
         (* If the thread left itself Running (yield without state change),
            make it runnable again. *)

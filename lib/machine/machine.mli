@@ -292,13 +292,6 @@ exception Page_fault of { vaddr : int; write : bool }
 val load_u64 : ctx -> Cheri.Capability.t -> int64
 val store_u64 : ctx -> Cheri.Capability.t -> int64 -> unit
 
-val rmw_u64 : ctx -> Cheri.Capability.t -> (int64 -> int64) -> int64
-(** Atomic read-modify-write of an 8-byte word (LL/SC-style): the update
-    happens with no intervening safe point, charged as one read and one
-    write. Returns the old value. The revocation bitmap's paint/clear
-    words are updated this way — a plain load;or;store pair can be
-    preempted and resurrect bits the revoker just cleared. *)
-
 val load_cap : ctx -> Cheri.Capability.t -> Cheri.Capability.t
 (** Load the 16-byte granule at the capability's address. Subject to the
     load barrier: may invoke the CLG fault handler and re-execute. *)
@@ -333,6 +326,15 @@ val load_u64_bit : ctx -> Cheri.Capability.t -> int -> bit:int -> bool
     (0-indexed, LSB first) of the value: identical charges and faults,
     no [Int64] boxing. The revocation-map probe, which runs once per
     tagged granule swept, tests its shadow-bitmap words this way. *)
+
+val rmw_bits_at : ctx -> Cheri.Capability.t -> int -> lo:int -> hi:int -> set:bool -> int
+(** Atomic read-modify-write (LL/SC-style) of the 8-byte word at the
+    given address: sets bits [lo, hi) (0-indexed, LSB first), or clears
+    them with [~set:false], and returns how many bits changed. The update
+    happens with no intervening safe point, charged as one write and one
+    read, and allocates nothing. The revocation bitmap's paint/clear
+    words are updated this way — a plain load;or;store pair can be
+    preempted and resurrect bits the revoker just cleared. *)
 
 val zero : ctx -> Cheri.Capability.t -> unit
 (** Zero the capability's whole bounds (clearing tags), charging one
@@ -369,13 +371,13 @@ val load_filter_armed : t -> bool
     which precompiled op streams cannot predict — another reason to
     fall back to the reference interpreter. *)
 
-val kern_read_untagged_run : ?non_temporal:bool -> ctx -> pa:int -> count:int -> unit
+val kern_read_untagged_run : ctx -> non_temporal:bool -> pa:int -> count:int -> unit
 (** Batched cost of reading [count] consecutive known-untagged granules
-    within one cache line, starting at [pa]: one charge, identical
-    cycles, bus transactions and cache state to [count] individual
-    [kern_read_cap_stream] (resp. [kern_read_cap_nt]) calls. The
-    word-scan sweep's cost model. Caller must have checked
-    {!tag_hook_armed} is false. *)
+    starting at [pa], across as many cache lines as they cover: one
+    charge, identical cycles, bus transactions and cache state to [count]
+    individual [kern_read_cap_stream] (resp., with [~non_temporal:true],
+    [kern_read_cap_nt]) calls. The sweep kernel's cost model. Caller
+    must have checked {!tag_hook_armed} is false. *)
 
 (** {1 VM operations} *)
 

@@ -78,22 +78,14 @@ let access t ~addr ~write = access_gen t ~addr ~write ~miss_latency:dram_latency
 let access_stream t ~addr ~write =
   access_gen t ~addr ~write ~miss_latency:(dram_latency / 2)
 
-(* Batched line runs: charge [count] back-to-back accesses to addresses
-   inside ONE line in a single call, with stats and final cache state
-   identical to [count] individual calls. Used by the word-scan sweep
-   kernel, whose cost-model contract is exact equivalence with the old
-   per-granule loop.
-
-   For the allocating variants ([access]/[access_stream]) the first
-   access installs the line in L1, so the remaining [count - 1] are
-   guaranteed L1 hits. *)
-let access_stream_run t ~addr ~write ~count =
-  assert (count >= 1 && (addr + ((count - 1) * 16)) lsr line_shift = addr lsr line_shift);
+(* [n] back-to-back [access_stream]s within one line: the first installs
+   the line in L1, so the remaining [n - 1] are L1 hits. *)
+let stream_line t ~addr ~write ~n =
   let first = access_stream t ~addr ~write in
   let st = t.st in
-  st.accesses <- st.accesses + (count - 1);
-  st.l1_hits <- st.l1_hits + (count - 1);
-  first + ((count - 1) * l1_latency)
+  st.accesses <- st.accesses + (n - 1);
+  st.l1_hits <- st.l1_hits + (n - 1);
+  first + ((n - 1) * l1_latency)
 
 let access_nt t ~addr ~write =
   let st = t.st in
@@ -119,14 +111,13 @@ let access_nt t ~addr ~write =
     end
   end
 
-(* Non-temporal accesses never install, so every access of the run hits
-   whatever level the first one found (or misses to DRAM each time —
-   exactly what [count] individual [access_nt] calls would do). *)
-let access_nt_run t ~addr ~write ~count =
-  assert (count >= 1 && (addr + ((count - 1) * 16)) lsr line_shift = addr lsr line_shift);
+(* [n] back-to-back [access_nt]s within one line: non-temporal accesses
+   never install, so each repeats the outcome of the first (or misses to
+   DRAM each time). *)
+let nt_line t ~addr ~write ~n =
   let first = access_nt t ~addr ~write in
   let st = t.st in
-  let rest = count - 1 in
+  let rest = n - 1 in
   st.accesses <- st.accesses + rest;
   let line = addr lsr line_shift in
   if t.l1.lines.(slot t.l1 line) = line then begin
@@ -142,6 +133,44 @@ let access_nt_run t ~addr ~write ~count =
     if write then st.bus_writes <- st.bus_writes + rest;
     first + (rest * dram_latency)
   end
+
+let granule = 16 (* bytes per tag granule, [Mem.granule] *)
+
+(* Batched granule runs: charge [count] back-to-back granule accesses from
+   [addr] on, across as many lines as they cover, in a single call, with
+   stats and final cache state identical to [count] individual calls. The
+   sweep kernel's cost model, whose contract is exact equivalence with the
+   per-granule loop. A line whose first access hits L1 is all L1 hits, for
+   either variant; that case is taken inline, since a swept page's lines
+   are often resident already. *)
+let rec run t ~addr ~write ~count ~nt acc =
+  if count <= 0 then acc
+  else begin
+    (* the accesses that fall in [addr]'s line *)
+    let n = Int.min count ((line_size - (addr land (line_size - 1))) / granule) in
+    let line = addr lsr line_shift in
+    let s1 = slot t.l1 line in
+    let lat =
+      if t.l1.lines.(s1) = line then begin
+        if write then set_dirty t.l1 s1 true;
+        let st = t.st in
+        st.accesses <- st.accesses + n;
+        st.l1_hits <- st.l1_hits + n;
+        n * l1_latency
+      end
+      else if nt then nt_line t ~addr ~write ~n
+      else stream_line t ~addr ~write ~n
+    in
+    run t ~addr:(addr + (n * granule)) ~write ~count:(count - n) ~nt (acc + lat)
+  end
+
+let access_stream_run t ~addr ~write ~count =
+  assert (addr land (granule - 1) = 0);
+  run t ~addr ~write ~count ~nt:false 0
+
+let access_nt_run t ~addr ~write ~count =
+  assert (addr land (granule - 1) = 0);
+  run t ~addr ~write ~count ~nt:true 0
 
 let stats t = t.st
 

@@ -64,15 +64,15 @@ val access_stream : t -> addr:int -> write:bool -> int
 
 val access_stream_run : t -> addr:int -> write:bool -> count:int -> int
 (** [access_stream_run t ~addr ~write ~count] charges [count]
-    back-to-back granule accesses within the single line containing
-    [addr], starting at [addr]: identical latency total, statistics and
-    final cache state to [count] individual {!access_stream} calls (the
-    first access installs the line; the rest are guaranteed L1 hits).
-    The word-scan sweep kernel's batched cost model. *)
+    back-to-back granule accesses starting at the granule-aligned [addr],
+    across every line they cover: identical latency total, statistics
+    and final cache state to [count] individual {!access_stream} calls
+    (each line's first access installs it; the rest of that line's are
+    L1 hits). The sweep kernel's batched cost model. *)
 
 val access_nt_run : t -> addr:int -> write:bool -> count:int -> int
 (** Same batching for {!access_nt}: non-temporal accesses never install
-    a line, so each access of the run repeats the first one's outcome —
+    a line, so each access to a line repeats the outcome of its first —
     including one bus transaction {e per access} on miss, exactly as the
     per-granule loop would be charged. *)
 

@@ -67,8 +67,7 @@ let cap_page m p =
     c
   end
 
-(* Branch-free SWAR popcount; shared by the word-scan kernels and
-   Revmap's painted-bit accounting. *)
+(* Branch-free SWAR popcount over a tag word. *)
 let popcount64 n =
   let open Int64 in
   let n = sub n (logand (shift_right_logical n 1) 0x5555555555555555L) in
@@ -155,6 +154,34 @@ let read_u64 m a =
 let read_u64_bit m a bit =
   check m a 8;
   read_byte m (a + (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
+
+(* Bits set in each byte value. *)
+let byte_popcount =
+  String.init 256 (fun b ->
+      let rec count b = if b = 0 then 0 else (b land 1) + count (b lsr 1) in
+      Char.chr (count b))
+
+(* Set ([set]) or clear bits [lo, hi) of the little-endian u64 at [a]
+   byte by byte, returning how many bits flipped. Tags go as they do for
+   [write_u64]; a data page is only materialised when a bit flips, which
+   no read can tell apart. *)
+let update_bits m a ~lo ~hi ~set =
+  check m a 8;
+  if lo < 0 || hi > 64 || lo >= hi then invalid_arg "Mem.update_bits: bit range";
+  let flipped = ref 0 in
+  for i = lo lsr 3 to (hi - 1) lsr 3 do
+    let b0 = Int.max lo (i * 8) - (i * 8) and b1 = Int.min hi ((i + 1) * 8) - (i * 8) in
+    let mask = ((1 lsl (b1 - b0)) - 1) lsl b0 in
+    let old = read_byte m (a + i) in
+    let changed = if set then mask land lnot old else mask land old in
+    if changed <> 0 then begin
+      write_byte m (a + i) (old lxor changed);
+      flipped := !flipped + Char.code (String.unsafe_get byte_popcount changed)
+    end
+  done;
+  if a land (granule - 1) <= granule - 8 then clear_tag_bit m (gidx a)
+  else clear_tags_range m a 8;
+  !flipped
 
 let write_u64 m a v =
   check m a 8;
@@ -251,12 +278,16 @@ let find_tagged m ~lo ~hi =
    with Exit -> ());
   !found
 
-let tag_word m a =
-  check m a 1;
-  check m (a + (63 * granule)) 1;
-  if a land ((64 * granule) - 1) <> 0 then
-    invalid_arg "Mem.tag_word: not 64-granule aligned";
-  word_of_tags m (gidx a lsr 6)
+(* 32 tag bits as an immediate int: 4 bitmap bytes, no boxed word. *)
+let tag_bits m a =
+  check m a (32 * granule);
+  if a land ((32 * granule) - 1) <> 0 then
+    invalid_arg "Mem.tag_bits: not 32-granule aligned";
+  let t = m.tags and b = gidx a lsr 3 in
+  Char.code (Bytes.unsafe_get t b)
+  lor (Char.code (Bytes.unsafe_get t (b + 1)) lsl 8)
+  lor (Char.code (Bytes.unsafe_get t (b + 2)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get t (b + 3)) lsl 24)
 
 (* Apply [f a n] to the consecutive pieces of [lo, hi) that each lie
    inside one page. *)

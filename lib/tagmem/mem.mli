@@ -46,6 +46,13 @@ val read_u64_bit : t -> int -> int -> bool
     [Int64.logand (read_u64 m a) (Int64.shift_left 1L bit) <> 0L] for
     [0 <= bit < 64], without boxing the word. *)
 
+val update_bits : t -> int -> lo:int -> hi:int -> set:bool -> int
+(** [update_bits m a ~lo ~hi ~set] sets (or, with [~set:false], clears)
+    bits [lo, hi) of the little-endian u64 at [a], for
+    [0 <= lo < hi <= 64], and returns the number of bits that changed.
+    Same memory effect as the matching [read_u64]/[write_u64] pair,
+    tag clearing included, without boxing the word. *)
+
 (** {1 Capability access} *)
 
 val read_cap : t -> int -> Cheri.Capability.t
@@ -95,10 +102,11 @@ val find_tagged : t -> lo:int -> hi:int -> int option
 (** Address of the first tagged granule wholly inside [\[lo, hi)], or
     [None]. Word-at-a-time scan. *)
 
-val tag_word : t -> int -> int64
-(** [tag_word m a] is the packed tag word covering the 64 granules
-    starting at [a], which must be 64-granule (1 KiB) aligned and in
-    range. Bit [i] is the tag of granule [a + i*granule]. *)
+val tag_bits : t -> int -> int
+(** [tag_bits m a] is the 32 tags of the granules starting at [a] as an
+    immediate int: bit [i] is the tag of granule [a + i*granule]. [a]
+    must be 32-granule (512-byte) aligned and the range in memory
+    ([Invalid_argument] otherwise). The sweep kernel's tag read. *)
 
 val count_tags : t -> lo:int -> hi:int -> int
 (** Number of set tags in the given physical range (popcount over tag

@@ -95,7 +95,7 @@ let cow_break t ~vpage =
 (* Tear down every mapping (process reap / exec). Frames are dropped by
    one reference each; shared CoW frames survive in their other owners. *)
 let release_all t =
-  let vps = Pmap.sorted_vpages t.pmap in
+  let vps = Pmap.vpages_in t.pmap ~lo:0 ~hi:max_int in
   List.iter
     (fun vp ->
       (match Pmap.lookup t.pmap ~vpage:vp with

@@ -11,6 +11,9 @@ type t = {
   pages : (int, Pte.t) Hashtbl.t;
   cache_key : int array; (* vpage, or -1 = unknown *)
   cache_val : Pte.t option array;
+  mutable sorted : int array option;
+      (* every mapped vpage, ascending; [None] after an [enter] or a
+         [remove] until the next enumeration rebuilds it *)
   mutable generation : bool;
   mutable lock_holder : int option;
   mutable lock_acquisitions : int;
@@ -24,6 +27,7 @@ let create ~asid =
     pages = Hashtbl.create 1024;
     cache_key = Array.make cache_size (-1);
     cache_val = Array.make cache_size None;
+    sorted = None;
     generation = false;
     lock_holder = None;
     lock_acquisitions = 0;
@@ -40,11 +44,13 @@ let cache_store t ~vpage v =
 
 let enter t ~vpage pte =
   Hashtbl.replace t.pages vpage pte;
-  cache_store t ~vpage (Some pte)
+  cache_store t ~vpage (Some pte);
+  t.sorted <- None
 
 let remove t ~vpage =
   Hashtbl.remove t.pages vpage;
-  cache_store t ~vpage None
+  cache_store t ~vpage None;
+  t.sorted <- None
 
 let lookup t ~vpage =
   let s = vpage land (cache_size - 1) in
@@ -59,9 +65,22 @@ let mem t ~vpage = Hashtbl.mem t.pages vpage
 let page_count t = Hashtbl.length t.pages
 let iter t ~f = Hashtbl.iter f t.pages
 
-let sorted_vpages t =
-  let l = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
-  List.sort compare l
+let vpages_in t ~lo ~hi =
+  let sorted =
+    match t.sorted with
+    | Some a -> a
+    | None ->
+        let a = Array.make (Hashtbl.length t.pages) 0 and i = ref 0 in
+        Hashtbl.iter
+          (fun vp _ ->
+            a.(!i) <- vp;
+            incr i)
+          t.pages;
+        Array.sort Int.compare a;
+        t.sorted <- Some a;
+        a
+  in
+  Array.fold_right (fun vp acc -> if vp >= lo && vp <= hi then vp :: acc else acc) sorted []
 
 let generation t = t.generation
 let set_generation t g = t.generation <- g

@@ -20,9 +20,10 @@ val page_count : t -> int
 
 val iter : t -> f:(int -> Pte.t -> unit) -> unit
 
-val sorted_vpages : t -> int list
-(** All mapped virtual page numbers, ascending — the background revoker's
-    visit order. *)
+val vpages_in : t -> lo:int -> hi:int -> int list
+(** The mapped virtual page numbers in [\[lo, hi\]], ascending — the
+    background revoker's visit order. Read off a sorted array that is
+    rebuilt only after an {!enter} or a {!remove}. *)
 
 (** {1 Generation} *)
 

@@ -41,15 +41,21 @@ let live_count t = t.nlive
 let is_live t i = Bytes.get t.live i <> '\000'
 let size_of t i = t.sizes.(i)
 
-let slot_cap t i =
+(* Slot [i]'s chunk capability and address: the accesses go through the
+   [_at] forms, so no moved capability is built per access. *)
+let slot_chunk t i =
   if i < 0 || i >= t.nslots then invalid_arg "Objtable: slot out of range";
-  let chunk = t.chunks.(i / chunk_slots) in
-  Capability.set_addr chunk (Capability.base chunk + (i mod chunk_slots * granule))
+  t.chunks.(i / chunk_slots)
 
-let get t ctx i = Machine.load_cap ctx (slot_cap t i)
+let slot_addr chunk i = Capability.base chunk + (i mod chunk_slots * granule)
+
+let get t ctx i =
+  let chunk = slot_chunk t i in
+  Machine.load_cap_at ctx chunk (slot_addr chunk i)
 
 let put t ctx i c ~size =
-  Machine.store_cap ctx (slot_cap t i) c;
+  let chunk = slot_chunk t i in
+  Machine.store_cap_at ctx chunk (slot_addr chunk i) c;
   if not (is_live t i) then begin
     Bytes.set t.live i '\001';
     t.nlive <- t.nlive + 1

@@ -68,7 +68,7 @@ let request rt ctx rng regs sessions ~touches ~compute =
         Machine.store_u64 ctx c (Int64.of_int i);
         let prev = Sim.Regfile.get regs r_work in
         if Capability.tag prev && Capability.length c >= 32 then
-          Machine.store_cap ctx (Capability.incr_addr c 16) prev;
+          Machine.store_cap_at ctx c (Capability.addr c + 16) prev;
         Sim.Regfile.set regs r_work c;
         c)
   in
@@ -79,8 +79,8 @@ let request rt ctx rng regs sessions ~touches ~compute =
         let c = Objtable.get sessions ctx slot in
         if Capability.tag c then begin
           Sim.Regfile.set regs r_work c;
-          ignore (Machine.load_u64 ctx c);
-          Machine.store_u64 ctx (Capability.incr_addr c 8) 7L;
+          Machine.touch_u64_at ctx c (Capability.addr c);
+          Machine.store_u64_at ctx c (Capability.addr c + 8) 7L;
           if Prng.int rng 100 = 0 then begin
             let nv = Runtime.malloc rt ctx 256 in
             Machine.store_u64 ctx nv 1L;

@@ -446,8 +446,9 @@ let test_access_zero_alloc () =
          M.map ctx ~vaddr:base ~len:4096 ~writable:true;
          let cap = Cap.set_bounds (heap_cap m) ~base ~length:4096 in
          let value = Int64.of_int (Sys.opaque_identity 0x5a5a) in
-         let va = base + 64 and slot = base + 128 in
+         let va = base + 64 and slot = base + 128 and word = base + 256 in
          M.store_cap_at ctx cap slot cap;
+         let set = ref false in
          let calls =
            [
              ("touch_u64_at", fun () -> M.touch_u64_at ctx cap va);
@@ -455,6 +456,10 @@ let test_access_zero_alloc () =
              ("store_cap_at", fun () -> M.store_cap_at ctx cap slot cap);
              ("load_cap_at", fun () -> ignore (Sys.opaque_identity (M.load_cap_at ctx cap slot)));
              ("load_u64_bit", fun () -> ignore (Sys.opaque_identity (M.load_u64_bit ctx cap va ~bit:3)));
+             ( "rmw_bits_at",
+               fun () ->
+                 set := not !set;
+                 ignore (Sys.opaque_identity (M.rmw_bits_at ctx cap word ~lo:5 ~hi:41 ~set:!set)) );
            ]
          in
          (* warm the TLB and L1 *)
@@ -462,10 +467,37 @@ let test_access_zero_alloc () =
          check "load_cap_at reads a tagged granule" true (Cap.tag (M.load_cap_at ctx cap slot));
          words := List.map (fun (name, f) -> (name, minor_words_per 10_000 f)) calls));
   M.run m;
-  check_int "five primitives measured" 5 (List.length !words);
+  check_int "six primitives measured" 6 (List.length !words);
   List.iter
     (fun (name, w) -> Alcotest.(check (float 0.0)) (name ^ ": minor words over 10,000 calls") 0.0 w)
     !words
+
+(* Minor words of one warm 48-byte [Runtime.malloc] + [free] pair, with
+   no epoch triggered. Not zero — a [Capability.t] alone is 9 words, and
+   the shim's quarantine buffer conses each freed range — but pinned, so
+   that a regression shows. *)
+let malloc_free_words mode =
+  let config =
+    { (Ccr.Runtime.machine_config ~heap_bytes:(16 lsl 20) ~seed:1 ()) with M.quantum = max_int / 2 }
+  in
+  let rt = Ccr.Runtime.create ~config mode in
+  let words = ref nan in
+  ignore
+    (M.spawn rt.Ccr.Runtime.machine ~name:"app" ~core:3 (fun ctx ->
+         let pair () = Ccr.Runtime.free rt ctx (Ccr.Runtime.malloc rt ctx 48) in
+         for _ = 1 to 100 do
+           pair ()
+         done;
+         words := minor_words_per 1000 pair /. 1000.;
+         check_int "no epoch" 0 (List.length (Ccr.Runtime.revoker_records rt));
+         Ccr.Runtime.finish rt ctx));
+  M.run rt.Ccr.Runtime.machine;
+  Float.to_int (Float.round !words)
+
+let test_malloc_free_words () =
+  check_int "baseline pair" 36 (malloc_free_words Ccr.Runtime.Baseline);
+  (* the revocation-bitmap paint runs on every free *)
+  check_int "reloaded pair" 49 (malloc_free_words (Ccr.Runtime.Safe Ccr.Revoker.Reloaded))
 
 let () =
   Alcotest.run "machine"
@@ -505,6 +537,7 @@ let () =
           Alcotest.test_case "zero" `Quick test_zero_clears;
           Alcotest.test_case "access primitives allocate nothing" `Quick
             test_access_zero_alloc;
+          Alcotest.test_case "malloc/free pair allocation" `Quick test_malloc_free_words;
         ] );
       ( "barrier",
         [

@@ -1,14 +1,16 @@
-(* Word-scan kernel equivalence tests.
+(* Sweep kernel equivalence tests.
 
    The tag-bitmap kernels (Tagmem.Mem.iter_tagged_words / find_tagged /
    count_tags / popcount64) must agree with naive per-granule loops on
-   arbitrary tag patterns, and Sweep.sweep_page's word-scan fast path
-   must be *bit-for-bit* equivalent to the per-granule reference loop:
-   same stats, same cycles charged, same cache state and bus traffic,
-   same trace events — on any tag pattern, painted set, page
-   writability and non-temporal setting. The reference loop below is a
-   verbatim copy of the pre-kernel implementation, built from the same
-   public Machine API. *)
+   arbitrary tag patterns, and Sweep.sweep_page's batched kernel must be
+   *bit-for-bit* equivalent to the library's per-granule loop: same
+   stats, same cycles charged, same cache state and bus traffic, same
+   trace events, same tags left — on any tag pattern, painted set, page
+   writability and non-temporal setting, and with an application thread
+   on the same core storing to the page whenever a revocation-map probe
+   yields. The per-granule loop is the one the library runs while a tag
+   read hook is armed; a hook that never fires forces it and changes
+   nothing else. *)
 
 module M = Sim.Machine
 module Cap = Cheri.Capability
@@ -118,12 +120,12 @@ let prop_iter_tagged_words =
         from_words;
       !ok)
 
-let test_tag_word_alignment () =
+let test_tag_bits_alignment () =
   let m = Mem.create ~size:4096 in
-  check "aligned ok" true (Int64.equal (Mem.tag_word m 1024) 0L);
+  check "aligned ok" true (Mem.tag_bits m 512 = 0);
   check "unaligned rejected" true
     (try
-       ignore (Mem.tag_word m 16);
+       ignore (Mem.tag_bits m 16);
        false
      with Invalid_argument _ -> true)
 
@@ -133,56 +135,51 @@ let cfg = { M.default_config with heap_bytes = 4 lsl 20; mem_bytes = 16 lsl 20 }
 
 let heap_base m = (M.layout m).Layout.heap_base
 
-(* Verbatim copy of the per-granule sweep loop this PR replaced, built
-   on the same public Machine API. *)
-let sweep_page_reference ?(non_temporal = false) ctx revmap ~pte =
-  let read =
-    if non_temporal then M.kern_read_cap_nt else M.kern_read_cap_stream
-  in
-  let base = Vm.Phys.frame_addr pte.Vm.Pte.frame in
-  let tagged = ref 0 and revoked = ref 0 and upgraded = ref false in
-  let n = Vm.Phys.page_size / 16 in
-  for i = 0 to n - 1 do
-    let pa = base + (i * 16) in
-    let c = read ctx ~pa in
-    if Cap.tag c then begin
-      incr tagged;
-      if Revmap.test revmap ctx (Cap.base c) then begin
-        if (not pte.Vm.Pte.writable) && not !upgraded then begin
-          M.charge ctx (Sim.Cost.trap + Sim.Cost.pmap_lock + Sim.Cost.pte_update);
-          upgraded := true
-        end;
-        M.kern_clear_tag ctx ~pa;
-        incr revoked
-      end
-    end
-  done;
-  M.trace_emit (M.machine ctx) ~time:(M.now ctx) ~core:(M.core_id ctx)
-    ~pid:(M.ctx_pid ctx) ~arg2:!revoked Sim.Trace.Page_sweep base;
-  {
-    Sweep.granules = n;
-    tagged = !tagged;
-    revoked = !revoked;
-    upgraded = !upgraded;
-  }
-
 type observation = {
   o_stats : Sweep.stats;
   o_time : int;
   o_cache : (int * int * int * int * int); (* l1, l2, bus_r, bus_w, accesses *)
   o_tags : int; (* tags left in the frame *)
-  o_events : (int * int * int * int) list; (* time, core, arg, arg2 *)
+  o_events : (Trace.kind * int * int * int * int) list; (* kind, time, core, arg, arg2 *)
 }
+
+(* A small quantum: the revocation-map probe's safe point then yields to
+   the racing writer, when there is one. *)
+let quantum = 400
+
+(* The racing writer: an application thread on the sweeping core. Each
+   time it runs while the sweep is in progress it stores to a random
+   granule of the swept page — mostly a fresh capability (based in a
+   granule that may be painted), sometimes a plain word, which drops the
+   tag — then yields back. *)
+let writer ~seed ~started ~finished m ctx =
+  let rng = Sim.Prng.create ~seed in
+  let heap = Cap.root ~length:(1 lsl 32) in
+  while not !finished do
+    if !started then begin
+      let va = heap_base m + (Sim.Prng.int rng 256 * 16) in
+      if Sim.Prng.int rng 4 = 0 then M.store_u64_at ctx heap va 9L
+      else
+        let base = heap_base m + (Sim.Prng.int rng 256 * 16) in
+        M.store_cap_at ctx heap va (Cap.set_bounds heap ~base ~length:16)
+    end;
+    M.yield ctx
+  done
 
 (* Build a machine, plant [pattern] in heap page 0 (tagged granules get
    self-referential caps; painted ones are painted in the revmap), and
-   run [sweep] over that page on core 3. Painting happens identically
-   in both machines, so charges diverge only if the sweeps do. *)
-let observe ~pattern ~writable ~non_temporal sweep =
-  let m = M.create cfg in
+   sweep that page on core 3 — through the per-granule loop when
+   [granular], else through the batched kernel. With [race], a writer
+   (seeded by it) shares core 3 and stores to the page during the sweep.
+   Painting happens identically in both machines, so charges diverge only
+   if the sweeps do. *)
+let observe ?race ~pattern ~writable ~non_temporal ~granular () =
+  let m = M.create { cfg with M.quantum } in
+  if granular then M.set_tag_read_hook m (Some (fun ~pa:_ -> false));
   let tr = Trace.create ~capacity:65536 () in
   M.attach_tracer m (Some tr);
   let out = ref None in
+  let started = ref false and finished = ref false in
   ignore
     (M.spawn m ~name:"app" ~core:3 (fun ctx ->
          M.map ctx ~vaddr:(heap_base m) ~len:(4 * 4096) ~writable;
@@ -207,7 +204,9 @@ let observe ~pattern ~writable ~non_temporal sweep =
                    Revmap.paint rm ctx ~addr:va ~size:16)
            pattern;
          let t0 = M.now ctx in
-         let st = sweep ~non_temporal ctx rm ~pte in
+         started := true;
+         let st = Sweep.sweep_page ~non_temporal ctx rm ~pte in
+         finished := true;
          let cs = M.cache_stats m 3 in
          out :=
            Some
@@ -223,23 +222,18 @@ let observe ~pattern ~writable ~non_temporal sweep =
                o_tags = Mem.count_tags mem ~lo:pa0 ~hi:(pa0 + 4096);
                o_events = [];
              }));
+  Option.iter
+    (fun seed -> ignore (M.spawn m ~name:"writer" ~core:3 (writer ~seed ~started ~finished m)))
+    race;
   M.run m;
   let events = ref [] in
   Trace.iter tr (fun e ->
-      if e.Trace.kind = Trace.Page_sweep then
-        events := (e.Trace.time, e.Trace.core, e.Trace.arg, e.Trace.arg2) :: !events);
+      events := (e.Trace.kind, e.Trace.time, e.Trace.core, e.Trace.arg, e.Trace.arg2) :: !events);
   { (Option.get !out) with o_events = List.rev !events }
 
-let equivalent ~pattern ~writable ~non_temporal =
-  let a =
-    observe ~pattern ~writable ~non_temporal (fun ~non_temporal ctx rm ~pte ->
-        sweep_page_reference ~non_temporal ctx rm ~pte)
-  in
-  let b =
-    observe ~pattern ~writable ~non_temporal (fun ~non_temporal ctx rm ~pte ->
-        Sweep.sweep_page ~non_temporal ctx rm ~pte)
-  in
-  a = b
+let equivalent ?race ~pattern ~writable ~non_temporal () =
+  observe ?race ~pattern ~writable ~non_temporal ~granular:true ()
+  = observe ?race ~pattern ~writable ~non_temporal ~granular:false ()
 
 let pattern_of_bools = List.map (fun (tagged, painted) ->
     if not tagged then `Untagged else if painted then `Painted else `Tagged)
@@ -262,12 +256,32 @@ let pat_arb =
     pat_gen
 
 let prop_sweep_equivalent =
-  QCheck.Test.make ~name:"word-scan sweep == per-granule reference" ~count:60
-    pat_arb (fun (pattern, writable, non_temporal) ->
-      equivalent ~pattern ~writable ~non_temporal)
+  QCheck.Test.make ~name:"batched sweep == per-granule loop" ~count:60 pat_arb
+    (fun (pattern, writable, non_temporal) ->
+      equivalent ~pattern ~writable ~non_temporal ())
 
-(* deterministic edges: empty page, full page, single tags at the page
-   and word boundaries, read-only upgrade path *)
+(* The writer needs a writable page. *)
+let race_arb =
+  QCheck.make
+    ~print:(fun ((p, _, nt), seed) ->
+      Printf.sprintf "seed=%d nt=%b pattern=%s" seed nt
+        (String.concat ""
+           (List.map
+              (function `Untagged -> "." | `Tagged -> "t" | `Painted -> "P")
+              p)))
+    QCheck.Gen.(pair pat_gen (int_bound 1_000_000))
+
+let prop_sweep_racing =
+  QCheck.Test.make ~name:"batched sweep == per-granule loop under a racing writer"
+    ~count:60 race_arb (fun ((pattern, _, non_temporal), seed) ->
+      let granular = observe ~race:seed ~pattern ~writable:true ~non_temporal ~granular:true () in
+      (* the race must happen: the writer ran during the sweep *)
+      List.exists (fun (k, _, _, _, _) -> k = Trace.Context_switch) granular.o_events
+      && granular
+         = observe ~race:seed ~pattern ~writable:true ~non_temporal ~granular:false ())
+
+(* deterministic edges: empty page, full page, single tags at the page,
+   word and tag-read boundaries, read-only upgrade path *)
 let fixed g action =
   List.init 256 (fun i -> if i = g then action else `Untagged)
 
@@ -275,7 +289,7 @@ let test_sweep_edges () =
   let all c = List.init 256 (fun _ -> c) in
   List.iter
     (fun (name, pattern, writable, nt) ->
-      check name true (equivalent ~pattern ~writable ~non_temporal:nt))
+      check name true (equivalent ~pattern ~writable ~non_temporal:nt ()))
     [
       ("empty page", all `Untagged, true, false);
       ("full tagged", all `Tagged, true, false);
@@ -289,6 +303,19 @@ let test_sweep_edges () =
       ("ro upgrade", fixed 17 `Painted, false, false);
       ("ro upgrade nt", fixed 200 `Painted, false, true);
       ("ro no upgrade", fixed 17 `Tagged, false, false);
+      ( "untagged run across granule 32",
+        List.init 256 (fun i -> if i = 20 || i = 40 then `Painted else `Untagged),
+        true,
+        false );
+      ( "granules 31 and 32",
+        List.init 256 (fun i -> if i = 31 || i = 32 then `Painted else `Untagged),
+        true,
+        false );
+      ("granules 31 and 32 nt",
+        List.init 256 (fun i -> if i = 31 then `Tagged else if i = 32 then `Painted else `Untagged),
+        true,
+        true );
+      ("lone tag in the last line", fixed 253 `Painted, true, false);
     ]
 
 let test_sweep_counts () =
@@ -299,17 +326,15 @@ let test_sweep_counts () =
         if i mod 7 = 0 then `Painted else if i mod 3 = 0 then `Tagged
         else `Untagged)
   in
-  let o =
-    observe ~pattern ~writable:true ~non_temporal:false
-      (fun ~non_temporal ctx rm ~pte -> Sweep.sweep_page ~non_temporal ctx rm ~pte)
-  in
+  let o = observe ~pattern ~writable:true ~non_temporal:false ~granular:false () in
   let painted = List.length (List.filter (( = ) `Painted) pattern) in
   let tagged = List.length (List.filter (( <> ) `Untagged) pattern) in
   check_int "granules" 256 o.o_stats.Sweep.granules;
   check_int "tagged" tagged o.o_stats.Sweep.tagged;
   check_int "revoked" painted o.o_stats.Sweep.revoked;
   check_int "tags left" (tagged - painted) o.o_tags;
-  check_int "one sweep event" 1 (List.length o.o_events)
+  check_int "one sweep event" 1
+    (List.length (List.filter (fun (k, _, _, _, _) -> k = Trace.Page_sweep) o.o_events))
 
 (* ---- the sweep's compare-and-clear ----
 
@@ -336,7 +361,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_popcount; prop_count_tags; prop_find_tagged;
             prop_iter_tagged_words ]
-        @ [ Alcotest.test_case "tag_word alignment" `Quick test_tag_word_alignment ] );
+        @ [ Alcotest.test_case "tag_bits alignment" `Quick test_tag_bits_alignment ] );
       ( "sweep",
         [
           Alcotest.test_case "edge patterns" `Quick test_sweep_edges;
@@ -344,5 +369,5 @@ let () =
           Alcotest.test_case "race keeps live capabilities" `Quick
             test_sweep_race_keeps_live_caps;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_sweep_equivalent ] );
+        @ List.map QCheck_alcotest.to_alcotest [ prop_sweep_equivalent; prop_sweep_racing ] );
     ]

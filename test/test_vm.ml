@@ -56,7 +56,8 @@ let test_pmap_sorted () =
   List.iter
     (fun vp -> Pmap.enter pm ~vpage:vp (Pte.make ~frame:vp ~writable:true ~clg:false))
     [ 9; 2; 5 ];
-  Alcotest.(check (list int)) "sorted" [ 2; 5; 9 ] (Pmap.sorted_vpages pm)
+  Alcotest.(check (list int)) "sorted" [ 2; 5; 9 ] (Pmap.vpages_in pm ~lo:0 ~hi:max_int);
+  Alcotest.(check (list int)) "range" [ 5; 9 ] (Pmap.vpages_in pm ~lo:3 ~hi:9)
 
 let test_pmap_lock_protocol () =
   let pm = Pmap.create ~asid:0 in
@@ -216,6 +217,50 @@ let prop_shadow_bijection =
       || Layout.shadow_addr_of_heap l a1 <> Layout.shadow_addr_of_heap l a2
       || Layout.shadow_bit_of_heap a1 <> Layout.shadow_bit_of_heap a2)
 
+(* Pmap's cached vpage order against a fresh enumeration, across random
+   enters (re-entering a mapped vpage included), removals and range
+   queries: a query answered from a stale cache shows up as a
+   mismatch. *)
+type pmap_op = Enter of int | Remove of int | Query of int * int
+
+let pmap_op_gen =
+  QCheck.Gen.(
+    let vp = int_bound 47 in
+    frequency
+      [
+        (4, map (fun v -> Enter v) vp);
+        (2, map (fun v -> Remove v) vp);
+        (3, map2 (fun a b -> Query (min a b, max a b)) vp vp);
+      ])
+
+let pp_pmap_op = function
+  | Enter v -> Printf.sprintf "enter %d" v
+  | Remove v -> Printf.sprintf "remove %d" v
+  | Query (lo, hi) -> Printf.sprintf "query [%d,%d]" lo hi
+
+let prop_pmap_cached_order =
+  QCheck.Test.make ~name:"cached vpage order == fold + sort + filter" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_pmap_op ops))
+       QCheck.Gen.(list_size (int_bound 80) pmap_op_gen))
+    (fun ops ->
+      let pm = Pmap.create ~asid:0 in
+      let fresh ~lo ~hi =
+        let all = ref [] in
+        Pmap.iter pm ~f:(fun vp _ -> all := vp :: !all);
+        List.filter (fun vp -> vp >= lo && vp <= hi) (List.sort compare !all)
+      in
+      List.for_all
+        (function
+          | Enter vp ->
+              Pmap.enter pm ~vpage:vp (Pte.make ~frame:vp ~writable:false ~clg:false);
+              true
+          | Remove vp ->
+              Pmap.remove pm ~vpage:vp;
+              true
+          | Query (lo, hi) -> Pmap.vpages_in pm ~lo ~hi = fresh ~lo ~hi)
+        (ops @ [ Query (0, max_int) ]))
+
 let () =
   Alcotest.run "vm"
     [
@@ -253,5 +298,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_reservation_errors;
           Alcotest.test_case "double unmap" `Quick test_reservation_double_unmap_idempotent;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_shadow_bijection ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_shadow_bijection; prop_pmap_cached_order ] );
     ]
