@@ -68,6 +68,11 @@ let test_sim_load =
   Test.make ~name:"simulated load_u64"
     (Staged.stage (fun () -> ignore (M.load_u64 ctx c)))
 
+let test_prng_int =
+  let rng = Sim.Prng.create ~seed:1 in
+  Test.make ~name:"Prng.int draw"
+    (Staged.stage (fun () -> ignore (Sim.Prng.int rng 1000)))
+
 let test_sim_malloc_free =
   let _, alloc, _, ctx, _ = Lazy.force rig in
   Test.make ~name:"simulated malloc+free"
@@ -128,6 +133,7 @@ let benchmarks =
     test_mem_cap_roundtrip;
     test_cache_access;
     test_sim_load;
+    test_prng_int;
     test_sim_malloc_free;
     test_revmap_paint;
     test_sweep_page;

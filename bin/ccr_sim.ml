@@ -38,10 +38,11 @@ let interp_arg =
     & opt interp_conv Workload.Spec.Compiled
     & info [ "interp" ]
         ~doc:
-          "Op-stream interpreter: $(b,compiled) (default; precompiled \
-           zero-alloc decode loop) or $(b,reference) (the original per-op \
-           interpreter). Simulated behaviour is bit-for-bit identical; only \
-           host wall-clock differs." ~docv:"KIND")
+          "SPEC interpreter: $(b,compiled) (default; samples every draw \
+           into an op stream up front, then replays it) or $(b,reference) \
+           (draws and executes op by op). Both access simulated memory \
+           through the same fused path. Simulated behaviour is bit-for-bit \
+           identical; only host wall-clock differs." ~docv:"KIND")
 
 let phases_arg =
   Arg.(

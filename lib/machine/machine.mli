@@ -310,8 +310,8 @@ val touch : ctx -> Cheri.Capability.t -> write:bool -> unit
     allocating the moved capability, and with the {!safe_point_run}
     batched checkpoint in place of the per-op {!safe_point} (observably
     identical — see {!safe_point_run}). Identical charges, faults,
-    load-barrier and filter behaviour; the compiled op-stream
-    interpreter's access path. *)
+    load-barrier and filter behaviour; the access path of both SPEC
+    interpreters. *)
 
 val touch_u64_at : ctx -> Cheri.Capability.t -> int -> unit
 (** [load_u64] at the given address with the value discarded — no

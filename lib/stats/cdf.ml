@@ -2,7 +2,7 @@ type t = float array (* sorted samples *)
 
 let of_samples xs =
   let a = Array.of_list xs in
-  Array.sort compare a;
+  Array.sort Float.compare a;
   a
 
 let n t = Array.length t

@@ -22,8 +22,9 @@ let percentile_sorted a p =
   end
 
 let percentile xs p =
+  if not (p >= 0.0 && p <= 100.0) then invalid_arg "Summary.percentile: p outside [0, 100]";
   let a = Array.of_list xs in
-  Array.sort compare a;
+  Array.sort Float.compare a;
   percentile_sorted a p
 
 let mean xs =
@@ -47,7 +48,7 @@ let geomean xs =
 let of_list xs =
   let a = Array.of_list xs in
   if Array.length a = 0 then invalid_arg "Summary.of_list: empty";
-  Array.sort compare a;
+  Array.sort Float.compare a;
   let n = Array.length a in
   let mu = mean xs in
   let var =

@@ -15,7 +15,9 @@ val of_list : float list -> t
 (** Raises [Invalid_argument] on an empty list. *)
 
 val percentile : float list -> float -> float
-(** [percentile xs p] with [p] in [\[0, 100\]], linear interpolation. *)
+(** [percentile xs p] with [p] in [\[0, 100\]], linear interpolation.
+    Raises [Invalid_argument] when [p] is outside that range or nan, or
+    [xs] is empty. *)
 
 val mean : float list -> float
 val geomean : float list -> float

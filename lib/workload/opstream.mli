@@ -5,9 +5,8 @@
     The reference interpreter ({!Spec.app_body}) pays per operation for
     work that is invariant across the run: the mixture walk inside
     {!Profile.sample_size}, the [Prng.float] branch chain selecting the
-    op kind, the linear probes over the liveness bitmap, and a fresh
-    moved capability ([Capability.set_addr]) per simulated access. All
-    of those consume only {e host-side} state (the PRNG and the table's
+    op kind and the linear probes over the liveness bitmap. All of
+    those consume only {e host-side} state (the PRNG and the table's
     liveness bookkeeping), so they can be replayed once, up front, into
     a flat encoding; the executor then touches the simulated machine —
     and nothing else — in exactly the reference order.

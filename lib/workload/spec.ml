@@ -22,13 +22,13 @@ let init_body (p : Profile.t) ctx rng regs cap =
   let base = Capability.base cap in
   for _ = 1 to stores do
     let g = Prng.int rng granules in
-    let slot = Capability.set_addr cap (base + (g * granule)) in
+    let va = base + (g * granule) in
     if Prng.float rng 1.0 < p.Profile.ptr_density then begin
       let v = Sim.Regfile.get regs r_recent in
-      if Capability.tag v then Machine.store_cap ctx slot v
-      else Machine.store_u64 ctx slot (Int64.of_int g)
+      if Capability.tag v then Machine.store_cap_at ctx cap va v
+      else Machine.store_u64_at ctx cap va (Int64.of_int g)
     end
-    else Machine.store_u64 ctx slot (Int64.of_int g)
+    else Machine.store_u64_at ctx cap va (Int64.of_int g)
   done
 
 let alloc_into (p : Profile.t) rt ctx rng regs table slot =
@@ -50,16 +50,14 @@ let access_op (p : Profile.t) ctx rng regs table =
       if Capability.tag c then begin
         Sim.Regfile.set regs r_work c;
         Sim.Regfile.set regs r_recent c;
-        let len = Capability.length c in
         let base = Capability.base c in
-        let window = min len 32768 in
-        let word_at g = Capability.set_addr c (base + (g * granule)) in
+        let granules = Int.min (Capability.length c) 32768 / granule in
         for _ = 1 to p.Profile.reads_per_op do
-          ignore (Machine.load_u64 ctx (word_at (Prng.int rng (window / granule))))
+          Machine.touch_u64_at ctx c (base + (Prng.int rng granules * granule))
         done;
         for _ = 1 to p.Profile.writes_per_op do
-          Machine.store_u64 ctx
-            (word_at (Prng.int rng (window / granule)))
+          Machine.store_u64_at ctx c
+            (base + (Prng.int rng granules * granule))
             (Int64.of_int slot)
         done;
         (* pointer chase: follow capabilities stored in object bodies *)
@@ -69,12 +67,10 @@ let access_op (p : Profile.t) ctx rng regs table =
           let clen = Capability.length cur in
           if clen >= granule then begin
             let g = Prng.int rng (clen / granule) in
-            let addr = Capability.base cur + (g * granule) in
-            let next = Machine.load_cap ctx (Capability.set_addr cur addr) in
+            let next = Machine.load_cap_at ctx cur (Capability.base cur + (g * granule)) in
             if Capability.tag next && Capability.can_load next then begin
               Sim.Regfile.set regs r_chase next;
-              ignore
-                (Machine.load_u64 ctx (Capability.set_addr next (Capability.base next)));
+              Machine.touch_u64_at ctx next (Capability.base next);
               cursor := next
             end
             else Machine.charge ctx Sim.Cost.alu

@@ -31,7 +31,28 @@ let test_prng_determinism () =
     Alcotest.(check int64) "same stream" (Prng.next a) (Prng.next b)
   done;
   let c = Prng.create ~seed:6 in
-  check "different seed differs" true (Prng.next a <> Prng.next c)
+  check "different seed differs" true (Prng.next a <> Prng.next c);
+  (* Known answers: a change to the generator's representation must not
+     move a single draw. Seed 7919 is the SPEC interpreter's stream at
+     seed 1. *)
+  List.iter
+    (fun (seed, n1, n2, i, f, b, s1, n3) ->
+      let r = Prng.create ~seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check int64) (name "next") n1 (Prng.next r);
+      Alcotest.(check int64) (name "second next") n2 (Prng.next r);
+      check_int (name "int 1000") i (Prng.int r 1000);
+      Alcotest.(check (float 0.0)) (name "float 1.0") f (Prng.float r 1.0);
+      check (name "bool") b (Prng.bool r);
+      let sub = Prng.split r in
+      Alcotest.(check int64) (name "split's first next") s1 (Prng.next sub);
+      Alcotest.(check int64) (name "next after split") n3 (Prng.next r))
+    [
+      ( 1, -4616330145664149646L, 6869446166584666695L, 527, 0.95411671590662051, true,
+        -8921248944152790318L, 8407459800431601144L );
+      ( 7919, -1140367764737010185L, 5937570617545132895L, 209, 0.62799875585370579, true,
+        -3022618905898805134L, -8240619875647452772L );
+    ]
 
 let test_prng_ranges () =
   let r = Prng.create ~seed:1 in
@@ -420,7 +441,7 @@ let test_tlb_shootdown_refill () =
       check "refill pays the walk" true (refill_cost >= hit_cost + Cost.tlb_walk)));
   M.run m
 
-(* ---- the access primitives allocate nothing ---- *)
+(* ---- the access primitives and PRNG draws allocate nothing ---- *)
 
 (* Minor words [f] allocates over [n] calls, less what the measuring
    loop itself costs. *)
@@ -449,6 +470,7 @@ let test_access_zero_alloc () =
          let va = base + 64 and slot = base + 128 and word = base + 256 in
          M.store_cap_at ctx cap slot cap;
          let set = ref false in
+         let rng = Prng.create ~seed:1 in
          let calls =
            [
              ("touch_u64_at", fun () -> M.touch_u64_at ctx cap va);
@@ -460,6 +482,8 @@ let test_access_zero_alloc () =
                fun () ->
                  set := not !set;
                  ignore (Sys.opaque_identity (M.rmw_bits_at ctx cap word ~lo:5 ~hi:41 ~set:!set)) );
+             ("Prng.int", fun () -> ignore (Sys.opaque_identity (Prng.int rng 1000)));
+             ("Prng.bool", fun () -> ignore (Sys.opaque_identity (Prng.bool rng)));
            ]
          in
          (* warm the TLB and L1 *)
@@ -467,10 +491,16 @@ let test_access_zero_alloc () =
          check "load_cap_at reads a tagged granule" true (Cap.tag (M.load_cap_at ctx cap slot));
          words := List.map (fun (name, f) -> (name, minor_words_per 10_000 f)) calls));
   M.run m;
-  check_int "six primitives measured" 6 (List.length !words);
+  check_int "eight calls measured" 8 (List.length !words);
   List.iter
     (fun (name, w) -> Alcotest.(check (float 0.0)) (name ^ ": minor words over 10,000 calls") 0.0 w)
-    !words
+    !words;
+  (* a float draw allocates only its boxed result *)
+  let rng = Prng.create ~seed:1 in
+  Alcotest.(check (float 0.0))
+    "Prng.float: minor words per call" 2.0
+    (minor_words_per 10_000 (fun () -> ignore (Sys.opaque_identity (Prng.float rng 1.0)))
+    /. 10_000.)
 
 (* Minor words of one warm 48-byte [Runtime.malloc] + [free] pair, with
    no epoch triggered. Not zero — a [Capability.t] alone is 9 words, and
@@ -498,6 +528,27 @@ let test_malloc_free_words () =
   check_int "baseline pair" 36 (malloc_free_words Ccr.Runtime.Baseline);
   (* the revocation-bitmap paint runs on every free *)
   check_int "reloaded pair" 49 (malloc_free_words (Ccr.Runtime.Safe Ccr.Revoker.Reloaded))
+
+(* Marginal minor words per op of the reference SPEC interpreter on
+   hmmer_nph3 under Baseline: the run at ops scale 0.03 less the run at
+   0.01, over the difference in ops done, so that machine set-up and the
+   table's warm-up cancel. Not zero — malloc, [Objtable.get]'s loaded
+   capability, the boxed [Int64] of every store and every float draw's
+   result remain — but pinned: moved capabilities per access (241 words)
+   or a boxing PRNG would show. *)
+let test_reference_interp_words () =
+  let p = Workload.Profile.find "hmmer_nph3" in
+  let run ops_scale =
+    let before = Gc.minor_words () in
+    let r =
+      Workload.Spec.run ~interp:Workload.Spec.Reference ~ops_scale ~mode:Ccr.Runtime.Baseline p
+    in
+    (Gc.minor_words () -. before, r.Workload.Result.ops_done)
+  in
+  let w1, ops1 = run 0.01 in
+  let w3, ops3 = run 0.03 in
+  check_int "hmmer_nph3 words per op" 53
+    (Float.to_int (Float.round ((w3 -. w1) /. float_of_int (ops3 - ops1))))
 
 let () =
   Alcotest.run "machine"
@@ -538,6 +589,8 @@ let () =
           Alcotest.test_case "access primitives allocate nothing" `Quick
             test_access_zero_alloc;
           Alcotest.test_case "malloc/free pair allocation" `Quick test_malloc_free_words;
+          Alcotest.test_case "reference interpreter allocation" `Quick
+            test_reference_interp_words;
         ] );
       ( "barrier",
         [

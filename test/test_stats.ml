@@ -20,7 +20,13 @@ let test_percentiles () =
   checkf "p50" 3.0 (Summary.percentile xs 50.0);
   checkf "p100" 5.0 (Summary.percentile xs 100.0);
   checkf "p25 interpolated" 2.0 (Summary.percentile xs 25.0);
-  checkf "p10" 1.4 (Summary.percentile xs 10.0)
+  checkf "p10" 1.4 (Summary.percentile xs 10.0);
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "p = %g rejected" p)
+        (Invalid_argument "Summary.percentile: p outside [0, 100]") (fun () ->
+          ignore (Summary.percentile [ 1.0; 2.0; 3.0; 4.0 ] p)))
+    [ 150.0; -5.0; nan ]
 
 let test_summary () =
   let s = Summary.of_list [ 4.0; 1.0; 3.0; 2.0 ] in
