@@ -213,13 +213,8 @@ let grpc_cell b =
        ~config:{ Workload.Grpc.default_config with messages = 2_000 }
        ~mode:(Runtime.Safe Revoker.Reloaded) ())
 
-let tenantecon_cell b =
+let tenantecon_lines b (r : Workload.Tenantecon.result) =
   let module T = Workload.Tenantecon in
-  let r =
-    T.run
-      ~config:{ T.default_config with T.requests = 80; slices = 4 }
-      ~mode:(Runtime.Safe Revoker.Reloaded) ()
-  in
   line b "wall=%d storm=%d@%d freed=%d/%d quarantine_peak=%d committed_peak=%d"
     r.T.wall_cycles r.T.storm_tenant r.T.storm_cycles r.T.storm_freed_allocs
     r.T.storm_freed_bytes r.T.quarantine_peak r.T.committed_peak;
@@ -235,6 +230,52 @@ let tenantecon_cell b =
         o.T.o_shed_deadline o.T.o_lost o.T.o_denied_quota o.T.o_denied_phys o.T.o_reclaims
         (fl o.T.o_p99_us) o.T.o_balance o.T.o_grants o.T.o_wait_cycles)
     r.T.per_tenant
+
+let tenantecon_cell b =
+  let module T = Workload.Tenantecon in
+  tenantecon_lines b
+    (T.run
+       ~config:{ T.default_config with T.requests = 80; slices = 4 }
+       ~mode:(Runtime.Safe Revoker.Reloaded) ())
+
+let sum_tenants f (r : Workload.Tenantecon.result) =
+  List.fold_left (fun acc o -> acc + f o) 0 r.Workload.Tenantecon.per_tenant
+
+(* Ungoverned storms with physical memory tight enough that every
+   over-commit policy acts: physical denies under each, and the ledger's
+   reclaim loops under steal and revoke. *)
+let tenantecon_overcommit_cell overcommit b =
+  let module T = Workload.Tenantecon in
+  let r =
+    T.run
+      ~config:
+        {
+          T.default_config with
+          T.requests = 200;
+          slices = 4;
+          phys_frac = 0.6;
+          overcommit;
+          governed = false;
+          seed;
+        }
+      ~mode:(Runtime.Safe Revoker.Reloaded) ()
+  in
+  guard "denied_phys" (sum_tenants (fun o -> o.T.o_denied_phys) r);
+  if overcommit <> Tenancy.Ledger.Deny then
+    guard "reclaims" (sum_tenants (fun o -> o.T.o_reclaims) r);
+  tenantecon_lines b r
+
+(* A baseline runtime has no quarantine: every free, the storm's
+   free_all included, credits inline. *)
+let tenantecon_baseline_cell b =
+  let module T = Workload.Tenantecon in
+  let r =
+    T.run
+      ~config:{ T.default_config with T.requests = 200; slices = 4; seed }
+      ~mode:Runtime.Baseline ()
+  in
+  guard "storm_freed_allocs" r.T.storm_freed_allocs;
+  tenantecon_lines b r
 
 (* A revoking SPEC cell with a planned fault schedule armed: recoverable
    sweep crashes, lost shootdown acks, tag upsets and quarantine stalls.
@@ -297,6 +338,10 @@ let cells =
       ("serve/cornucopia-deadline", serve_deadline_cell);
       ("fleet/crash-wave-resilience", fleet_resilience_cell);
       ("grpc/reloaded", grpc_cell);
+      ("tenantecon/deny-phys0.6", tenantecon_overcommit_cell Tenancy.Ledger.Deny);
+      ("tenantecon/steal-phys0.6", tenantecon_overcommit_cell Tenancy.Ledger.Steal_from_idle);
+      ("tenantecon/revoke-phys0.6", tenantecon_overcommit_cell Tenancy.Ledger.Trigger_revocation);
+      ("tenantecon/baseline", tenantecon_baseline_cell);
     ]
 
 let render_cells () =
