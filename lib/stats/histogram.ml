@@ -38,6 +38,7 @@ let count t = t.total
 
 let percentile t p =
   if t.total = 0 then invalid_arg "Histogram.percentile: empty";
+  if Float.is_nan p then invalid_arg "Histogram.percentile: p is nan";
   let p = if p < 0.0 then 0.0 else if p > 100.0 then 100.0 else p in
   let target =
     max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int t.total)))

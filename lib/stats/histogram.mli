@@ -21,7 +21,8 @@ val percentile : t -> float -> float
     the first occupied bucket's edge). A single-sample histogram reports
     that sample's bucket edge at every [p]; values recorded at or beyond
     the range edges land in the clamped edge buckets and report those
-    buckets' edges. Raises [Invalid_argument] when empty. *)
+    buckets' edges. Raises [Invalid_argument] when empty or when [p] is
+    nan, which has no place to clamp to. *)
 
 val percentile_opt : t -> float -> float option
 (** {!percentile} that reports an empty histogram as [None] instead of
