@@ -126,6 +126,33 @@ let test_sweep_dense_page =
            plant (k * 16)
          done))
 
+(* One request's worth of tenant allocation: a charge and a free through
+   a sealed allocator capability under a baseline runtime, whose credit
+   lands inline — the ledger's unseal and entry table at steady state. *)
+let test_ledger_pair =
+  let config =
+    { (Ccr.Runtime.machine_config ~heap_bytes:(8 lsl 20) ~seed:1 ()) with M.quantum = max_int }
+  in
+  let rt = Ccr.Runtime.create ~config Ccr.Runtime.Baseline in
+  let m = rt.Ccr.Runtime.machine in
+  let ledger = Tenancy.Ledger.create m ~phys_limit:(8 lsl 20) ~overcommit:Tenancy.Ledger.Deny () in
+  let cap = Tenancy.Ledger.register ledger ~tenant:0 ~quota:(8 lsl 20) rt in
+  let holder = ref None in
+  ignore (M.spawn m ~name:"bench" ~core:3 (fun ctx -> holder := Some ctx));
+  M.run m;
+  let ctx = Option.get !holder in
+  Test.make ~name:"Ledger malloc/free pair"
+    (Staged.stage (fun () ->
+         Tenancy.Ledger.free cap ctx (Option.get (Tenancy.Ledger.malloc cap ctx 128))))
+
+(* One tenant-storm cell's latency set: the p99.9 read at the end of a
+   cell. *)
+let test_percentile =
+  let rng = Sim.Prng.create ~seed:1 in
+  let xs = List.init 75_000 (fun _ -> Sim.Prng.float rng 500.0) in
+  Test.make ~name:"Summary.percentile, 75,000 samples"
+    (Staged.stage (fun () -> ignore (Stats.Summary.percentile xs 99.9)))
+
 let benchmarks =
   [
     test_cap_derive;
@@ -138,6 +165,8 @@ let benchmarks =
     test_revmap_paint;
     test_sweep_page;
     test_sweep_dense_page;
+    test_ledger_pair;
+    test_percentile;
   ]
 
 let run () =

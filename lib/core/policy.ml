@@ -6,7 +6,7 @@ let with_fraction t fraction = { t with fraction }
 
 let threshold t ~live ~quarantine =
   let total = live + quarantine in
-  max t.min_quarantine (int_of_float (t.fraction *. float_of_int total))
+  Int.max t.min_quarantine (int_of_float (t.fraction *. float_of_int total))
 
 let should_revoke t ~live ~quarantine = quarantine > threshold t ~live ~quarantine
 

@@ -176,7 +176,7 @@ type t = {
   recovery : Revoker.recovery option;
   sched : Revsched.t;
   revoker_core : int;
-  procs : (int, proc) Hashtbl.t;
+  mutable procs : proc list; (* newest first *)
   mutable next_pid : int;
   mutable next_asid : int;
   mutable live_children : int;
@@ -193,13 +193,19 @@ let pid (p : proc) = p.pid
 let runtime p = p.rt
 let proc_aspace p = p.aspace
 let proc_state p = p.p_state
-let find_proc t pid = Hashtbl.find_opt t.procs pid
+let find_proc t pid = List.find_opt (fun p -> p.pid = pid) t.procs
+let procs t = List.sort (fun a b -> Int.compare a.pid b.pid) t.procs
 
-let procs t =
-  Hashtbl.fold (fun _ p acc -> p :: acc) t.procs []
-  |> List.sort (fun a b -> compare a.pid b.pid)
+(* A plain recursion, so that sampling on every served request
+   allocates nothing. *)
+let rec quarantine_sum acc = function
+  | [] -> acc
+  | p :: rest ->
+      let q = match p.rt.Runtime.mrs with Some mrs -> Mrs.quarantine_bytes mrs | None -> 0 in
+      quarantine_sum (acc + q) rest
 
-let init t = Hashtbl.find t.procs 0
+let quarantine_bytes t = quarantine_sum 0 t.procs
+let init t = Option.get (find_proc t 0)
 let inject_fault t f = t.fault <- f
 let set_on_process t f = t.on_process <- f
 
@@ -215,25 +221,6 @@ let create ?config ?(policy = Policy.default) ?(sched = Revsched.Round_robin)
     ?(revoker_core = 2) ?recovery ?allocator mode =
   let rt = Runtime.create ?config ~policy ~revoker_core ?recovery ?allocator mode in
   let m = rt.Runtime.machine in
-  let t =
-    {
-      m;
-      mode;
-      policy;
-      recovery;
-      sched = Revsched.create m ~policy:sched;
-      revoker_core;
-      procs = Hashtbl.create 8;
-      next_pid = 1;
-      next_asid = 1;
-      live_children = 0;
-      chld_cv = Machine.condvar ();
-      reap_cv = Machine.condvar ();
-      shutting_down = false;
-      fault = None;
-      on_process = (fun _ -> ());
-    }
-  in
   let p0 =
     {
       pid = 0;
@@ -245,7 +232,25 @@ let create ?config ?(policy = Policy.default) ?(sched = Revsched.Round_robin)
       exited_at = 0;
     }
   in
-  Hashtbl.replace t.procs 0 p0;
+  let t =
+    {
+      m;
+      mode;
+      policy;
+      recovery;
+      sched = Revsched.create m ~policy:sched;
+      revoker_core;
+      procs = [ p0 ];
+      next_pid = 1;
+      next_asid = 1;
+      live_children = 0;
+      chld_cv = Machine.condvar ();
+      reap_cv = Machine.condvar ();
+      shutting_down = false;
+      fault = None;
+      on_process = (fun _ -> ());
+    }
+  in
   register_with_sched t p0;
   t
 
@@ -344,7 +349,7 @@ let fork t ctx ~parent ~name ~core body =
       exited_at = 0;
     }
   in
-  Hashtbl.replace t.procs child_pid child;
+  t.procs <- child :: t.procs;
   t.live_children <- t.live_children + 1;
   register_with_sched t child;
   Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
@@ -476,9 +481,7 @@ let kill t ctx proc =
   Machine.broadcast ctx t.chld_cv;
   killed
 
-let zombies t =
-  Hashtbl.fold (fun _ p acc -> if p.p_state = Zombie then p :: acc else acc) t.procs []
-  |> List.sort (fun a b -> compare a.pid b.pid)
+let zombies t = List.filter (fun p -> p.p_state = Zombie) (procs t)
 
 (* Reap one zombie: wait out its quarantine (epochs keep running on its
    still-live revoker thread), shut its revoker down, then return every

@@ -117,6 +117,11 @@ val proc_aspace : proc -> Vm.Aspace.t
 val proc_state : proc -> state
 val find_proc : t -> int -> proc option
 val procs : t -> proc list
+(** Every process ever created, reaped ones included, in pid order. *)
+
+val quarantine_bytes : t -> int
+(** Σ {!Ccr.Mrs.quarantine_bytes} over {!procs}: the machine-wide
+    quarantine. Allocates nothing. *)
 
 val fork :
   t ->

@@ -17,7 +17,15 @@ val of_list : float list -> t
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0, 100\]], linear interpolation.
     Raises [Invalid_argument] when [p] is outside that range or nan, or
-    [xs] is empty. *)
+    [xs] is empty. Selects the two order statistics it interpolates
+    between instead of sorting. *)
+
+val percentile_in_place : float array -> int -> float -> float
+(** [percentile_in_place a n p] is [percentile] of the first [n]
+    elements of [a], bit for bit, computed in place: it reorders those
+    elements and allocates nothing but its result. Raises
+    [Invalid_argument] as [percentile] does, and when [n] is outside
+    [\[1, Array.length a\]]. *)
 
 val mean : float list -> float
 val geomean : float list -> float

@@ -41,11 +41,15 @@ type alloc_entry = {
   mutable e_state : entry_state;
 }
 
+(* [Addrtbl.find]'s answer for a base with no entry. *)
+let no_entry = { e_size = 0; e_cap = Capability.null; e_state = Live }
+
 type account = {
   a_tenant : int;
   a_quota : int;
   a_rt : Runtime.t;
-  allocs : (int, alloc_entry) Hashtbl.t; (* base -> charge entry *)
+  allocs : alloc_entry Addrtbl.t; (* base -> charge entry *)
+  mutable a_stamp : int; (* the stamp its capabilities must carry; 0 once revoked *)
   mutable charged : int;
   mutable credited : int;
   mutable live : int; (* bytes of Live entries *)
@@ -62,7 +66,6 @@ type t = {
   phys_limit : int;
   overcommit : overcommit;
   accounts : (int, account) Hashtbl.t;
-  seals : (int, int) Hashtbl.t; (* tenant -> currently valid seal stamp *)
   mutable next_stamp : int;
   mutable committed : int; (* Σ outstanding balances, all tenants *)
   mutable peak_committed : int;
@@ -72,8 +75,10 @@ type t = {
 (* The sealed capability: unforgeable only by convention in the host
    language, but the seal stamp gives it CHERIoT's revocable-authority
    semantics — [revoke_cap] invalidates every capability minted for a
-   tenant without touching the tenant's memory. *)
-type cap = { c_tenant : int; c_stamp : int; c_ledger : t }
+   tenant without touching the tenant's memory. Like a CHERIoT allocator
+   capability pointing at its [AllocatorCapabilityState], it names its
+   account directly, so unsealing is a stamp comparison, not a lookup. *)
+type cap = { c_account : account; c_stamp : int; c_ledger : t }
 
 let create m ~phys_limit ~overcommit () =
   if phys_limit <= 0 then invalid_arg "Ledger.create: phys_limit must be > 0";
@@ -82,7 +87,6 @@ let create m ~phys_limit ~overcommit () =
     phys_limit;
     overcommit;
     accounts = Hashtbl.create 8;
-    seals = Hashtbl.create 8;
     next_stamp = 1;
     committed = 0;
     peak_committed = 0;
@@ -102,14 +106,12 @@ let account t tenant =
   | None -> invalid_arg (Printf.sprintf "Ledger: unknown tenant %d" tenant)
 
 let unseal op (c : cap) =
-  let t = c.c_ledger in
-  (match Hashtbl.find_opt t.seals c.c_tenant with
-  | Some stamp when stamp = c.c_stamp -> ()
-  | Some _ | None ->
-      invalid_arg
-        (Printf.sprintf "%s: revoked or forged allocator capability (tenant %d)"
-           op c.c_tenant));
-  account t c.c_tenant
+  let a = c.c_account in
+  if a.a_stamp <> c.c_stamp then
+    invalid_arg
+      (Printf.sprintf "%s: revoked or forged allocator capability (tenant %d)"
+         op a.a_tenant);
+  a
 
 let emit t ctx ~pid ?arg2 kind arg =
   Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
@@ -123,31 +125,34 @@ let emit t ctx ~pid ?arg2 kind arg =
    quota-conservation rule must notice the [Reuse] of a still-charged
    region. *)
 let credit t a ctx ~addr =
-  match Hashtbl.find_opt a.allocs addr with
-  | None -> () (* not a ledger allocation (e.g. adopted quarantine) *)
-  | Some e -> (
-      match t.fault with
-      | Some Skip_credit -> Hashtbl.remove a.allocs addr
-      | None ->
-          a.credited <- a.credited + e.e_size;
-          (match e.e_state with
-          | Quarantined -> a.quarantined <- a.quarantined - e.e_size
-          | Live -> a.live <- a.live - e.e_size);
-          t.committed <- t.committed - e.e_size;
-          Hashtbl.remove a.allocs addr;
-          emit t ctx ~pid:a.a_tenant ~arg2:e.e_size Trace.Quota_credit addr)
+  let e = Addrtbl.find a.allocs addr in
+  (* no entry: not a ledger allocation (e.g. adopted quarantine) *)
+  if e != no_entry then
+    match t.fault with
+    | Some Skip_credit -> Addrtbl.remove a.allocs addr
+    | None ->
+        a.credited <- a.credited + e.e_size;
+        (match e.e_state with
+        | Quarantined -> a.quarantined <- a.quarantined - e.e_size
+        | Live -> a.live <- a.live - e.e_size);
+        t.committed <- t.committed - e.e_size;
+        Addrtbl.remove a.allocs addr;
+        emit t ctx ~pid:a.a_tenant ~arg2:e.e_size Trace.Quota_credit addr
 
 let register t ~tenant ~quota rt =
   if quota <= 0 then invalid_arg "Ledger.register: quota must be > 0";
   if Hashtbl.mem t.accounts tenant then
     invalid_arg (Printf.sprintf "Ledger.register: tenant %d already registered"
                    tenant);
+  let stamp = t.next_stamp in
+  t.next_stamp <- t.next_stamp + 1;
   let a =
     {
       a_tenant = tenant;
       a_quota = quota;
       a_rt = rt;
-      allocs = Hashtbl.create 256;
+      allocs = Addrtbl.create ~absent:no_entry 256;
+      a_stamp = stamp;
       charged = 0;
       credited = 0;
       live = 0;
@@ -167,12 +172,12 @@ let register t ~tenant ~quota rt =
       Mrs.set_on_release mrs
         (Some (fun ctx ~addr ~size:_ -> credit t a ctx ~addr))
   | None -> ());
-  let stamp = t.next_stamp in
-  t.next_stamp <- t.next_stamp + 1;
-  Hashtbl.replace t.seals tenant stamp;
-  { c_tenant = tenant; c_stamp = stamp; c_ledger = t }
+  { c_account = a; c_stamp = stamp; c_ledger = t }
 
-let revoke_cap t tenant = Hashtbl.remove t.seals tenant
+let revoke_cap t tenant =
+  match Hashtbl.find_opt t.accounts tenant with
+  | Some a -> a.a_stamp <- 0
+  | None -> ()
 
 let deny t a ctx ~rounded ~phys =
   if phys then a.denied_phys <- a.denied_phys + 1
@@ -283,7 +288,7 @@ let malloc cap ctx size =
     t.committed <- t.committed + rounded;
     if balance a > a.peak_balance then a.peak_balance <- balance a;
     if t.committed > t.peak_committed then t.peak_committed <- t.committed;
-    Hashtbl.replace a.allocs base { e_size = rounded; e_cap = c; e_state = Live };
+    Addrtbl.replace a.allocs base { e_size = rounded; e_cap = c; e_state = Live };
     emit t ctx ~pid:a.a_tenant ~arg2:rounded Trace.Quota_charge base;
     Some c
   end
@@ -303,16 +308,17 @@ let free cap ctx c =
   let t = cap.c_ledger in
   let a = unseal "Ledger.free" cap in
   let base = Capability.base c in
-  match Hashtbl.find_opt a.allocs base with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Ledger.free: 0x%x is not a live allocation of tenant %d"
-           base a.a_tenant)
-  | Some { e_state = Quarantined; _ } ->
+  let e = Addrtbl.find a.allocs base in
+  if e == no_entry then
+    invalid_arg
+      (Printf.sprintf "Ledger.free: 0x%x is not a live allocation of tenant %d"
+         base a.a_tenant);
+  match e.e_state with
+  | Quarantined ->
       invalid_arg
         (Printf.sprintf "Ledger.free: double free of 0x%x (tenant %d)" base
            a.a_tenant)
-  | Some e -> quarantine_one t a ctx base e
+  | Live -> quarantine_one t a ctx base e
 
 (* The CHERIoT [heap_free_all] analogue: hand the tenant's entire live
    heap to quarantine in one shot — post-failure cleanup that needs no
@@ -323,11 +329,11 @@ let free_all cap ctx =
   let t = cap.c_ledger in
   let a = unseal "Ledger.free_all" cap in
   let live =
-    Hashtbl.fold
+    Addrtbl.fold
       (fun base e acc ->
         match e.e_state with Live -> (base, e) :: acc | Quarantined -> acc)
       a.allocs []
-    |> List.sort (fun (x, _) (y, _) -> compare x y)
+    |> List.sort (fun (x, _) (y, _) -> Int.compare x y)
   in
   match live with
   | [] -> (0, 0) (* nothing live: a repeated free_all is a no-op *)
@@ -354,7 +360,9 @@ let debt t ~tenant =
   | Some a -> a.quarantined
 
 let quota t ~tenant = (account t tenant).a_quota
-let tenants t = List.sort compare (Hashtbl.fold (fun p _ l -> p :: l) t.seals [])
+let tenants t =
+  Hashtbl.fold (fun p a l -> if a.a_stamp <> 0 then p :: l else l) t.accounts []
+  |> List.sort Int.compare
 
 (* ---- statistics and the conservation identity ---- *)
 
@@ -378,9 +386,7 @@ type account_stats = {
    bookkeeping bug in either side cannot hide: charged − credited must
    equal the bytes the table still holds. *)
 let conserved a =
-  let held =
-    Hashtbl.fold (fun _ (e : alloc_entry) s -> s + e.e_size) a.allocs 0
-  in
+  let held = Addrtbl.fold (fun _ (e : alloc_entry) s -> s + e.e_size) a.allocs 0 in
   balance a = held && a.live + a.quarantined = held
 
 let account_stats_of a =

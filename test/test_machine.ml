@@ -529,6 +529,47 @@ let test_malloc_free_words () =
   (* the revocation-bitmap paint runs on every free *)
   check_int "reloaded pair" 49 (malloc_free_words (Ccr.Runtime.Safe Ccr.Revoker.Reloaded))
 
+(* The same pair through a tenant's sealed allocator capability
+   ([Tenancy.Ledger]): unseal, the quota charge, the entry table and,
+   under Baseline, the inline credit, on top of the runtime pair. The
+   entry record, the [Some] of a grant and the trace events' optional
+   arguments remain; a boxing table (a [Hashtbl] read 73 and 80) or a
+   lookup to unseal would show. *)
+let ledger_pair_words mode =
+  let config =
+    { (Ccr.Runtime.machine_config ~heap_bytes:(16 lsl 20) ~seed:1 ()) with M.quantum = max_int / 2 }
+  in
+  let rt = Ccr.Runtime.create ~config mode in
+  let m = rt.Ccr.Runtime.machine in
+  let ledger =
+    Tenancy.Ledger.create m ~phys_limit:(16 lsl 20) ~overcommit:Tenancy.Ledger.Deny ()
+  in
+  let cap = Tenancy.Ledger.register ledger ~tenant:0 ~quota:(16 lsl 20) rt in
+  let words = ref nan in
+  ignore
+    (M.spawn m ~name:"app" ~core:3 (fun ctx ->
+         let pair () =
+           Tenancy.Ledger.free cap ctx (Option.get (Tenancy.Ledger.malloc cap ctx 48))
+         in
+         for _ = 1 to 100 do
+           pair ()
+         done;
+         words := minor_words_per 1000 pair /. 1000.;
+         check_int "no epoch" 0 (List.length (Ccr.Runtime.revoker_records rt));
+         Ccr.Runtime.finish rt ctx));
+  M.run m;
+  Float.to_int (Float.round !words)
+
+let test_ledger_pair_words () =
+  check_int "baseline ledger pair" 57 (ledger_pair_words Ccr.Runtime.Baseline);
+  check_int "reloaded ledger pair" 66
+    (ledger_pair_words (Ccr.Runtime.Safe Ccr.Revoker.Reloaded));
+  (* sampled on every served request of the tenant storm *)
+  let os = Os.create ~config:cfg (Ccr.Runtime.Safe Ccr.Revoker.Reloaded) in
+  Alcotest.(check (float 0.0))
+    "Os.quarantine_bytes: minor words over 10,000 calls" 0.0
+    (minor_words_per 10_000 (fun () -> ignore (Sys.opaque_identity (Os.quarantine_bytes os))))
+
 (* Marginal minor words per op of the reference SPEC interpreter on
    hmmer_nph3 under Baseline: the run at ops scale 0.03 less the run at
    0.01, over the difference in ops done, so that machine set-up and the
@@ -589,6 +630,7 @@ let () =
           Alcotest.test_case "access primitives allocate nothing" `Quick
             test_access_zero_alloc;
           Alcotest.test_case "malloc/free pair allocation" `Quick test_malloc_free_words;
+          Alcotest.test_case "ledger pair allocation" `Quick test_ledger_pair_words;
           Alcotest.test_case "reference interpreter allocation" `Quick
             test_reference_interp_words;
         ] );
