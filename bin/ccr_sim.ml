@@ -38,11 +38,12 @@ let interp_arg =
     & opt interp_conv Workload.Spec.Compiled
     & info [ "interp" ]
         ~doc:
-          "SPEC interpreter: $(b,compiled) (default; samples every draw \
-           into an op stream up front, then replays it) or $(b,reference) \
-           (draws and executes op by op). Both access simulated memory \
-           through the same fused path. Simulated behaviour is bit-for-bit \
-           identical; only host wall-clock differs." ~docv:"KIND")
+          "SPEC interpreter: $(b,compiled) (default; draws ops a block at \
+           a time into flat arrays and replays each block) or \
+           $(b,reference) (draws and executes op by op). Both access \
+           simulated memory through the same fused path. Simulated \
+           behaviour is bit-for-bit identical; only host time differs."
+        ~docv:"KIND")
 
 let phases_arg =
   Arg.(

@@ -22,7 +22,9 @@ val exponent_for_length : int -> int
 val representable : base:int -> length:int -> int * int
 (** [representable ~base ~length] is [(base', length')], the smallest
     representable region containing [\[base, base+length)]. [base' <= base]
-    and [base' + length' >= base + length]. *)
+    and [base' + length' >= base + length]. The result is exact: when
+    padding to [2^e] alignment carries the length past exponent [e]'s
+    mantissa, the padding is redone at [e + 1]. *)
 
 val is_exact : base:int -> length:int -> bool
 (** Whether [\[base, base+length)] is representable without padding. *)

@@ -57,8 +57,8 @@ val access_nt : t -> addr:int -> write:bool -> int
     bus traffic on miss. Used by the §5.6 "non-temporal sweep" ablation. *)
 
 val access_stream : t -> addr:int -> write:bool -> int
-(** Streaming access: same cache behaviour as {!access} but charged at a
-    quarter of the DRAM latency on miss, modelling the memory-level
+(** Streaming access: same cache behaviour as {!access} but charged at
+    half the DRAM latency (60 cycles) on miss, modelling the memory-level
     parallelism of a sequential hardware-prefetched scan — the revoker's
     page sweep loop. Bus traffic is counted identically. *)
 

@@ -22,8 +22,27 @@ let k_churn = 2 (* free + realloc into the same slot *)
 let k_birth = 3 (* alloc into a dead slot *)
 let k_access = 4
 
+let block = 1024
+
+(* Granule indices per block. An entry pushes at most [max 32 (reads +
+   writes)] of them (body-init stores are capped at 32), so a block also
+   ends once [gidx_room] are used, and the buffer holds that much plus one
+   entry's worst case. *)
+let gidx_room = 8 * block
+
 type t = {
-  n_prologue : int; (* leading entries that are table warm-up, not ops *)
+  p : Profile.t;
+  rng : Prng.t;
+  initial : int; (* prologue (table warm-up) allocations *)
+  ops : int;
+  mutable born : int; (* prologue entries drawn so far *)
+  mutable drawn : int; (* stream ops drawn so far *)
+  (* host-side shadow of the object table *)
+  obj_len : int array; (* per slot: the live object's length, 0 = dead *)
+  mutable nlive : int;
+  (* the current block *)
+  mutable n : int;
+  mutable n_prologue : int; (* leading entries that are table warm-up, not ops *)
   kinds : int array;
   slots : int array;
   sizes : int array; (* requested (sampled) allocation size *)
@@ -32,33 +51,39 @@ type t = {
   gidx : int array; (* shared granule-index stream, consumed positionally:
                        allocs push [(g lsl 1) lor is_ptr] per body store,
                        accesses push plain indices, reads then writes *)
+  mutable ng : int;
   chase_hi : int array; (* raw PRNG draws for pointer-chase steps, split *)
   chase_lo : int array; (* into bits 31..62 / 0..30 (see [mod_hilo]) *)
+  mutable nc : int;
 }
 
-let length s = Array.length s.kinds
-let stream_ops s = length s - s.n_prologue
+let compile (p : Profile.t) ~rng ~ops =
+  let gmax = Int.max 32 (p.Profile.reads_per_op + p.Profile.writes_per_op) in
+  let nchase = block * p.Profile.chase_depth in
+  {
+    p;
+    rng;
+    initial = int_of_float (p.Profile.target_live *. float_of_int p.Profile.slots);
+    ops;
+    born = 0;
+    drawn = 0;
+    obj_len = Array.make p.Profile.slots 0;
+    nlive = 0;
+    n = 0;
+    n_prologue = 0;
+    kinds = Array.make block 0;
+    slots = Array.make block 0;
+    sizes = Array.make block 0;
+    lens = Array.make block 0;
+    aux = Array.make block 0;
+    gidx = Array.make (gidx_room + gmax) 0;
+    ng = 0;
+    chase_hi = Array.make nchase 0;
+    chase_lo = Array.make nchase 0;
+    nc = 0;
+  }
 
-(* ---- growable int vector (compile-time only) ---- *)
-
-module Vec = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create () = { a = Array.make 1024 0; n = 0 }
-
-  let push v x =
-    if v.n = Array.length v.a then begin
-      let g = Array.make (2 * v.n) 0 in
-      Array.blit v.a 0 g 0 v.n;
-      v.a <- g
-    end;
-    v.a.(v.n) <- x;
-    v.n <- v.n + 1
-
-  let to_array v = Array.sub v.a 0 v.n
-end
-
-(* ---- compilation ----
+(* ---- drawing a block ----
 
    Replays the reference interpreter's PRNG consumption exactly — same
    draws, same order — against a host-side shadow of the object table
@@ -78,149 +103,126 @@ end
    - [Runtime.malloc req] returns a capability of length
      [Alloc.Sizeclass.rounded_size req], for both allocators. *)
 
-let compile (p : Profile.t) ~rng ~ops =
-  let nslots = p.Profile.slots in
-  let live = Bytes.make nslots '\000' in
-  let lens = Array.make nslots 0 in
-  let nlive = ref 0 in
-  let kinds_v = Vec.create () in
-  let slot_v = Vec.create () in
-  let size_v = Vec.create () in
-  let len_v = Vec.create () in
-  let aux_v = Vec.create () in
-  let gidx_v = Vec.create () in
-  let hi_v = Vec.create () in
-  let lo_v = Vec.create () in
-  let is_live i = Bytes.get live i <> '\000' in
-  (* shadow of [Objtable.probe]: draw-for-draw identical *)
-  let probe ~lo ~hi ~want =
-    let span = hi - lo in
-    if span <= 0 then None
-    else begin
-      let start = lo + Prng.int rng span in
-      let rec go i n =
-        if n = 0 then None
-        else if is_live i = want then Some i
-        else go (if i + 1 >= hi then lo else i + 1) (n - 1)
-      in
-      go start span
-    end
-  in
-  let random_live ~hot ~weight =
-    if !nlive = 0 then None
-    else begin
-      let hot_slots = int_of_float (hot *. float_of_int nslots) in
-      let use_hot = hot_slots > 0 && Prng.float rng 1.0 < weight in
-      match
-        if use_hot then probe ~lo:0 ~hi:hot_slots ~want:true else None
-      with
-      | Some i -> Some i
-      | None -> probe ~lo:0 ~hi:nslots ~want:true
-    end
-  in
-  let random_dead () =
-    if !nlive >= nslots then None else probe ~lo:0 ~hi:nslots ~want:false
-  in
-  let push_entry k slot size len aux =
-    Vec.push kinds_v k;
-    Vec.push slot_v slot;
-    Vec.push size_v size;
-    Vec.push len_v len;
-    Vec.push aux_v aux
-  in
-  (* shadow of [Spec.alloc_into]: sample, predict the malloc'd length,
-     pre-draw the body-init store positions and pointer coin-flips *)
-  let alloc_shadow slot =
-    let size = Profile.sample rng p.Profile.size_c in
-    let len = Alloc.Sizeclass.rounded_size size in
-    let granules = len / granule in
-    let stores = min granules 32 in
-    for _ = 1 to stores do
-      let g = Prng.int rng granules in
-      let is_ptr = Prng.float rng 1.0 < p.Profile.ptr_density in
-      Vec.push gidx_v ((g lsl 1) lor (if is_ptr then 1 else 0))
+let push s k slot size len aux =
+  let i = s.n in
+  s.kinds.(i) <- k;
+  s.slots.(i) <- slot;
+  s.sizes.(i) <- size;
+  s.lens.(i) <- len;
+  s.aux.(i) <- aux;
+  s.n <- i + 1
+
+let push_gidx s x =
+  s.gidx.(s.ng) <- x;
+  s.ng <- s.ng + 1
+
+let is_live s i = s.obj_len.(i) <> 0
+
+(* Shadow of [Objtable.probe], draw for draw; -1 when no slot qualifies.
+   Top-level rather than closures so that drawing allocates nothing. *)
+let rec scan s i n ~lo ~hi ~want =
+  if n = 0 then -1
+  else if is_live s i = want then i
+  else scan s (if i + 1 >= hi then lo else i + 1) (n - 1) ~lo ~hi ~want
+
+let probe s ~lo ~hi ~want =
+  let span = hi - lo in
+  if span <= 0 then -1 else scan s (lo + Prng.int s.rng span) span ~lo ~hi ~want
+
+let random_live s ~hot ~weight =
+  if s.nlive = 0 then -1
+  else begin
+    let nslots = Array.length s.obj_len in
+    let hot_slots = int_of_float (hot *. float_of_int nslots) in
+    let slot =
+      if hot_slots > 0 && Prng.float s.rng 1.0 < weight then
+        probe s ~lo:0 ~hi:hot_slots ~want:true
+      else -1
+    in
+    if slot >= 0 then slot else probe s ~lo:0 ~hi:nslots ~want:true
+  end
+
+let random_dead s =
+  let nslots = Array.length s.obj_len in
+  if s.nlive >= nslots then -1 else probe s ~lo:0 ~hi:nslots ~want:false
+
+(* Shadow of [Spec.alloc_into]: sample the size, predict the malloc'd
+   length, draw the body-init store positions and pointer coin-flips. *)
+let alloc s k slot aux =
+  let p = s.p in
+  let size = Profile.sample s.rng p.Profile.size_c in
+  let len = Alloc.Sizeclass.rounded_size size in
+  let granules = len / granule in
+  for _ = 1 to Int.min granules 32 do
+    let g = Prng.int s.rng granules in
+    let is_ptr = Prng.float s.rng 1.0 < p.Profile.ptr_density in
+    push_gidx s ((g lsl 1) lor Bool.to_int is_ptr)
+  done;
+  if not (is_live s slot) then s.nlive <- s.nlive + 1;
+  s.obj_len.(slot) <- len;
+  push s k slot size len aux
+
+let churn s ~realloc =
+  let slot = random_live s ~hot:1.0 ~weight:0.0 in
+  if slot < 0 then push s k_none 0 0 0 0
+  else begin
+    let clear = Bool.to_int (Prng.bool s.rng) in
+    s.obj_len.(slot) <- 0;
+    s.nlive <- s.nlive - 1;
+    if realloc then alloc s k_churn slot clear else push s k_kill slot 0 0 clear
+  end
+
+let birth s =
+  let slot = random_dead s in
+  if slot < 0 then push s k_none 0 0 0 0 else alloc s k_birth slot 0
+
+let access s =
+  let p = s.p in
+  let slot = random_live s ~hot:p.Profile.hot_fraction ~weight:p.Profile.hot_weight in
+  if slot < 0 then push s k_none 0 0 0 0
+  else begin
+    let len = s.obj_len.(slot) in
+    let n = Int.min len 32768 / granule in
+    for _ = 1 to p.Profile.reads_per_op + p.Profile.writes_per_op do
+      push_gidx s (Prng.int s.rng n)
     done;
-    if not (is_live slot) then begin
-      Bytes.set live slot '\001';
-      incr nlive
-    end;
-    lens.(slot) <- len;
-    (size, len)
-  in
-  let churn ~realloc =
-    match random_live ~hot:1.0 ~weight:0.0 with
-    | None -> push_entry k_none 0 0 0 0
-    | Some slot ->
-        let clear = if Prng.bool rng then 1 else 0 in
-        Bytes.set live slot '\000';
-        decr nlive;
-        if realloc then begin
-          let size, len = alloc_shadow slot in
-          push_entry k_churn slot size len clear
-        end
-        else push_entry k_kill slot 0 0 clear
-  in
-  let birth () =
-    match random_dead () with
-    | None -> push_entry k_none 0 0 0 0
-    | Some slot ->
-        let size, len = alloc_shadow slot in
-        push_entry k_birth slot size len 0
-  in
-  let access () =
-    match random_live ~hot:p.Profile.hot_fraction ~weight:p.Profile.hot_weight with
-    | None -> push_entry k_none 0 0 0 0
-    | Some slot ->
-        let len = lens.(slot) in
-        let window = min len 32768 in
-        let n = window / granule in
-        for _ = 1 to p.Profile.reads_per_op do
-          Vec.push gidx_v (Prng.int rng n)
-        done;
-        for _ = 1 to p.Profile.writes_per_op do
-          Vec.push gidx_v (Prng.int rng n)
-        done;
-        (* chase moduli depend on which capability the chase reaches at
-           run time: store the raw 63-bit draw, reduce at exec *)
-        for _ = 1 to p.Profile.chase_depth do
-          let x = Int64.logand (Prng.next rng) Int64.max_int in
-          Vec.push hi_v (Int64.to_int (Int64.shift_right_logical x 31));
-          Vec.push lo_v (Int64.to_int (Int64.logand x 0x7FFF_FFFFL))
-        done;
-        push_entry k_access slot 0 len 0
-  in
-  let initial =
-    int_of_float (p.Profile.target_live *. float_of_int nslots)
-  in
-  for slot = 0 to initial - 1 do
-    let size, len = alloc_shadow slot in
-    push_entry k_birth slot size len 0
+    (* chase moduli depend on which capability the chase reaches at
+       run time: store the raw 63-bit draw, reduce at exec *)
+    for _ = 1 to p.Profile.chase_depth do
+      let x = Int64.logand (Prng.next s.rng) Int64.max_int in
+      s.chase_hi.(s.nc) <- Int64.to_int (Int64.shift_right_logical x 31);
+      s.chase_lo.(s.nc) <- Int64.to_int (Int64.logand x 0x7FFF_FFFFL);
+      s.nc <- s.nc + 1
+    done;
+    push s k_access slot 0 len 0
+  end
+
+let room s = s.n < block && s.ng < gidx_room
+
+(* Draw the next block: the rest of the prologue first, then ops, while
+   the block has room. An empty block means the stream has run out. *)
+let fill s =
+  let p = s.p in
+  s.n <- 0;
+  s.ng <- 0;
+  s.nc <- 0;
+  while room s && s.born < s.initial do
+    alloc s k_birth s.born 0;
+    s.born <- s.born + 1
   done;
-  let n_prologue = kinds_v.Vec.n in
-  for _ = 1 to ops do
-    let x = Prng.float rng 1.0 in
-    if x < p.Profile.churn then churn ~realloc:true
-    else if x < p.Profile.churn +. p.Profile.kill_only then
-      churn ~realloc:false
-    else if
-      x < p.Profile.churn +. p.Profile.kill_only +. p.Profile.birth_only
-    then birth ()
-    else access ()
-  done;
-  {
-    n_prologue;
-    kinds = Vec.to_array kinds_v;
-    slots = Vec.to_array slot_v;
-    sizes = Vec.to_array size_v;
-    lens = Vec.to_array len_v;
-    aux = Vec.to_array aux_v;
-    gidx = Vec.to_array gidx_v;
-    chase_hi = Vec.to_array hi_v;
-    chase_lo = Vec.to_array lo_v;
-  }
+  s.n_prologue <- s.n;
+  while room s && s.drawn < s.ops do
+    let x = Prng.float s.rng 1.0 in
+    if x < p.Profile.churn then churn s ~realloc:true
+    else if x < p.Profile.churn +. p.Profile.kill_only then churn s ~realloc:false
+    else if x < p.Profile.churn +. p.Profile.kill_only +. p.Profile.birth_only then
+      birth s
+    else access s;
+    s.drawn <- s.drawn + 1
+  done
 
 (* [mod_hilo hi lo n] = [x mod n] for [x = hi * 2^31 + lo] (the raw
-   63-bit draw split at compile time), matching what
+   63-bit draw split when drawn), matching what
    [Prng.int rng n] = [Int64.rem (x) (of_int n)] would have returned for
    a non-negative [x]. Exact for every [n] < 2^31: [hi mod n] and
    [2^31 mod n] are each < 2^31, so their product is < 2^62 and the sum
@@ -237,6 +239,8 @@ let mod_hilo hi lo n = (((hi mod n) * (2147483648 mod n)) + lo) mod n
    checkpoint per scheduling slice ([Machine.safe_point_run]). *)
 
 let exec (s : t) (p : Profile.t) rt ctx ~ops_done =
+  if p != s.p then invalid_arg "Opstream.exec: not the profile the stream was compiled from";
+  if s.born > 0 || s.drawn > 0 then invalid_arg "Opstream.exec: stream already run";
   let regs = Machine.regs (Machine.self ctx) in
   let table = Objtable.create rt ctx ~slots:p.Profile.slots in
   let nchunks = Objtable.chunk_count table in
@@ -328,19 +332,24 @@ let exec (s : t) (p : Profile.t) rt ctx ~ops_done =
     done
   in
   let compute = p.Profile.compute_per_op in
-  let n = Array.length s.kinds in
-  for i = 0 to n - 1 do
-    let slot = s.slots.(i) in
-    (match s.kinds.(i) with
-    | 0 (* K_none *) -> ()
-    | 1 (* K_kill *) -> do_kill i slot
-    | 2 (* K_churn *) ->
-        do_kill i slot;
-        do_alloc i slot
-    | 3 (* K_birth *) -> do_alloc i slot
-    | _ (* K_access *) -> do_access i slot);
-    if i >= s.n_prologue then begin
-      if compute > 0 then Machine.charge ctx compute;
-      incr ops_done
-    end
+  fill s;
+  while s.n > 0 do
+    gpos := 0;
+    cpos := 0;
+    for i = 0 to s.n - 1 do
+      let slot = s.slots.(i) in
+      (match s.kinds.(i) with
+      | 0 (* K_none *) -> ()
+      | 1 (* K_kill *) -> do_kill i slot
+      | 2 (* K_churn *) ->
+          do_kill i slot;
+          do_alloc i slot
+      | 3 (* K_birth *) -> do_alloc i slot
+      | _ (* K_access *) -> do_access i slot);
+      if i >= s.n_prologue then begin
+        if compute > 0 then Machine.charge ctx compute;
+        incr ops_done
+      end
+    done;
+    fill s
   done

@@ -1,15 +1,16 @@
 (** Compiled SPEC op streams: the reference interpreter's operation
-    sequence lowered to flat, int-coded arrays, executed by a tight
-    decode loop.
+    sequence lowered, a block at a time, to flat int-coded arrays,
+    executed by a tight decode loop.
 
     The reference interpreter ({!Spec.app_body}) pays per operation for
-    work that is invariant across the run: the mixture walk inside
-    {!Profile.sample_size}, the [Prng.float] branch chain selecting the
-    op kind and the linear probes over the liveness bitmap. All of
-    those consume only {e host-side} state (the PRNG and the table's
-    liveness bookkeeping), so they can be replayed once, up front, into
-    a flat encoding; the executor then touches the simulated machine —
-    and nothing else — in exactly the reference order.
+    the mixture walk inside {!Profile.sample_size}, the [Prng.float]
+    branch chain selecting the op kind and the linear probes over the
+    liveness bitmap. All of those consume only {e host-side} state (the
+    PRNG and the table's liveness bookkeeping), so they can be drawn
+    ahead of execution into a flat encoding; the executor then touches
+    the simulated machine — and nothing else — in exactly the reference
+    order. Draws are made one block of {!block} entries at a time, so a
+    stream's host memory does not grow with its op count.
 
     {b Equivalence bar.} For a fixed seed the compiled path produces
     bit-for-bit the simulated cycles, cache and bus state, and trace
@@ -23,31 +24,34 @@
     {!Machine.load_filter_armed}) raises {!Divergence}. *)
 
 type t
-(** A compiled stream: prologue (table warm-up) allocations followed by
-    the operation stream, with all PRNG draws pre-sampled. *)
+(** A stream: a host-side shadow of the object table, the block buffers
+    and the PRNG it draws from. It runs once. *)
 
 exception Divergence of string
-(** A compile-time machine-state assumption failed at execution. The
+(** A drawn machine-state assumption failed at execution. The
     simulation state is unusable after this — the executor may have
-    consumed pre-sampled draws the reference would not have. *)
+    made draws, up to a block ahead, that the reference would not
+    have. *)
+
+val block : int
+(** The most entries a block holds (prologue allocations and ops
+    alike). *)
 
 val compile : Profile.t -> rng:Sim.Prng.t -> ops:int -> t
-(** Consumes from [rng] exactly the draws the reference interpreter
-    would consume for the same profile and op count (including the
-    prologue's); afterwards [rng] is positioned where the reference
-    run would have left it. *)
+(** Builds the stream's shadow table and block buffers; draws nothing.
+    The stream owns [rng] from here on: nothing else may draw from it.
+    Allocation depends on the profile, not on [ops]. *)
 
 val exec : t -> Profile.t -> Ccr.Runtime.t -> Sim.Machine.ctx -> ops_done:int ref -> unit
 (** Run the stream on the calling simulated thread: builds the object
-    table (same chunk allocations as the reference) and replays the
-    operations. [ops_done] counts stream operations only, as in the
-    reference. *)
-
-val length : t -> int
-(** Total entries (prologue + stream). *)
-
-val stream_ops : t -> int
-(** Stream operations (one per reference op, including no-op picks). *)
+    table (same chunk allocations as the reference), then draws a block
+    from the stream's PRNG, replays it, and repeats until the prologue
+    and all [ops] operations have run. The draws are the reference
+    interpreter's for the same profile and op count, in its order, made
+    at most one block ahead of execution. [ops_done] counts stream
+    operations only, as in the reference. The profile must be the one
+    given to {!compile}, and [exec] raises [Invalid_argument] on a
+    stream that has already drawn. *)
 
 val mod_hilo : int -> int -> int -> int
 (** [mod_hilo hi lo n] reduces the raw 63-bit draw [hi * 2^31 + lo]

@@ -22,10 +22,14 @@ val app_body :
     {!Tenant.run} runs one per forked process. *)
 
 type interp =
-  | Reference  (** the original per-op interpreter ({!app_body}) *)
+  | Reference
+      (** {!app_body}: draws and executes op by op. The path chaos and
+          load-filter runs fall back to. *)
   | Compiled
-      (** the {!Opstream} compiled path: bit-for-bit identical simulated
-          behaviour, much faster host execution *)
+      (** the {!Opstream} path: draws a block of ops ahead into flat
+          arrays, then replays it. Bit-for-bit identical simulated
+          behaviour; on the host it runs about level with [Reference]
+          (DESIGN.md, "Reference against compiled"). *)
 
 val run :
   ?seed:int ->

@@ -45,6 +45,14 @@ let test_padding_large () =
   let l = Compress.round_length length in
   check "aligned is exact" true (Compress.is_exact ~base:(4 * a) ~length:l)
 
+(* Padding base 3 down and top 32769 up to 2-byte alignment gives length
+   32768, one past what exponent 1's mantissa holds ((2^14 - 1) * 2). *)
+let test_exponent_carry () =
+  let base', length' = Compress.representable ~base:3 ~length:32766 in
+  check_int "carried base" 0 base';
+  check_int "carried length" 32772 length';
+  check "carried result exact" true (Compress.is_exact ~base:base' ~length:length')
+
 let test_window_contains_bounds () =
   let lo, hi = Compress.representable_window ~base:4096 ~length:65536 in
   check "lo <= base" true (lo <= 4096);
@@ -188,6 +196,31 @@ let prop_rounded_alignment_exact =
       let a = Compress.required_alignment l in
       Compress.is_exact ~base:(3 * a) ~length:l)
 
+(* Requests up to base 2^30 and length 2^24, half of them with a length
+   just under what some exponent e's mantissa holds, where padding both
+   ends to 2^e can carry the length into exponent e + 1. *)
+let arb_request =
+  let gen =
+    QCheck.Gen.(
+      let base = int_bound ((1 lsl 30) - 1) in
+      let any = pair base (int_range 1 ((1 lsl 24) - 1)) in
+      let near_carry =
+        let* e = int_range 1 10 in
+        let* d = int_bound ((1 lsl e) - 1) in
+        let* b = base in
+        return (b, (((1 lsl Compress.mantissa_width) - 1) lsl e) - d)
+      in
+      oneof [ any; near_carry ])
+  in
+  QCheck.make ~print:(fun (b, l) -> Printf.sprintf "(base %d, length %d)" b l) gen
+
+let prop_representable_idempotent =
+  QCheck.Test.make ~name:"representable is idempotent and exact" ~count:2000 arb_request
+    (fun (base, length) ->
+      let base', length' = Compress.representable ~base ~length in
+      Compress.representable ~base:base' ~length:length' = (base', length')
+      && Compress.is_exact ~base:base' ~length:length')
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "cheri"
@@ -201,6 +234,7 @@ let () =
         [
           Alcotest.test_case "exact small" `Quick test_exact_small;
           Alcotest.test_case "padding large" `Quick test_padding_large;
+          Alcotest.test_case "exponent carry" `Quick test_exponent_carry;
           Alcotest.test_case "window" `Quick test_window_contains_bounds;
         ] );
       ( "capability",
@@ -224,5 +258,6 @@ let () =
             prop_set_addr_preserves_bounds;
             prop_perms_only_shrink;
             prop_rounded_alignment_exact;
+            prop_representable_idempotent;
           ] );
     ]
