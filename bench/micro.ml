@@ -55,6 +55,41 @@ let test_mem_cap_roundtrip =
          Tagmem.Mem.write_cap mem 512 c;
          ignore (Tagmem.Mem.read_cap mem 512)))
 
+(* A freshly derived capability stored to its own granule and loaded
+   back, the granules cycling through a megabyte of memory, so a stored
+   value lives past the next minor collection. Memory that kept the
+   stored values would promote each one; the row reports promoted words
+   per pair as well as time. *)
+let fresh_granules = 1 lsl 16
+
+let fresh_pair =
+  let mem = lazy (Tagmem.Mem.create ~size:(fresh_granules * 16)) in
+  let root = Cap.root ~length:(1 lsl 32) in
+  let i = ref 0 in
+  fun () ->
+    let mem = Lazy.force mem in
+    let a = (!i land (fresh_granules - 1)) * 16 in
+    incr i;
+    Tagmem.Mem.write_cap mem a (Cap.set_bounds root ~base:(a + 65536) ~length:16);
+    ignore (Sys.opaque_identity (Tagmem.Mem.read_cap mem a))
+
+let test_fresh_cap_pair =
+  Test.make ~name:"store + load a fresh capability" (Staged.stage fresh_pair)
+
+let promoted_per_fresh_pair () =
+  let n = 4 * fresh_granules in
+  let promoted () =
+    let _, p, _ = Gc.counters () in
+    p
+  in
+  Gc.minor ();
+  let before = promoted () in
+  for _ = 1 to n do
+    fresh_pair ()
+  done;
+  Gc.minor ();
+  (promoted () -. before) /. float_of_int n
+
 let test_cache_access =
   let cache = Tagmem.Cache.create () in
   let i = ref 0 in
@@ -158,6 +193,7 @@ let benchmarks =
     test_cap_derive;
     test_compress;
     test_mem_cap_roundtrip;
+    test_fresh_cap_pair;
     test_cache_access;
     test_sim_load;
     test_prng_int;
@@ -167,6 +203,13 @@ let benchmarks =
     test_sweep_dense_page;
     test_ledger_pair;
     test_percentile;
+  ]
+
+(* Rows that report more than time. *)
+let extras =
+  [
+    ( test_fresh_cap_pair,
+      fun () -> Printf.sprintf ", %.2f promoted words/pair" (promoted_per_fresh_pair ()) );
   ]
 
 let run () =
@@ -182,7 +225,11 @@ let run () =
           | exception _ -> Format.printf "  %-34s (analysis failed)@." name
           | ols -> (
               match Analyze.OLS.estimates ols with
-              | Some [ est ] -> Format.printf "  %-34s %10.1f ns/op@." name est
+              | Some [ est ] ->
+                  let extra =
+                    match List.assq_opt test extras with Some f -> f () | None -> ""
+                  in
+                  Format.printf "  %-34s %10.1f ns/op%s@." name est extra
               | _ -> Format.printf "  %-34s (no estimate)@." name))
         results)
     benchmarks

@@ -42,17 +42,17 @@ let class_of_size sz =
    distinct request size would occupy its own free bucket forever. At most
    ~12.5% internal fragmentation, in line with real chunk allocators. *)
 let round_large sz =
-  let sz = max sz page in
+  let sz = Int.max sz page in
   let b = ref page in
   while !b * 2 <= sz do
     b := !b * 2
   done;
-  let step = max page (!b / 4) in
+  let step = Int.max page (!b / 4) in
   let sz = (sz + step - 1) / step * step in
   Cheri.Compress.round_length ((sz + page - 1) / page * page)
 
 let rounded_size sz =
-  let sz = max sz granule in
+  let sz = Int.max sz granule in
   match class_of_size sz with
   | Some c -> sizes.(c)
   | None -> round_large sz

@@ -110,3 +110,25 @@ val is_subset : t -> t -> bool
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** {1 Flat encoding}
+
+    How tagged memory holds a capability: two immediate 64-bit words,
+    [base lor (perms lsl 40)] and [length lor (otype lsl 40)], little-endian
+    in 16 bytes. The tag lives in the memory's tag bitmap and the address
+    in the granule's data bytes, so neither is encoded. Only
+    [Tagmem.Mem] calls these, and only for a granule whose tag is set. *)
+
+val encode : t -> Bytes.t -> int -> unit
+(** [encode c b off] writes [c]'s two words to [b] at [off]. Raises
+    [Invalid_argument], writing nothing, if the base or the length is
+    not below [2{^40}] or the object type not below [2{^22}]. *)
+
+val decode : Bytes.t -> int -> addr:int -> t
+(** [decode b off ~addr] is the tagged capability whose words [encode]
+    wrote at [off], with address [addr]. Its representable window is
+    rebuilt from the base and the length, so for a tagged [c],
+    [decode] after [encode c] equals [c] on every field. *)
+
+val encoded_base : Bytes.t -> int -> int
+(** The base in the words at [off], without building the capability. *)

@@ -46,5 +46,5 @@ let round_length len =
    out-of-bounds arithmetic strips the tag. *)
 let representable_window ~base ~length =
   let base', length' = representable ~base ~length in
-  let slack = max 2048 (length' / 4) in
-  (max 0 (base' - slack), base' + length' + slack)
+  let slack = Int.max 2048 (length' / 4) in
+  (Int.max 0 (base' - slack), base' + length' + slack)

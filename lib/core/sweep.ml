@@ -19,8 +19,9 @@ let granule = Tagmem.Mem.granule
    call, as an immediate int ([Tagmem.Mem.tag_bits]), and charges each
    run of untagged granules between two tagged ones with one cost-model
    call ([Machine.kern_read_untagged_run]), however many lines it
-   spans; only tagged granules materialise a capability and probe the
-   revocation map. Probing is the only thing in the loop that can yield
+   spans; only tagged granules probe the revocation map, and they do it
+   on the words memory stores ([Tagmem.Mem.cap_word]), so the kernel
+   builds no capability. Probing is the only thing in the loop that can yield
    (at [Revmap.test]'s safe point, after which the application may have
    written this very page), so the tag bits are re-read after every
    probe and the per-granule loop, which reads each tag as it reaches it,
@@ -30,6 +31,14 @@ let granule = Tagmem.Mem.granule
    a chaos tag-read hook is armed: the hook must be consulted on every
    granule read, which the batched path deliberately skips. *)
 
+(* A read-only page that turns out to need revocation: invoke the full
+   fault machinery to upgrade it to writable (§4.3). *)
+let upgrade_once ctx ~pte ~upgraded =
+  if (not pte.Pte.writable) && not !upgraded then begin
+    Machine.charge ctx (Cost.trap + Cost.pmap_lock + Cost.pte_update);
+    upgraded := true
+  end
+
 (* The revocation is a compare-and-clear, as the kernel's revoker does
    it: [Revmap.test] can yield at a safe point, and an application thread
    may meanwhile have stored another capability to this granule. The tag
@@ -38,12 +47,7 @@ let granule = Tagmem.Mem.granule
    costs the one cache write the clear costs. *)
 let rec probe_tagged ctx revmap ~pte ~pa c ~upgraded =
   if Revmap.test revmap ctx c.Capability.base then begin
-    if (not pte.Pte.writable) && not !upgraded then begin
-      (* read-only page that turns out to need revocation: invoke the
-         full fault machinery to upgrade it to writable (§4.3) *)
-      Machine.charge ctx (Cost.trap + Cost.pmap_lock + Cost.pte_update);
-      upgraded := true
-    end;
+    upgrade_once ctx ~pte ~upgraded;
     let mem = Machine.mem (Machine.machine ctx) in
     if not (Tagmem.Mem.read_tag mem pa) then begin
       Machine.kern_access ctx ~pa ~write:true;
@@ -59,6 +63,35 @@ let rec probe_tagged ctx revmap ~pte ~pa c ~upgraded =
         Machine.kern_access ctx ~pa ~write:true;
         probe_tagged ctx revmap ~pte ~pa now ~upgraded
       end
+    end
+  end
+  else false
+
+(* [probe_tagged] on the words the tagged granule at [pa] stores, read
+   before the probe can yield: the base comes from them, and the compare
+   is on the two capability words and the address, which agree exactly
+   when the two capabilities are [Capability.equal]. *)
+let rec probe_words ctx mem revmap ~pte ~pa ~upgraded =
+  let w0 = Tagmem.Mem.cap_word mem pa 0
+  and w1 = Tagmem.Mem.cap_word mem pa 1
+  and addr = Tagmem.Mem.cap_addr mem pa in
+  if Revmap.test revmap ctx (Tagmem.Mem.cap_base mem pa) then begin
+    upgrade_once ctx ~pte ~upgraded;
+    if not (Tagmem.Mem.read_tag mem pa) then begin
+      Machine.kern_access ctx ~pa ~write:true;
+      false
+    end
+    else if
+      Tagmem.Mem.cap_word mem pa 0 = w0
+      && Tagmem.Mem.cap_word mem pa 1 = w1
+      && Tagmem.Mem.cap_addr mem pa = addr
+    then begin
+      Machine.kern_clear_tag ctx ~pa;
+      true
+    end
+    else begin
+      Machine.kern_access ctx ~pa ~write:true;
+      probe_words ctx mem revmap ~pte ~pa ~upgraded
     end
   end
   else false
@@ -100,12 +133,9 @@ let sweep_page_batched ~non_temporal ctx revmap ~pte ~base ~n ~tagged ~revoked
       else begin
         let pa = chunk_pa + (!g * granule) in
         charge_untagged ctx ~non_temporal ~from:!run ~stop:pa;
-        let c =
-          if non_temporal then Machine.kern_read_cap_nt ctx ~pa
-          else Machine.kern_read_cap_stream ctx ~pa
-        in
+        Machine.kern_read_tagged ctx ~non_temporal ~pa;
         incr tagged;
-        if probe_tagged ctx revmap ~pte ~pa c ~upgraded then incr revoked;
+        if probe_words ctx mem revmap ~pte ~pa ~upgraded then incr revoked;
         bits := Tagmem.Mem.tag_bits mem chunk_pa;
         incr g;
         run := pa + granule

@@ -30,8 +30,9 @@ val sweep_page :
     Internally uses a batched kernel: the page's packed tag bitmap is
     read 32 granules per call as an immediate int
     ({!Tagmem.Mem.tag_bits}), each run of untagged granules between two
-    tagged ones is charged in one batch, and only tagged granules
-    materialise capabilities and probe the revocation map. Cycle
+    tagged ones is charged in one batch, and only tagged granules probe
+    the revocation map, on the words memory stores for them
+    ({!Tagmem.Mem.cap_word}) rather than on decoded capabilities. Cycle
     counts, bus traffic, cache state and trace events are bit-for-bit
     identical to the per-granule reference loop, which remains in use
     whenever a chaos tag hook is armed (the hook must observe every

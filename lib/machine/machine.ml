@@ -205,7 +205,7 @@ let num_cores m = Array.length m.cores
 let core_clock m i = m.cores.(i).clock
 
 let global_time m =
-  Array.fold_left (fun acc c -> max acc c.clock) 0 m.cores
+  Array.fold_left (fun acc c -> Int.max acc c.clock) 0 m.cores
 
 let cache_stats m i = Cache.stats m.cores.(i).cache
 let attach_tracer m t =
@@ -355,8 +355,8 @@ let wake_initiator s =
          [wake_time] was pre-set to the deadline when the wait began,
          so it must be overwritten, not maxed. *)
       (match s.deadline with
-      | None -> ini.wake_time <- max ini.wake_time s.stopped_at
-      | Some d -> ini.wake_time <- min d (max s.t0 s.stopped_at))
+      | None -> ini.wake_time <- Int.max ini.wake_time s.stopped_at
+      | Some d -> ini.wake_time <- Int.min d (Int.max s.t0 s.stopped_at))
   | _ -> ());
   ()
 
@@ -366,7 +366,7 @@ let park s th ~time =
   let time = if th.in_syscall then time + th.syscall_drain else time in
   s.pending <- remove_thread s.pending th;
   s.parked <- th :: s.parked;
-  s.stopped_at <- max s.stopped_at time;
+  s.stopped_at <- Int.max s.stopped_at time;
   (match th.state with
   | Running | Created -> th.state <- Parked Runnable
   | st -> th.state <- Parked st);
@@ -382,7 +382,7 @@ let checkpoint ctx =
     when ctx.th.user
          && ctx.th.tid <> s.initiator.tid
          && List.exists (fun x -> x.tid = ctx.th.tid) s.pending ->
-      let time = max (core_of ctx).clock s.t0 in
+      let time = Int.max (core_of ctx).clock s.t0 in
       park s ctx.th ~time;
       perform_yield ()
   | Some _ | None -> ()
@@ -513,7 +513,7 @@ let enter_syscall ctx ~drain =
   charge ctx Cost.syscall_entry;
   let drain = match ctx.m.drain_hook with Some h -> h ctx drain | None -> drain in
   ctx.th.in_syscall <- true;
-  ctx.th.syscall_drain <- max 0 drain
+  ctx.th.syscall_drain <- Int.max 0 drain
 
 let exit_syscall ctx =
   ctx.th.in_syscall <- false;
@@ -529,7 +529,7 @@ let release_world m s ~released_at =
       match x.state with
       | Parked saved ->
           x.state <- saved;
-          x.wake_time <- max x.wake_time released_at
+          x.wake_time <- Int.max x.wake_time released_at
       | _ -> ())
     s.parked;
   m.stw <- None
@@ -564,7 +564,7 @@ let stop_the_world ctx ?scope ?timeout f =
       match x.state with
       | Runnable | Running -> ()
       | Created | Sleeping | Waiting _ ->
-          park s x ~time:(max m.cores.(x.tcore).clock t0)
+          park s x ~time:(Int.max m.cores.(x.tcore).clock t0)
       | Waiting_stw | Parked _ | Finished -> ())
     s.pending;
   if s.pending <> [] then begin
@@ -587,14 +587,14 @@ let stop_the_world ctx ?scope ?timeout f =
     (* Quiesce watchdog: some thread never reached a safe point (or its
        uninterruptible drain runs past the deadline). Give the world
        back exactly as found and report the stall to the caller. *)
-    let now = max (core_of ctx).clock t0 in
+    let now = Int.max (core_of ctx).clock t0 in
     let stalled = List.length s.pending in
     trace_emit m ~time:now ~core:th.tcore ~pid:th.pid ~arg2:(now - t0)
       Trace.Stw_abandon stalled;
     release_world m s ~released_at:now;
     raise (Quiesce_timeout { stalled; waited = now - t0 })
   end;
-  let stopped_at = max s.stopped_at (core_of ctx).clock in
+  let stopped_at = Int.max s.stopped_at (core_of ctx).clock in
   trace_emit m ~time:stopped_at ~core:th.tcore ~pid:th.pid Trace.Stw_stopped 0;
   let result =
     try f ()
@@ -844,7 +844,7 @@ let zero ctx cap =
     let e = translate_entry ctx (core_of ctx) !va ~write:true in
     let pa = frame_pa e !va in
     let page_end = (!va lor (page_size - 1)) + 1 in
-    let chunk_end = min (base + len) page_end in
+    let chunk_end = Int.min (base + len) page_end in
     let a = ref pa in
     while !a < pa + (chunk_end - !va) do
       charge ctx (Cache.access_stream (core_of ctx).cache ~addr:!a ~write:true);
@@ -952,19 +952,23 @@ let rec tag_retry ctx ~pa =
       tag_retry ctx ~pa
   | Some _ | None -> ()
 
-(* The sweep's granule reads, L1 hit inline. *)
-let[@inline] kern_read_cap ctx ~pa ~nt =
+(* The cost of one sweep granule read, L1 hit inline. *)
+let[@inline] charge_kern_read ctx ~pa ~nt =
   let c = core_of ctx in
   let cache = c.cache in
   charge_on ctx c
     (if l1_hit cache pa ~write:false then Cache.l1_latency
      else if nt then Cache.access_nt cache ~addr:pa ~write:false
-     else Cache.access_stream cache ~addr:pa ~write:false);
+     else Cache.access_stream cache ~addr:pa ~write:false)
+
+let[@inline] kern_read_cap ctx ~pa ~nt =
+  charge_kern_read ctx ~pa ~nt;
   (match ctx.m.tag_hook with None -> () | Some _ -> tag_retry ctx ~pa);
   Mem.read_cap ctx.m.mem pa
 
 let kern_read_cap_nt ctx ~pa = kern_read_cap ctx ~pa ~nt:true
 let kern_read_cap_stream ctx ~pa = kern_read_cap ctx ~pa ~nt:false
+let kern_read_tagged ctx ~non_temporal ~pa = charge_kern_read ctx ~pa ~nt:non_temporal
 
 let kern_clear_tag ctx ~pa =
   let c = core_of ctx in
@@ -1130,7 +1134,7 @@ let on_finish m th =
   match m.stw with
   | Some s when List.exists (fun x -> x.tid = th.tid) s.pending ->
       s.pending <- remove_thread s.pending th;
-      s.stopped_at <- max s.stopped_at m.cores.(th.tcore).clock;
+      s.stopped_at <- Int.max s.stopped_at m.cores.(th.tcore).clock;
       if s.pending = [] then wake_initiator s
   | Some _ | None -> ()
 

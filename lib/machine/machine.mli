@@ -352,6 +352,13 @@ val kern_read_cap_nt : ctx -> pa:int -> Cheri.Capability.t
 val kern_read_cap_stream : ctx -> pa:int -> Cheri.Capability.t
 (** Streaming (prefetched) variant — the sweep loop's access pattern. *)
 
+val kern_read_tagged : ctx -> non_temporal:bool -> pa:int -> unit
+(** The charge of one [kern_read_cap_stream] (resp., with
+    [~non_temporal:true], [kern_read_cap_nt]) call at [pa], without
+    building the capability: the sweep kernel reads a tagged granule's
+    words through {!Tagmem.Mem.cap_word} instead. Caller must have
+    checked {!tag_hook_armed} is false. *)
+
 val tag_hook_armed : t -> bool
 (** A chaos tag-read hook is installed: per-granule kernel reads must be
     used on the sweep path so every read consults the hook. *)

@@ -2,25 +2,30 @@ module Capability = Cheri.Capability
 
 let granule = 16
 
-(* Demand paging: data bytes and shadow capabilities live in per-page
+(* Demand paging: data bytes and capability words live in per-page
    chunks. A page nobody has written reads through [zero_page], which is
    shared by every memory and never written; its first write gives it a
    private data chunk, and its first tagged capability store a private
-   shadow chunk. Tags stay one dense bitmap so the word-scan kernels read
-   them exactly as before. Invariants: a page whose data chunk is
-   [zero_page] is all zero bytes and has no tag set; a granule whose tag is
-   set has a shadow chunk holding its capability. *)
+   capability chunk. A capability chunk holds each tagged granule's
+   bounds, permissions and object type as the two immediate words of
+   [Capability.encode], at the granule's own offset in the page (16 bytes
+   per granule); the address is the granule's first 8 data bytes. So a
+   tagged store writes words and allocates nothing, and the chunks hold
+   no pointers for the collector to mark. Tags stay one dense bitmap so
+   the word-scan kernels read them exactly as before. Invariants: a page
+   whose data chunk is [zero_page] is all zero bytes and has no tag set;
+   a granule whose tag is set has a capability chunk holding its words,
+   and its first data word is its capability's address. *)
 let page_size = 4096
 let page_shift = 12
 let page_mask = page_size - 1
-let page_granules = page_size / granule
 let zero_page = Bytes.make page_size '\000'
-let no_caps : Capability.t array = [||]
+let no_caps = Bytes.empty
 
 type t = {
   size : int;
   data : Bytes.t array; (* per page; [zero_page] until first written *)
-  caps : Capability.t array array; (* per page; [no_caps] until first tagged store *)
+  caps : Bytes.t array; (* per page; [no_caps] until first tagged store *)
   tags : Bytes.t; (* one bit per granule *)
 }
 
@@ -62,7 +67,7 @@ let cap_page m p =
   let c = Array.unsafe_get m.caps p in
   if c != no_caps then c
   else begin
-    let c = Array.make page_granules Capability.null in
+    let c = Bytes.make page_size '\000' in
     m.caps.(p) <- c;
     c
   end
@@ -197,37 +202,51 @@ let write_u64 m a v =
 
 let aligned a = a land (granule - 1) = 0
 
+(* The granule's first data word, which for a tagged granule is its
+   capability's address. The caller has validated [a]. *)
+let[@inline] addr_word m a =
+  Int64.to_int (Bytes.get_int64_le (Array.unsafe_get m.data (a lsr page_shift)) (a land page_mask))
+
 let read_cap m a =
   check m a granule;
   if not (aligned a) then invalid_arg "Mem.read_cap: unaligned";
-  let g = gidx a in
-  if unsafe_read_tag m g then m.caps.(a lsr page_shift).(g land (page_granules - 1))
-  else
-    let addr =
-      Int64.to_int (Bytes.get_int64_le (Array.unsafe_get m.data (a lsr page_shift)) (a land page_mask))
-    in
-    Capability.set_addr Capability.null addr
+  let addr = addr_word m a in
+  if unsafe_read_tag m (gidx a) then
+    Capability.decode (Array.unsafe_get m.caps (a lsr page_shift)) (a land page_mask) ~addr
+  else Capability.set_addr Capability.null addr
 
 let write_cap m a c =
   check m a granule;
   if not (aligned a) then invalid_arg "Mem.write_cap: unaligned";
   let p = a lsr page_shift and off = a land page_mask in
+  let tagged = c.Capability.tag in
+  (* first, so that a capability [encode] rejects changes nothing *)
+  if tagged then Capability.encode c (cap_page m p) off;
   let d = writable_page m p in
   Bytes.set_int64_le d off (Int64.of_int c.Capability.addr);
   Bytes.set_int64_le d (off + 8) 0L;
-  let g = gidx a in
-  if c.Capability.tag then begin
-    Array.unsafe_set (cap_page m p) (g land (page_granules - 1)) c;
-    set_tag_bit m g
-  end
-  else clear_tag_bit m g
+  if tagged then set_tag_bit m (gidx a) else clear_tag_bit m (gidx a)
+
+let cap_base m a =
+  check m a granule;
+  Capability.encoded_base (Array.unsafe_get m.caps (a lsr page_shift)) (a land page_mask)
+
+let cap_word m a i =
+  check m a granule;
+  if i lsr 1 <> 0 then invalid_arg "Mem.cap_word: word index";
+  Int64.to_int
+    (Bytes.get_int64_le (Array.unsafe_get m.caps (a lsr page_shift)) ((a land page_mask) + (8 * i)))
+
+let cap_addr m a =
+  check m a granule;
+  addr_word m a
 
 (* First/last whole granule of [lo, hi) clamped to the memory, as an
    inclusive granule-index range (empty iff g0 > g1). Hoisting this one
    range computation replaces the per-granule bounds [check] the checked
    entry points pay. *)
 let granule_span m ~lo ~hi =
-  let lo = max 0 lo and hi = min m.size hi in
+  let lo = Int.max 0 lo and hi = Int.min m.size hi in
   let g0 = (lo + granule - 1) / granule in
   let g1 = (hi / granule) - 1 in
   (g0, g1)
@@ -294,7 +313,7 @@ let tag_bits m a =
 let iter_page_pieces ~lo ~hi f =
   let a = ref lo in
   while !a < hi do
-    let n = min (hi - !a) (page_size - (!a land page_mask)) in
+    let n = Int.min (hi - !a) (page_size - (!a land page_mask)) in
     f !a n;
     a := !a + n
   done
@@ -317,8 +336,8 @@ let fill m ~lo ~hi v =
     clear_tags_range m lo (hi - lo)
   end
 
-(* Copy [len] bytes from [src] to [dst], preserving tags and shadow
-   capabilities, one page piece at a time. Both ranges must be
+(* Copy [len] bytes from [src] to [dst], preserving tags and capability
+   words, one page piece at a time. Both ranges must be
    granule-aligned, as must [len], and they must not overlap; copy-on-write
    duplicates whole frames, which satisfies this. *)
 let copy_range m ~src ~dst ~len =
@@ -332,7 +351,8 @@ let copy_range m ~src ~dst ~len =
   while !pos < len do
     let s = src + !pos and d = dst + !pos in
     let n =
-      min (len - !pos) (min (page_size - (s land page_mask)) (page_size - (d land page_mask)))
+      Int.min (len - !pos)
+        (Int.min (page_size - (s land page_mask)) (page_size - (d land page_mask)))
     in
     let sp = s lsr page_shift and dp = d lsr page_shift in
     let sdata = m.data.(sp) in
@@ -347,8 +367,8 @@ let copy_range m ~src ~dst ~len =
       let gs = gidx s and gd = gidx d in
       for i = 0 to (n / granule) - 1 do
         if unsafe_read_tag m (gs + i) then begin
-          (cap_page m dp).((gd + i) land (page_granules - 1)) <-
-            m.caps.(sp).((gs + i) land (page_granules - 1));
+          Bytes.blit m.caps.(sp) ((s land page_mask) + (i * granule)) (cap_page m dp)
+            ((d land page_mask) + (i * granule)) granule;
           set_tag_bit m (gd + i)
         end
         else clear_tag_bit m (gd + i)

@@ -2,13 +2,17 @@
 
     Memory is a byte-addressed range with one validity tag per 16-byte,
     naturally-aligned {e granule} — the same density as CHERI tag storage
-    (Joannou et al., "Efficient Tagged Memory"). The simulator keeps the
-    full capability value for each tagged granule in a shadow slot; the
-    data bytes of a tagged granule hold the capability's address so that
-    integer reads of pointer values behave as on real hardware.
+    (Joannou et al., "Efficient Tagged Memory"). A tagged granule holds
+    its capability as flat words, as the hardware's 128-bit capability
+    word does: the data bytes hold the address, so that integer reads of
+    pointer values behave as on real hardware, and a per-page capability
+    chunk holds 16 bytes per granule, the bounds, permissions and object
+    type packed by {!Cheri.Capability.encode}. Storing a capability
+    therefore allocates nothing on the host, and reading a tagged one
+    back builds a fresh value ({!Cheri.Capability.decode}).
 
     Storage is demand-paged on the host, in 4 KiB pages: a page's data
-    bytes and its shadow capabilities are allocated on the first write
+    bytes and its capability chunk are allocated on the first write
     (resp. the first tagged capability store) to it. An untouched page
     reads as zero bytes and has no tags, and zeroing a whole page
     ({!fill} with 0) releases its storage again, so host memory tracks
@@ -57,14 +61,35 @@ val update_bits : t -> int -> lo:int -> hi:int -> set:bool -> int
 
 val read_cap : t -> int -> Cheri.Capability.t
 (** [read_cap m a] reads the 16-byte granule at [a] (must be granule-
-    aligned). If the granule is tagged, the stored capability is returned;
-    otherwise an untagged capability whose address is the granule's first
-    8 data bytes. Raises [Invalid_argument] on misalignment. *)
+    aligned). If the granule is tagged, the stored capability is returned,
+    decoded into a fresh value; otherwise an untagged capability whose
+    address is the granule's first 8 data bytes. Raises
+    [Invalid_argument] on misalignment. *)
 
 val write_cap : t -> int -> Cheri.Capability.t -> unit
 (** Store a capability: sets the granule's tag iff the capability is
     tagged, records its value, and writes its address into the data
-    bytes. *)
+    bytes. A tagged capability must be encodable
+    ({!Cheri.Capability.encode}); [Invalid_argument] otherwise, with
+    memory unchanged. *)
+
+val cap_base : t -> int -> int
+(** [cap_base m a] is the base of the capability in the tagged granule
+    at [a], without building it. *)
+
+val cap_word : t -> int -> int -> int
+(** [cap_word m a i], for [i] = 0 or 1, is word [i] of the capability
+    stored in the tagged granule at [a] ({!Cheri.Capability.encode}'s
+    layout), as an immediate int. Two tagged granules hold equal
+    capabilities iff both words and {!cap_addr} agree: the sweep kernel's
+    compare-and-clear compares these instead of decoded values.
+    [cap_base] and [cap_word] read what the last tagged store left, so
+    on an untagged granule their result means nothing (or they raise
+    [Invalid_argument], on a page no tagged store has reached). *)
+
+val cap_addr : t -> int -> int
+(** [cap_addr m a] is the granule's first 8 data bytes as an immediate
+    int: for a tagged granule, its capability's address. *)
 
 val read_tag : t -> int -> bool
 (** Tag of the granule containing the given address. *)
@@ -116,7 +141,7 @@ val fill : t -> lo:int -> hi:int -> int -> unit
 (** Fill bytes with a constant, clearing tags. *)
 
 val copy_range : t -> src:int -> dst:int -> len:int -> unit
-(** [copy_range m ~src ~dst ~len] copies data bytes, tag bits, and shadow
-    capabilities — the primitive behind copy-on-write frame duplication.
+(** [copy_range m ~src ~dst ~len] copies data bytes, tag bits, and
+    capability words — the primitive behind copy-on-write frame duplication.
     All of [src], [dst], and [len] must be granule-aligned, and the two
     ranges must not overlap ([Invalid_argument] otherwise). *)

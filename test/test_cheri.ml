@@ -221,6 +221,102 @@ let prop_representable_idempotent =
       Compress.representable ~base:base' ~length:length' = (base', length')
       && Compress.is_exact ~base:base' ~length:length')
 
+(* ---- Flat encoding ---- *)
+
+(* Encode into a fresh 16-byte buffer and decode back at the
+   capability's own address. *)
+let roundtrip c =
+  let b = Bytes.make 16 '\000' in
+  Cap.encode c b 0;
+  Cap.decode b 0 ~addr:(Cap.addr c)
+
+(* Every field, the cached window included. *)
+let same_fields (a : Cap.t) (b : Cap.t) =
+  a.tag = b.tag && a.base = b.base && a.length = b.length && a.addr = b.addr
+  && Perms.equal a.perms b.perms && a.otype = b.otype && a.win_lo = b.win_lo
+  && a.win_hi = b.win_hi
+
+type step = Bounds of int * int | Perms of int | Addr of int | Seal of int
+
+(* A derivation chain from a 2^40 root: a first [set_bounds] of at most
+   2^39 bytes, some ending right at 2^40, then random steps. A step that
+   would untag the capability is dropped, so the chain's result is
+   tagged. Steps carry raw draws, scaled to the capability they meet. *)
+let arb_chain =
+  let gen =
+    QCheck.Gen.(
+      let* length = int_range 1 (1 lsl 39) in
+      let* base =
+        oneof
+          [ int_bound ((1 lsl 40) - length); map (fun k -> (1 lsl 40) - length - k) (int_bound 4096) ]
+      in
+      let step =
+        frequency
+          [
+            (3, map2 (fun o l -> Bounds (o, l)) (int_bound max_int) (int_bound max_int));
+            (2, map (fun p -> Perms p) (int_bound 127));
+            (3, map (fun a -> Addr a) (int_bound max_int));
+            (1, map (fun o -> Seal o) (int_range 1 ((1 lsl 22) - 1)));
+          ]
+      in
+      let* steps = list_size (int_range 0 8) step in
+      return (base, length, steps))
+  in
+  let pp_step = function
+    | Bounds (o, l) -> Printf.sprintf "bounds %d %d" o l
+    | Perms p -> Printf.sprintf "perms %d" p
+    | Addr a -> Printf.sprintf "addr %d" a
+    | Seal o -> Printf.sprintf "seal %d" o
+  in
+  QCheck.make
+    ~print:(fun (b, l, steps) ->
+      Printf.sprintf "base %d length %d: %s" b l (String.concat "; " (List.map pp_step steps)))
+    gen
+
+let derive (base, length, steps) =
+  let apply (c : Cap.t) step =
+    let c' =
+      match step with
+      | Bounds (o, l) ->
+          let b = c.base + (o mod c.length) in
+          Cap.set_bounds c ~base:b ~length:(1 + (l mod (Cap.top c - b)))
+      | Perms p -> Cap.restrict_perms c (Perms.of_int p)
+      | Addr a -> Cap.set_addr c (c.win_lo + (a mod (c.win_hi - c.win_lo)))
+      | Seal o -> Cap.seal c ~otype:o
+    in
+    if Cap.tag c' then c' else c
+  in
+  List.fold_left apply (Cap.set_bounds (Cap.root ~length:(1 lsl 40)) ~base ~length) steps
+
+let prop_codec_roundtrip =
+  QCheck.Test.make ~name:"decode (encode c) = c on derivation chains" ~count:2000 arb_chain
+    (fun chain ->
+      let c = derive chain in
+      Cap.tag c && same_fields (roundtrip c) c)
+
+let test_codec_limits () =
+  let raises name c =
+    let b = Bytes.make 16 '\007' in
+    Alcotest.check_raises name (Invalid_argument "Capability.encode: field out of range")
+      (fun () -> Cap.encode c b 0);
+    check (name ^ ": nothing written") true (Bytes.equal b (Bytes.make 16 '\007'))
+  in
+  let wide = Cap.root ~length:(1 lsl 41) in
+  raises "base 2^40" (Cap.set_bounds wide ~base:(1 lsl 40) ~length:16);
+  raises "length 2^40" (Cap.root ~length:(1 lsl 40));
+  let c = Cap.set_bounds wide ~base:4096 ~length:64 in
+  raises "otype 2^22" (Cap.seal c ~otype:(1 lsl 22));
+  (* the largest values that fit *)
+  List.iter
+    (fun (name, c) ->
+      check (name ^ " tagged") true (Cap.tag c);
+      check (name ^ " roundtrips") true (same_fields (roundtrip c) c))
+    [
+      ("base 2^40 - 16", Cap.set_bounds wide ~base:((1 lsl 40) - 16) ~length:16);
+      ("length 2^40 - 1", Cap.set_bounds_exact wide ~base:0 ~length:((1 lsl 40) - (1 lsl 26)));
+      ("otype 2^22 - 1", Cap.seal c ~otype:((1 lsl 22) - 1));
+    ]
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "cheri"
@@ -249,6 +345,7 @@ let () =
           Alcotest.test_case "untag blocks deref" `Quick test_untag_blocks_deref;
           Alcotest.test_case "sealing" `Quick test_sealing;
           Alcotest.test_case "is_subset" `Quick test_is_subset;
+          Alcotest.test_case "encode limits" `Quick test_codec_limits;
         ] );
       ( "properties",
         qt
@@ -259,5 +356,6 @@ let () =
             prop_perms_only_shrink;
             prop_rounded_alignment_exact;
             prop_representable_idempotent;
+            prop_codec_roundtrip;
           ] );
     ]

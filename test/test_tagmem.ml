@@ -23,7 +23,16 @@ let test_cap_roundtrip () =
   check "tag set" true (Mem.read_tag m 512);
   check "cap equal" true (Cap.equal c (Mem.read_cap m 512));
   (* the data bytes of a tagged granule hold the address *)
-  Alcotest.(check int64) "address in data" (Int64.of_int (Cap.addr c)) (Mem.read_u64 m 512)
+  Alcotest.(check int64) "address in data" (Int64.of_int (Cap.addr c)) (Mem.read_u64 m 512);
+  (* a capability memory cannot encode is refused, and the granule keeps
+     what it held *)
+  let wide = Cap.root ~length:(1 lsl 40) in
+  check "unencodable store raises" true
+    (try
+       Mem.write_cap m 512 (Cap.set_addr wide 4096);
+       false
+     with Invalid_argument _ -> true);
+  check "old capability kept" true (Cap.equal c (Mem.read_cap m 512))
 
 let test_untagged_store_clears () =
   let m = mk () in
@@ -161,10 +170,31 @@ let model_size = (4 * 4096) + 512
 type op =
   | W8 of int * int
   | W64 of int * int
-  | Wcap of int * bool
+  | Wcap of int * Cap.t
   | Clear of int
   | Fill of int * int * int
   | Copy of int * int * int
+
+(* Capabilities that exercise every field memory packs: bases anywhere
+   below 2^40 (half of them within a page of it), random permissions, an
+   address moved anywhere in the representable window, a sealed third,
+   and an untagged half. *)
+let cap_gen =
+  let open QCheck.Gen in
+  let root = Cap.root ~length:(1 lsl 40) in
+  let* length = oneof [ int_range 1 64; int_range 1 (1 lsl 30) ] in
+  let* base =
+    oneof
+      [ int_bound ((1 lsl 40) - length); map (fun k -> (1 lsl 40) - length - k) (int_bound 4096) ]
+  in
+  let* perms = int_bound 127 in
+  let* a = int_bound max_int in
+  let* otype = frequency [ (2, return 0); (1, int_range 1 ((1 lsl 22) - 1)) ] in
+  let* tagged = bool in
+  let c = Cap.restrict_perms (Cap.set_bounds root ~base ~length) (Cheri.Perms.of_int perms) in
+  let c = Cap.set_addr c (c.win_lo + (a mod (c.win_hi - c.win_lo))) in
+  let c = if otype = 0 then c else Cap.seal c ~otype in
+  return (if tagged then c else Cap.clear_tag c)
 
 let op_gen =
   let open QCheck.Gen in
@@ -177,7 +207,7 @@ let op_gen =
       (3, map2 (fun a v -> W64 (min a (model_size - 8), v)) addr (int_bound 1000));
       (* page-straddling words *)
       (1, map2 (fun p k -> W64 ((p * 4096) + 4089 + k, 7)) (int_bound 2) (int_bound 6));
-      (4, map2 (fun a t -> Wcap (a, t)) granule_addr bool);
+      (4, map2 (fun a c -> Wcap (a, c)) granule_addr cap_gen);
       (2, map (fun a -> Clear a) addr);
       (1, map2 (fun p v -> Fill (p * 4096, (p + 1) * 4096, v)) page (oneofl [ 0; 0; 0x5c ]));
       ( 2,
@@ -194,7 +224,7 @@ let op_gen =
 let pp_op = function
   | W8 (a, v) -> Printf.sprintf "w8 %d %d" a v
   | W64 (a, v) -> Printf.sprintf "w64 %d %d" a v
-  | Wcap (a, t) -> Printf.sprintf "cap %d %b" a t
+  | Wcap (a, c) -> Format.asprintf "cap %d %a" a Cap.pp c
   | Clear a -> Printf.sprintf "clear %d" a
   | Fill (lo, hi, v) -> Printf.sprintf "fill %d %d %d" lo hi v
   | Copy (s, d, n) -> Printf.sprintf "copy %d %d %d" s d n
@@ -208,7 +238,6 @@ let prop_demand_paging =
       let data = Bytes.make model_size '\000' in
       let tags = Array.make (model_size / 16) false in
       let shadow = Array.make (model_size / 16) Cap.null in
-      let root = Cap.root ~length:(1 lsl 20) in
       let untag lo hi =
         for g = lo / 16 to (hi - 1) / 16 do
           tags.(g) <- false
@@ -224,9 +253,7 @@ let prop_demand_paging =
               Mem.write_u64 m a (Int64.of_int v);
               Bytes.set_int64_le data a (Int64.of_int v);
               untag a (a + 8)
-          | Wcap (a, t) ->
-              let c = Cap.set_bounds root ~base:a ~length:32 in
-              let c = if t then c else Cap.clear_tag c in
+          | Wcap (a, c) ->
               Mem.write_cap m a c;
               Bytes.set_int64_le data a (Int64.of_int (Cap.addr c));
               Bytes.set_int64_le data (a + 8) 0L;
@@ -258,7 +285,8 @@ let prop_demand_paging =
       for g = 0 to (model_size / 16) - 1 do
         let a = g * 16 in
         if Mem.read_tag m a <> tags.(g) then ok := false;
-        if tags.(g) && not (Cap.equal (Mem.read_cap m a) shadow.(g)) then ok := false;
+        (* every field, the cached window included *)
+        if tags.(g) && Mem.read_cap m a <> shadow.(g) then ok := false;
         if Mem.read_u64 m a <> Bytes.get_int64_le data a then ok := false
       done;
       !ok
