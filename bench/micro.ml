@@ -214,7 +214,12 @@ let extras =
 
 let run () =
   Format.printf "@.=== Microbenchmarks (host-side cost of simulator primitives) ===@.@.";
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 1000) () in
+  (* No stabilization: bechamel's default compacts the heap before every
+     sample until the live words settle, which leaves the quota a few
+     short cold-cache runs and reads the slope 5-15x too high. *)
+  let cfg =
+    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ~stabilize:false ()
+  in
   let instances = Instance.[ monotonic_clock ] in
   List.iter
     (fun test ->

@@ -653,9 +653,9 @@ let set_cap_store_hook m h = m.store_hook <- h
 
 (* ---- the access path ----
 
-   Every simulated load and store runs through here. dune's default (dev)
-   profile compiles with -opaque, so no call into another module of this
-   repository is ever inlined: the common case therefore makes none. It
+   Every simulated load and store runs through here. It was written for
+   an -opaque build, in which no call into another module of this
+   repository is inlined, so the common case makes none. It
    reads the fields of the [private] types [Capability.t], [Perms.t],
    [Tlb.t] and [Cache.t] directly and does the check, the TLB probe, the
    frame address, the L1-hit update and the charge inline, with one core

@@ -323,6 +323,194 @@ let test_zero_clears () =
   in
   check "zeroed and untagged" true ok
 
+(* ---- the fused access check ----
+
+   The access path checks bounds and permissions with [deref_ok] on the
+   authorizing capability and an explicit address, never building the
+   moved capability. It must decide exactly as [Capability.can_*] of
+   [Capability.set_addr cap va] does, and each [_at] accessor must do
+   what its plain twin does on the moved capability. *)
+
+(* A capability derived from the heap capability at [lo, lo + len) past
+   the heap base, optionally derived again at [off, off + len2) inside
+   that (or partly past it, which untags), with perms restricted to
+   [perms], sealed or untagged on request; and an address [delta] past
+   its base or its top (rounded down to a granule on request), kept
+   inside the [region] bytes mapped at the heap base. *)
+type access_case = {
+  lo : int;
+  len : int;
+  narrow : (int * int) option;
+  perms : int;
+  sealed : bool;
+  untagged : bool;
+  from_top : bool;
+  delta : int;
+  granule_aligned : bool;
+  cold_tlb : bool;
+  tagged_value : bool;
+}
+
+let case_cap heap k =
+  let c = Cap.set_bounds heap ~base:(Cap.base heap + k.lo) ~length:k.len in
+  let c =
+    match k.narrow with
+    | None -> c
+    | Some (off, len2) -> Cap.set_bounds c ~base:(Cap.base c + off) ~length:len2
+  in
+  let c = Cap.restrict_perms c (Perms.of_int k.perms) in
+  let c = if k.sealed then Cap.seal c ~otype:7 else c in
+  if k.untagged then Cap.clear_tag c else c
+
+let region = 16 * 4096
+
+let case_va heap cap k =
+  let va = (if k.from_top then Cap.top cap else Cap.base cap) + k.delta in
+  let va = if k.granule_aligned then va land lnot 15 else va in
+  Int.max (Cap.base heap) (Int.min (Cap.base heap + region - 16) va)
+
+let access_case_gen =
+  QCheck.Gen.(
+    let aligned_or_not n =
+      map2 (fun a x -> if a then x land lnot 15 else x) (frequencyl [ (3, true); (1, false) ]) n
+    in
+    let* lo = aligned_or_not (int_range 64 32_768) in
+    let* len = aligned_or_not (int_range 0 8192) in
+    let* narrow =
+      frequency
+        [ (2, return None);
+          (1, map2 (fun off len2 -> Some (off, len2)) (int_range 0 (len + 32)) (int_range 0 len)) ]
+    in
+    let* perms = frequency [ (1, return (Perms.to_int Perms.all)); (1, int_range 0 127) ] in
+    let* sealed = frequencyl [ (7, false); (1, true) ] in
+    let* untagged = frequencyl [ (7, false); (1, true) ] in
+    let* from_top = bool in
+    let* delta =
+      frequency
+        [ (3, oneofl [ -17; -16; -9; -8; -1; 0; 1; 7; 8; 9; 15; 16; 17 ]);
+          (2, int_range (-40) 40);
+          (2, int_range (-len) len) ]
+    in
+    let* granule_aligned = bool in
+    let* cold_tlb = bool in
+    let* tagged_value = bool in
+    return
+      { lo; len; narrow; perms; sealed; untagged; from_top; delta; granule_aligned; cold_tlb;
+        tagged_value })
+
+let print_access_case k =
+  Printf.sprintf
+    "lo=%d len=%d narrow=%s perms=%d sealed=%b untagged=%b from_top=%b delta=%d \
+     granule_aligned=%b cold_tlb=%b tagged_value=%b"
+    k.lo k.len
+    (match k.narrow with None -> "-" | Some (o, l) -> Printf.sprintf "(%d,%d)" o l)
+    k.perms k.sealed k.untagged k.from_top k.delta k.granule_aligned k.cold_tlb k.tagged_value
+
+type outcome =
+  | Done
+  | Bit of bool
+  | Flipped of int
+  | Loaded of Cap.t
+  | Fault of Cap.t * string * int
+
+(* An accessor, what [Capability.can_*] of the moved capability says
+   about it ([denied]), its [_at] form, and its twin on the moved
+   capability. [touch] (width 1) and [rmw_bits_at] have no second form
+   and are their own twins. *)
+type accessor = {
+  name : string;
+  denied : Cap.t -> bool;
+  at : M.ctx -> Cap.t -> int -> outcome;
+  twin : M.ctx -> Cap.t -> outcome;
+}
+
+let accessors ~value =
+  let moved f ctx cap va = f ctx (Cap.set_addr cap va) in
+  let misaligned mc = Cap.addr mc land 15 <> 0 in
+  let touch ~write ctx mc = M.touch ctx mc ~write; Done in
+  let rmw ctx cap va = Flipped (M.rmw_bits_at ctx cap va ~lo:3 ~hi:40 ~set:true) in
+  [
+    { name = "touch (width 1, read)"; denied = (fun mc -> not (Cap.can_load ~width:1 mc));
+      at = moved (touch ~write:false); twin = touch ~write:false };
+    { name = "touch (width 1, write)"; denied = (fun mc -> not (Cap.can_store ~width:1 mc));
+      at = moved (touch ~write:true); twin = touch ~write:true };
+    { name = "touch_u64_at"; denied = (fun mc -> not (Cap.can_load ~width:8 mc));
+      at = (fun ctx cap va -> M.touch_u64_at ctx cap va; Done);
+      twin = (fun ctx mc -> ignore (M.load_u64 ctx mc); Done) };
+    { name = "load_u64_bit"; denied = (fun mc -> not (Cap.can_load ~width:8 mc));
+      at = (fun ctx cap va -> Bit (M.load_u64_bit ctx cap va ~bit:5));
+      twin = (fun ctx mc -> Bit (Int64.logand (M.load_u64 ctx mc) 32L <> 0L)) };
+    { name = "store_u64_at"; denied = (fun mc -> not (Cap.can_store ~width:8 mc));
+      at = (fun ctx cap va -> M.store_u64_at ctx cap va 0x5a5aL; Done);
+      twin = (fun ctx mc -> M.store_u64 ctx mc 0x5a5aL; Done) };
+    { name = "rmw_bits_at"; denied = (fun mc -> not (Cap.can_store ~width:8 mc));
+      at = rmw; twin = (fun ctx mc -> rmw ctx mc (Cap.addr mc)) };
+    { name = "load_cap_at";
+      denied = (fun mc -> (not (Cap.can_load ~width:16 mc)) || misaligned mc);
+      at = (fun ctx cap va -> Loaded (M.load_cap_at ctx cap va));
+      twin = (fun ctx mc -> Loaded (M.load_cap ctx mc)) };
+    { name = "store_cap_at";
+      denied =
+        (fun mc ->
+          (not (Cap.can_store ~width:16 mc)) || misaligned mc
+          || (Cap.tag value && not (Cap.can_store_cap mc)));
+      at = (fun ctx cap va -> M.store_cap_at ctx cap va value; Done);
+      twin = (fun ctx mc -> M.store_cap ctx mc value; Done) };
+  ]
+
+(* Every accessor on a fresh machine, [_at] forms or twins: before each,
+   the heap capability stores a tagged capability into the granule under
+   the address (and, on request, the address's TLB entry is shot down).
+   Returns the moved capability and each access's outcome and cycles. *)
+let run_accesses k ~twins =
+  let m = M.create { cfg with M.quantum = max_int / 2 } in
+  let out = ref None in
+  ignore
+    (M.spawn m ~name:"app" ~core:3 (fun ctx ->
+         let heap = heap_cap m in
+         M.map ctx ~vaddr:(Cap.base heap) ~len:region ~writable:true;
+         let cap = case_cap heap k in
+         let va = case_va heap cap k in
+         let planted = Cap.set_bounds heap ~base:(Cap.base heap) ~length:64 in
+         let value = if k.tagged_value then planted else Cap.clear_tag planted in
+         let run a =
+           M.store_cap_at ctx heap (va land lnot 15) planted;
+           if k.cold_tlb then M.tlb_shootdown ctx ~vpages:[ va / 4096 ];
+           let t0 = M.now ctx in
+           let o =
+             try if twins then a.twin ctx (Cap.set_addr cap va) else a.at ctx cap va
+             with M.Capability_fault { cap; op; vaddr } -> Fault (cap, op, vaddr)
+           in
+           (a, o, M.now ctx - t0)
+         in
+         out := Some (Cap.set_addr cap va, List.map run (accessors ~value))));
+  M.run m;
+  Option.get !out
+
+let prop_access_check =
+  QCheck.Test.make ~name:"fused access check = Capability.can_* of the moved capability"
+    ~count:1000
+    (QCheck.make ~print:print_access_case access_case_gen)
+    (fun k ->
+      let mc, at = run_accesses k ~twins:false in
+      let _, twins = run_accesses k ~twins:true in
+      List.iter2
+        (fun (a, o, cycles) (_, o', cycles') ->
+          let faulted = match o with Fault _ -> true | _ -> false in
+          if faulted <> a.denied mc then
+            QCheck.Test.fail_reportf "%s: faulted=%b, but can_* denies=%b" a.name faulted
+              (a.denied mc);
+          (match o with
+          | Loaded v when Cap.tag v <> Cap.can_load_cap mc ->
+              QCheck.Test.fail_reportf "%s: loaded tag %b, can_load_cap %b" a.name (Cap.tag v)
+                (Cap.can_load_cap mc)
+          | _ -> ());
+          if o <> o' || cycles <> cycles' then
+            QCheck.Test.fail_reportf "%s: differs from its twin (cycles %d vs %d)" a.name cycles
+              cycles')
+        at twins;
+      true)
+
 (* ---- load barrier ---- *)
 
 let test_clg_fault_fires_and_heals () =
@@ -542,7 +730,11 @@ let test_cap_store_promotion () =
 (* Minor words of one warm 48-byte [Runtime.malloc] + [free] pair, with
    no epoch triggered. Not zero — a [Capability.t] alone is 9 words, and
    the shim's quarantine buffer conses each freed range — but pinned, so
-   that a regression shows. *)
+   that a regression shows. The pins hold for the workspace build
+   (dune-workspace: release profile, no -opaque, -inline 50). Reloaded's
+   reads 46 under an -opaque build (--profile dev), where no call across
+   modules inlines, and fails there, so it also guards the build
+   setting. *)
 let malloc_free_words mode =
   let config =
     { (Ccr.Runtime.machine_config ~heap_bytes:(16 lsl 20) ~seed:1 ()) with M.quantum = max_int / 2 }
@@ -564,14 +756,15 @@ let malloc_free_words mode =
 let test_malloc_free_words () =
   check_int "baseline pair" 33 (malloc_free_words Ccr.Runtime.Baseline);
   (* the revocation-bitmap paint runs on every free *)
-  check_int "reloaded pair" 46 (malloc_free_words (Ccr.Runtime.Safe Ccr.Revoker.Reloaded))
+  check_int "reloaded pair" 42 (malloc_free_words (Ccr.Runtime.Safe Ccr.Revoker.Reloaded))
 
 (* The same pair through a tenant's sealed allocator capability
    ([Tenancy.Ledger]): unseal, the quota charge, the entry table and,
    under Baseline, the inline credit, on top of the runtime pair. The
    entry record, the [Some] of a grant and the trace events' optional
    arguments remain; a boxing table (a [Hashtbl] read 16 words more) or
-   a lookup to unseal would show. *)
+   a lookup to unseal would show. Workspace-build values, as for
+   [malloc_free_words]: an -opaque build reads 54 and 63 and fails both. *)
 let ledger_pair_words mode =
   let config =
     { (Ccr.Runtime.machine_config ~heap_bytes:(16 lsl 20) ~seed:1 ()) with M.quantum = max_int / 2 }
@@ -598,8 +791,8 @@ let ledger_pair_words mode =
   Float.to_int (Float.round !words)
 
 let test_ledger_pair_words () =
-  check_int "baseline ledger pair" 54 (ledger_pair_words Ccr.Runtime.Baseline);
-  check_int "reloaded ledger pair" 63
+  check_int "baseline ledger pair" 50 (ledger_pair_words Ccr.Runtime.Baseline);
+  check_int "reloaded ledger pair" 57
     (ledger_pair_words (Ccr.Runtime.Safe Ccr.Revoker.Reloaded));
   (* sampled on every served request of the tenant storm *)
   let os = Os.create ~config:cfg (Ccr.Runtime.Safe Ccr.Revoker.Reloaded) in
@@ -610,10 +803,11 @@ let test_ledger_pair_words () =
 (* Marginal minor words per op of the reference SPEC interpreter on
    hmmer_nph3 under Baseline: the run at ops scale 0.03 less the run at
    0.01, over the difference in ops done, so that machine set-up and the
-   table's warm-up cancel. Not zero — malloc, the capability each tagged
-   load decodes, the boxed [Int64] of every store and every float draw's
-   result remain — but pinned: moved capabilities per access (241 words)
-   or a boxing PRNG would show. *)
+   table's warm-up cancel. Not zero — malloc and the capability each
+   tagged load decodes remain, among others — but pinned: moved
+   capabilities per access (241 words) or a boxing PRNG would show. The
+   pin holds for the workspace build; an -opaque build reads 61 and
+   fails it. *)
 let test_reference_interp_words () =
   let p = Workload.Profile.find "hmmer_nph3" in
   let run ops_scale =
@@ -625,7 +819,7 @@ let test_reference_interp_words () =
   in
   let w1, ops1 = run 0.01 in
   let w3, ops3 = run 0.03 in
-  check_int "hmmer_nph3 words per op" 61
+  check_int "hmmer_nph3 words per op" 34
     (Float.to_int (Float.round ((w3 -. w1) /. float_of_int (ops3 - ops1))))
 
 let () =
@@ -673,6 +867,7 @@ let () =
           Alcotest.test_case "reference interpreter allocation" `Quick
             test_reference_interp_words;
         ] );
+      ("access check", List.map QCheck_alcotest.to_alcotest [ prop_access_check ]);
       ( "barrier",
         [
           Alcotest.test_case "clg fault heals" `Quick test_clg_fault_fires_and_heals;
