@@ -140,6 +140,34 @@ let serve_deadline_cell b =
     o.Workload.Serve.served o.Workload.Serve.shed_depth o.Workload.Serve.shed_deadline;
   result b o.Workload.Serve.result
 
+(* Governed Reloaded under a diurnal arrival schedule (the one
+   [ccr_serve --pattern diurnal] draws): the governor flushes quarantine
+   eagerly in a trough. *)
+let serve_diurnal_cell b =
+  let o =
+    Workload.Serve.run
+      ~config:
+        {
+          Workload.Serve.default_config with
+          pattern =
+            Service.Loadgen.Diurnal { low = 60_000.0; high = 180_000.0; period_us = 3_000.0 };
+          requests = 600;
+          queue_depth = 64;
+          session_slots = 2_000;
+          seed = 11;
+        }
+      ~governed:true ~mode:(Runtime.Safe Revoker.Reloaded) ()
+  in
+  let g = Option.get o.Workload.Serve.governor in
+  guard "eager_flushes" g.Service.Governor.eager_flushes;
+  line b "offered=%d served=%d shed_depth=%d shed_deadline=%d" o.Workload.Serve.offered
+    o.Workload.Serve.served o.Workload.Serve.shed_depth o.Workload.Serve.shed_deadline;
+  line b "governor deferred=%d forced=%d eager=%d defer_cycles=%d quanta=%d slo=%d"
+    g.Service.Governor.epochs_deferred g.Service.Governor.epochs_forced
+    g.Service.Governor.eager_flushes g.Service.Governor.defer_cycles
+    g.Service.Governor.quanta_granted g.Service.Governor.slo_events;
+  result b o.Workload.Serve.result
+
 let fleet_lines b (o : Fleet.outcome) =
   line b "offered=%d served=%d retried=%d hedged=%d shed=%d/%d/%d lost=%d redist=%d dropped=%d"
     o.Fleet.offered o.Fleet.served o.Fleet.retried_ok o.Fleet.hedged_ok o.Fleet.shed_depth
@@ -342,6 +370,7 @@ let cells =
       ("tenantecon/steal-phys0.6", tenantecon_overcommit_cell Tenancy.Ledger.Steal_from_idle);
       ("tenantecon/revoke-phys0.6", tenantecon_overcommit_cell Tenancy.Ledger.Trigger_revocation);
       ("tenantecon/baseline", tenantecon_baseline_cell);
+      ("serve/reloaded-diurnal", serve_diurnal_cell);
     ]
 
 let render_cells () =
