@@ -141,7 +141,7 @@ let pct (r : Result.t) q =
   Stats.Summary.percentile (Array.to_list r.Result.latencies_us) q
 
 (* Tail of a latency-bearing record through the log-bucketed histogram —
-   the same recorder a production fleet would use — rather than the
+   the same recorder a production server would use — rather than the
    exact sorted-array percentile, so dashboard rows match what a
    constant-memory collector on real hardware reports. Batch records
    have no samples and report 0. *)

@@ -569,7 +569,7 @@ let on_event t (e : Trace.event) =
   | Trace.Chaos_inject | Trace.Stw_request | Trace.Clg_fault
   | Trace.Context_switch | Trace.Revoke_batch | Trace.Cow_fault
   | Trace.Proc_exec | Trace.Proc_exit | Trace.Sched_grant | Trace.Req_shed
-  | Trace.Req_lost | Trace.Brownout_shift | Trace.Governor_defer
+  | Trace.Req_lost | Trace.Governor_defer
   | Trace.Governor_force | Trace.Governor_quantum | Trace.Slo_violation
   | Trace.Quota_deny | Trace.Custom _ ->
       ()

@@ -10,7 +10,6 @@ type kind =
   | Tag_corruption
   | Quarantine_stall
   | Tenant_kill
-  | Inflight_loss
 
 let kind_name = function
   | Sweep_crash -> "sweep-crash"
@@ -19,7 +18,6 @@ let kind_name = function
   | Tag_corruption -> "tag-corruption"
   | Quarantine_stall -> "quarantine-stall"
   | Tenant_kill -> "tenant-kill"
-  | Inflight_loss -> "inflight-loss"
 
 let kind_code = function
   | Sweep_crash -> 0
@@ -28,7 +26,6 @@ let kind_code = function
   | Tag_corruption -> 3
   | Quarantine_stall -> 4
   | Tenant_kill -> 5
-  | Inflight_loss -> 6
 
 let all_kinds =
   [
@@ -38,7 +35,6 @@ let all_kinds =
     Tag_corruption;
     Quarantine_stall;
     Tenant_kill;
-    Inflight_loss;
   ]
 
 let kind_of_name s =
@@ -50,7 +46,7 @@ let kind_of_name s =
    shootdowns (the only default configuration that sends any). *)
 let applicable strategy kind =
   match (kind, strategy) with
-  | (Quarantine_stall | Tenant_kill | Inflight_loss), _ -> true
+  | (Quarantine_stall | Tenant_kill), _ -> true
   | _, Revoker.Paint_sync -> false
   | Shootdown_ack_loss, Revoker.Cornucopia -> true
   | Shootdown_ack_loss, _ -> false
@@ -92,7 +88,6 @@ let plan ~seed ~strategy ~horizon ?(kinds = all_kinds) () =
           | Tag_corruption -> (0, 2 + Prng.int rng 6)
           | Quarantine_stall -> (50_000 + Prng.int rng 200_000, 1 + Prng.int rng 2)
           | Tenant_kill -> (0, 1)
-          | Inflight_loss -> (0, 1)
         in
         { f_id = i; f_kind = k; f_at = at; f_param = param; f_count = count })
       kinds
@@ -134,7 +129,7 @@ let active a now = now >= a.fault.f_at && a.remaining > 0
 
 let find t k = List.filter (fun a -> a.fault.f_kind = k) t.arms
 
-let install m ~revoker ~mrs ?kill ?drop_inflight schedule =
+let install m ~revoker ~mrs ?kill schedule =
   let t =
     {
       m;
@@ -249,23 +244,6 @@ let install m ~revoker ~mrs ?kill ?drop_inflight schedule =
                  else a.remaining <- 0)))
         (find t Tenant_kill)
   | Some _ | None -> ());
-  (* in-flight loss: at the arming cycle a controller thread invokes the
-     harness's drop closure (typically Squeue.drain_lost on a crashing
-     host's queue) and reports how many admitted requests it destroyed *)
-  (match drop_inflight with
-  | Some do_drop when has Inflight_loss ->
-      List.iter
-        (fun a ->
-          ignore
-            (Machine.spawn m
-               ~name:(Printf.sprintf "chaos-inflight-%d" a.fault.f_id)
-               ~core:0 ~user:false (fun ctx ->
-                 let dt = a.fault.f_at - Machine.now ctx in
-                 if dt > 0 then Machine.sleep ctx dt;
-                 if do_drop ctx > 0 then emit t ctx a
-                 else a.remaining <- 0)))
-        (find t Inflight_loss)
-  | Some _ | None -> ());
   t
 
 (* ---- branchable fault points (model checking) ----
@@ -290,8 +268,7 @@ let install_branch m ?revoker ?(budget = 1) ?(stuck_drain = 1_000_000_000)
         match k with
         | Sweep_crash -> mk_fault i k 0
         | Stuck_quiesce -> mk_fault i k stuck_drain
-        | Shootdown_ack_loss | Tag_corruption | Quarantine_stall | Tenant_kill
-        | Inflight_loss ->
+        | Shootdown_ack_loss | Tag_corruption | Quarantine_stall | Tenant_kill ->
             invalid_arg
               (Printf.sprintf "Chaos.install_branch: %s is not branchable"
                  (kind_name k)))

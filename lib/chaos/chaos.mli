@@ -21,9 +21,6 @@ type kind =
       (** transient tag upset on a kernel read (machine detects, re-reads) *)
   | Quarantine_stall  (** batch releases stall on the revoker thread *)
   | Tenant_kill  (** a victim process is killed at an arbitrary phase *)
-  | Inflight_loss
-      (** admitted-but-incomplete requests are destroyed at a host crash
-          (queue drained via the harness's drop closure) *)
 
 val kind_name : kind -> string
 val kind_code : kind -> int
@@ -65,14 +62,12 @@ val install :
   revoker:Ccr.Revoker.t option ->
   mrs:Ccr.Mrs.t option ->
   ?kill:(Sim.Machine.ctx -> int) ->
-  ?drop_inflight:(Sim.Machine.ctx -> int) ->
   schedule ->
   t
-(** Arm the schedule. [kill] (for [Tenant_kill]) and [drop_inflight]
-    (for [Inflight_loss]) are each invoked once from a controller thread
-    at their fault's arming cycle and should return the number of
-    threads killed / requests destroyed (0 marks the fault
-    spent-unfired). Call before {!Sim.Machine.run}. *)
+(** Arm the schedule. [kill] (for [Tenant_kill]) is invoked once from a
+    controller thread at the fault's arming cycle and should return the
+    number of threads killed (0 marks the fault spent-unfired). Call
+    before {!Sim.Machine.run}. *)
 
 val install_branch :
   Sim.Machine.t ->

@@ -18,11 +18,6 @@ let pos_float =
           Float.is_finite x && x > 0.0),
       Arg.conv_printer Arg.float )
 
-let fraction =
-  Arg.conv
-    ( number ~expected:"a number in [0, 1]" float_of_string_opt (fun x -> x >= 0.0 && x <= 1.0),
-      Arg.conv_printer Arg.float )
-
 let named ~what of_name to_name =
   let parse s =
     let s = String.trim s in
@@ -80,12 +75,11 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
-  let schema ?(topology = "single") ?(host_count = 1) ?(balancer = "none") ?(tenants = 1)
-      ?(overcommit = "none") () =
+  let schema ?(tenants = 1) ?(overcommit = "none") () =
     [
-      ("topology", String topology);
-      ("host_count", Int host_count);
-      ("balancer", String balancer);
+      ("topology", String "single");
+      ("host_count", Int 1);
+      ("balancer", String "none");
       ("tenants", Int tenants);
       ("overcommit", String overcommit);
     ]

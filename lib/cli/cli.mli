@@ -19,9 +19,6 @@ val pos_int : int Arg.conv
 val pos_float : float Arg.conv
 (** A finite number above 0: [nan], [inf] and [0] are refused. *)
 
-val fraction : float Arg.conv
-(** A finite number in [\[0, 1\]]. *)
-
 val list : 'a Arg.conv -> 'a list Arg.conv
 (** Cmdliner's comma-separated [Arg.list], refusing an empty list. *)
 
@@ -75,18 +72,11 @@ module Json : sig
     | List of t list
     | Obj of (string * t) list
 
-  val schema :
-    ?topology:string ->
-    ?host_count:int ->
-    ?balancer:string ->
-    ?tenants:int ->
-    ?overcommit:string ->
-    unit ->
-    (string * t) list
-  (** The schema-alignment fields every record pins, defaulting to one
-      single-host, unbalanced, one-tenant machine: [topology "single"],
-      [host_count 1], [balancer "none"], [tenants 1],
-      [overcommit "none"]. *)
+  val schema : ?tenants:int -> ?overcommit:string -> unit -> (string * t) list
+  (** The schema-alignment fields every record pins: [topology "single"],
+      [host_count 1] and [balancer "none"] (every record describes one
+      machine), and [tenants] (default 1) and [overcommit] (default
+      ["none"]). *)
 
   val to_string : t -> string
   (** One line. Strings are escaped in full (quote, backslash and every

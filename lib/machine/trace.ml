@@ -32,7 +32,6 @@ type kind =
   | Chaos_inject
   | Req_shed
   | Req_lost
-  | Brownout_shift
   | Governor_defer
   | Governor_force
   | Governor_quantum
@@ -77,7 +76,6 @@ let kind_name = function
   | Chaos_inject -> "chaos-inject"
   | Req_shed -> "req-shed"
   | Req_lost -> "req-lost"
-  | Brownout_shift -> "brownout-shift"
   | Governor_defer -> "governor-defer"
   | Governor_force -> "governor-force"
   | Governor_quantum -> "governor-quantum"
@@ -112,7 +110,7 @@ let fixed_kinds =
     Cow_fault; Proc_fork; Proc_exec; Proc_exit; Proc_kill; Sched_grant;
     Stw_abandon; Epoch_abort; Epoch_resume; Strategy_downshift;
     Quarantine_abandoned; Tag_corruption; Shootdown_retry; Chaos_inject;
-    Req_shed; Req_lost; Brownout_shift; Governor_defer; Governor_force;
+    Req_shed; Req_lost; Governor_defer; Governor_force;
     Governor_quantum; Slo_violation; Quota_charge; Quota_deny; Quota_credit;
     Free_all;
   |]
@@ -153,15 +151,14 @@ let fixed_code = function
   | Chaos_inject -> 30
   | Req_shed -> 31
   | Req_lost -> 32
-  | Brownout_shift -> 33
-  | Governor_defer -> 34
-  | Governor_force -> 35
-  | Governor_quantum -> 36
-  | Slo_violation -> 37
-  | Quota_charge -> 38
-  | Quota_deny -> 39
-  | Quota_credit -> 40
-  | Free_all -> 41
+  | Governor_defer -> 33
+  | Governor_force -> 34
+  | Governor_quantum -> 35
+  | Slo_violation -> 36
+  | Quota_charge -> 37
+  | Quota_deny -> 38
+  | Quota_credit -> 39
+  | Free_all -> 40
   | Custom _ -> invalid_arg "Trace.fixed_code"
 
 type t = {

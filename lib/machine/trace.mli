@@ -64,16 +64,11 @@ type kind =
   | Chaos_inject  (** arg: fault id in its schedule; arg2: fault-kind code *)
   | Req_shed
       (** arg: request id dropped by serving-layer admission control;
-          arg2: 0 for a queue-depth drop, 1 for a deadline drop, 2 for a
-          brownout (priority-class) drop *)
+          arg2: 0 for a queue-depth drop, 1 for a deadline drop, 3 for a
+          tenant over quota *)
   | Req_lost
-      (** arg: request id the host had admitted but never answered —
-          lost in flight by a crash; arg2: 0 if dropped from the
-          admission queue at the crash, 1 if the response to an
-          in-service request was lost *)
-  | Brownout_shift
-      (** arg: 1 entering brownout, 0 leaving it; arg2: admission-queue
-          depth at the transition *)
+      (** arg: request id admitted but never answered — dropped from the
+          admission queue when its owner crashed; arg2: 0 *)
   | Governor_defer
       (** arg: cycles the revocation governor held an epoch back waiting
           for a load trough; arg2: queue depth when the epoch was finally

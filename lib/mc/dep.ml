@@ -18,7 +18,7 @@ let add_event f (e : Trace.event) =
       let r = (e.Trace.arg, max e.Trace.arg2 16) in
       if List.mem r f.regions then f else { f with regions = r :: f.regions }
   | Trace.Context_switch | Trace.Req_shed | Trace.Req_lost
-  | Trace.Brownout_shift | Trace.Governor_defer | Trace.Governor_force
+  | Trace.Governor_defer | Trace.Governor_force
   | Trace.Governor_quantum | Trace.Slo_violation | Trace.Quota_deny
   | Trace.Free_all | Trace.Custom _ ->
       f

@@ -40,7 +40,6 @@ type stats = {
   defer_cycles : int;
   quanta_granted : int;
   slo_events : int;
-  brownout_defers : int;
 }
 
 type t = {
@@ -51,7 +50,6 @@ type t = {
   live : unit -> int;
   depth : unit -> int;
   p99 : unit -> float option;
-  brownout : unit -> bool;
   target_p99_us : float;
   mutable s_deferred : int;
   mutable s_forced : int;
@@ -59,7 +57,6 @@ type t = {
   mutable s_defer_cycles : int;
   mutable s_quanta : int;
   mutable s_slo : int;
-  mutable s_brownout_defers : int;
 }
 
 let stats t =
@@ -70,7 +67,6 @@ let stats t =
     defer_cycles = t.s_defer_cycles;
     quanta_granted = t.s_quanta;
     slo_events = t.s_slo;
-    brownout_defers = t.s_brownout_defers;
   }
 
 let emit t ctx ?arg2 kind arg =
@@ -94,15 +90,8 @@ let note_slo_breach t ctx =
   | _ -> ()
 
 let epoch_hook t ctx =
-  (* Brownout mode: the host is already shedding traffic to survive, so
-     revocation gets out of the way harder — any backlog at all defers
-     the epoch, and the deferral budget doubles. Sampled once per epoch
-     so a mid-defer brownout flip cannot unbound the loop. *)
-  let browned = t.brownout () in
-  let defer_depth = if browned then 0 else t.cfg.defer_depth in
-  let max_defer = if browned then 2 * t.cfg.max_defer else t.cfg.max_defer in
   let deferred = ref 0 and forced = ref false in
-  while (not !forced) && t.depth () > defer_depth && !deferred < max_defer do
+  while (not !forced) && t.depth () > t.cfg.defer_depth && !deferred < t.cfg.max_defer do
     if pressure t then begin
       forced := true;
       t.s_forced <- t.s_forced + 1;
@@ -117,7 +106,6 @@ let epoch_hook t ctx =
   done;
   if !deferred > 0 then begin
     t.s_deferred <- t.s_deferred + 1;
-    if browned then t.s_brownout_defers <- t.s_brownout_defers + 1;
     t.s_defer_cycles <- t.s_defer_cycles + !deferred;
     emit t ctx ~arg2:(t.depth ()) Trace.Governor_defer !deferred
   end
@@ -137,7 +125,7 @@ let pace_hook t ctx ~visited =
   t.cfg.quantum_pages
 
 let install ?(config = default_config) ?(target_p99_us = 1000.0)
-    ?(p99 = fun () -> None) ?(brownout = fun () -> false) rt ~depth () =
+    ?(p99 = fun () -> None) rt ~depth () =
   match (rt.Ccr.Runtime.mrs, rt.Ccr.Runtime.revoker) with
   | Some mrs, Some rv ->
       let t =
@@ -149,7 +137,6 @@ let install ?(config = default_config) ?(target_p99_us = 1000.0)
           live = rt.Ccr.Runtime.alloc.Alloc.Backend.live_bytes;
           depth;
           p99;
-          brownout;
           target_p99_us;
           s_deferred = 0;
           s_forced = 0;
@@ -157,7 +144,6 @@ let install ?(config = default_config) ?(target_p99_us = 1000.0)
           s_defer_cycles = 0;
           s_quanta = 0;
           s_slo = 0;
-          s_brownout_defers = 0;
         }
       in
       Ccr.Revoker.set_epoch_governor rv (Some (epoch_hook t));

@@ -53,7 +53,6 @@ type stats = {
   defer_cycles : int;  (** total cycles epochs were held back *)
   quanta_granted : int;  (** concurrent-sweep slices granted *)
   slo_events : int;  (** [Slo_violation] events emitted *)
-  brownout_defers : int;  (** deferrals taken while brownout was active *)
 }
 
 type t
@@ -62,20 +61,15 @@ val install :
   ?config:config ->
   ?target_p99_us:float ->
   ?p99:(unit -> float option) ->
-  ?brownout:(unit -> bool) ->
   Ccr.Runtime.t ->
   depth:(unit -> int) ->
   unit ->
   t
-(** Wire both hooks into the runtime's revoker. [depth], [p99] and
-    [brownout] are closures (not concrete queue types) so tests can drive
-    the governor's decisions directly. While [brownout] returns [true]
-    the epoch governor defers {e harder}: any backlog at all holds the
-    epoch back (the [defer_depth] threshold drops to 0) and the
-    [max_defer] cap doubles — a degraded host spends its cycles on
-    critical traffic, not revocation. Defaults: [target_p99_us] 1000 µs,
-    [p99] always unknown, [brownout] never active. Raises
-    [Invalid_argument] on a [Baseline] runtime. *)
+(** Wire both hooks into the runtime's revoker. [depth] and [p99] are
+    closures (not concrete queue types) so tests can drive the
+    governor's decisions directly. Defaults: [target_p99_us] 1000 µs,
+    [p99] always unknown. Raises [Invalid_argument] on a [Baseline]
+    runtime. *)
 
 val uninstall : t -> unit
 (** Clear both hooks from the revoker. *)

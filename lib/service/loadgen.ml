@@ -49,57 +49,6 @@ let rate_at pattern ~t_us ~progress =
       let mid = (low +. high) /. 2.0 and amp = (high -. low) /. 2.0 in
       mid +. (amp *. sin (2.0 *. pi *. phase))
 
-(* Request classes for priority-aware shedding. Lower codes are more
-   important: brownout degradation sheds from the highest code down. *)
-
-type cls = Critical | Normal | Background
-
-let cls_code = function Critical -> 0 | Normal -> 1 | Background -> 2
-let all_classes = [ Critical; Normal; Background ]
-
-let cls_name = function
-  | Critical -> "critical"
-  | Normal -> "normal"
-  | Background -> "background"
-
-let cls_of_code = function
-  | 0 -> Critical
-  | 1 -> Normal
-  | 2 -> Background
-  | c -> invalid_arg (Printf.sprintf "Loadgen.cls_of_code: %d" c)
-
-(* Per-class deadline stretch: interactive traffic has the tightest
-   budget; background work tolerates (deadline x factor) queueing, and
-   None means it never deadline-sheds at all (batch semantics). *)
-let deadline_factor = function
-  | Critical -> Some 1.0
-  | Normal -> Some 4.0
-  | Background -> None
-
-let class_stream ~seed ~requests ~critical ~background =
-  if requests < 0 then invalid_arg "Loadgen.class_stream: negative requests";
-  if
-    critical < 0.0 || background < 0.0
-    || critical +. background > 1.0 +. 1e-9
-  then invalid_arg "Loadgen.class_stream: bad class mix";
-  let rng = Prng.create ~seed:(seed lxor 0x636c_6173 (* "clas" *)) in
-  Array.init requests (fun _ ->
-      let u = Prng.float rng 1.0 in
-      if u < critical then Critical
-      else if u < critical +. background then Background
-      else Normal)
-
-(* Per-request user identities for sharded (fleet) serving. A separate
-   splitmix stream from the arrival schedule's, so adding user sampling
-   to an existing trace never perturbs its arrival times. The population
-   stands in for the service's whole registered user base (millions);
-   each request samples one of them uniformly. *)
-let user_stream ~seed ~population ~requests =
-  if population < 1 then invalid_arg "Loadgen.user_stream: empty population";
-  if requests < 0 then invalid_arg "Loadgen.user_stream: negative requests";
-  let rng = Prng.create ~seed:(seed lxor 0x7573_6572 (* "user" *)) in
-  Array.init requests (fun _ -> Prng.int rng population)
-
 let schedule cfg =
   if cfg.requests < 0 then
     invalid_arg "Loadgen.schedule: negative request count";

@@ -35,37 +35,3 @@ val schedule : config -> int array
 (** Intended arrival times in cycles, nondecreasing, length
     [config.requests]. Instantaneous rates are clamped to ≥ 1 req/s.
     Deterministic: equal configs give equal arrays. *)
-
-type cls = Critical | Normal | Background
-(** Request priority classes, most to least important. Brownout
-    degradation sheds [Background] (then [Normal]) before touching
-    [Critical] traffic. *)
-
-val cls_code : cls -> int
-(** Stable integer code: 0 critical, 1 normal, 2 background — shedding
-    order is highest code first. *)
-
-val cls_of_code : int -> cls
-(** Inverse of {!cls_code}; raises [Invalid_argument] on other codes. *)
-
-val cls_name : cls -> string
-val all_classes : cls list
-
-val deadline_factor : cls -> float option
-(** Per-class stretch applied to a base deadline: [Critical] 1x,
-    [Normal] 4x, [Background] [None] (batch traffic never
-    deadline-sheds). *)
-
-val class_stream :
-  seed:int -> requests:int -> critical:float -> background:float -> cls array
-(** One class per request from a splitmix stream independent of
-    {!schedule} and {!user_stream}; [critical] and [background] are the
-    population fractions (the rest is [Normal]). Deterministic in all
-    arguments; raises [Invalid_argument] on a negative count or a mix
-    outside [\[0,1\]]. *)
-
-val user_stream : seed:int -> population:int -> requests:int -> int array
-(** One user id in [\[0, population)] per request, drawn uniformly from a
-    splitmix stream independent of {!schedule}'s — a fleet balancer
-    shards on these. Deterministic in all arguments; raises
-    [Invalid_argument] if [population < 1] or [requests < 0]. *)

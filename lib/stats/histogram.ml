@@ -51,31 +51,4 @@ let percentile t p =
   in
   go 0 0
 
-let percentile_opt t p = if t.total = 0 then None else Some (percentile t p)
-
-let merge a b =
-  if a.bpd <> b.bpd || a.lo <> b.lo || a.hi <> b.hi then
-    invalid_arg "Histogram.merge: geometry mismatch";
-  let m = create ~buckets_per_decade:a.bpd ~lo:a.lo ~hi:a.hi () in
-  Array.iteri (fun i n -> m.counts.(i) <- n + b.counts.(i)) a.counts;
-  m.total <- a.total + b.total;
-  m
-
-(* Bucket-wise integer sums commute and associate, so any merge order
-   over histograms of one geometry yields the same counts — the property
-   fleet-wide aggregation relies on when per-host histograms arrive in
-   whatever order the worker pool finished them. *)
-let merge_all = function
-  | [] -> create ()
-  | first :: _ as hs ->
-      let m = create ~buckets_per_decade:first.bpd ~lo:first.lo ~hi:first.hi () in
-      List.iter
-        (fun h ->
-          if h.bpd <> m.bpd || h.lo <> m.lo || h.hi <> m.hi then
-            invalid_arg "Histogram.merge_all: geometry mismatch";
-          Array.iteri (fun i n -> m.counts.(i) <- m.counts.(i) + n) h.counts;
-          m.total <- m.total + h.total)
-        hs;
-      m
-
 let max_relative_error t = (10.0 ** (1.0 /. float_of_int t.bpd)) -. 1.0

@@ -24,22 +24,6 @@ val percentile : t -> float -> float
     buckets' edges. Raises [Invalid_argument] when empty or when [p] is
     nan, which has no place to clamp to. *)
 
-val percentile_opt : t -> float -> float option
-(** {!percentile} that reports an empty histogram as [None] instead of
-    raising — for callers aggregating sparse slices (e.g. per-time-slice
-    fleet curves) where emptiness is data, not a bug. *)
-
-val merge : t -> t -> t
-(** Combine two histograms with identical geometry. *)
-
-val merge_all : t list -> t
-(** Combine any number of histograms with identical geometry into a
-    fresh one. Associative and order-independent (bucket-wise sums), so
-    fleet-wide percentile aggregation does not depend on the order hosts
-    report in; empty inputs contribute nothing. [merge_all \[\]] is an
-    empty default-geometry histogram. Raises [Invalid_argument] on a
-    geometry mismatch. *)
-
 val max_relative_error : t -> float
 (** The bucket-width bound on percentile error, e.g. ~0.075 for 32
     buckets/decade. *)

@@ -24,7 +24,7 @@ type shared = {
   mutable inflight : int array;
   req_cv : Machine.condvar;
   done_cv : Machine.condvar;
-  sessions : Rig.sessions;
+  sessions : Serve.sessions;
   mutable finished_servers : int;
 }
 
@@ -47,7 +47,7 @@ let run ?(config = default_config) ?tracer ~mode () =
       inflight = [| 0; 0 |];
       req_cv = Machine.condvar ();
       done_cv = Machine.condvar ();
-      sessions = Rig.sessions ();
+      sessions = Serve.sessions ();
       finished_servers = 0;
     }
   in
@@ -59,8 +59,8 @@ let run ?(config = default_config) ?tracer ~mode () =
         let regs = Machine.regs (Machine.self ctx) in
         let rng = Prng.create ~seed:(cfg.seed * 31 * (id + 1)) in
         let sessions =
-          if id = 0 then Rig.build_sessions sh.sessions rt ctx ~slots:cfg.session_slots
-          else Rig.await_sessions sh.sessions ctx
+          if id = 0 then Serve.build_sessions sh.sessions rt ctx ~slots:cfg.session_slots
+          else Serve.await_sessions sh.sessions ctx
         in
         let rec serve () =
           while sh.queue = [] && sh.completed + List.length sh.queue < cfg.messages
@@ -71,7 +71,7 @@ let run ?(config = default_config) ?tracer ~mode () =
           | [] -> () (* all messages submitted and drained *)
           | req :: rest ->
               sh.queue <- rest;
-              Rig.request rt ctx rng regs sessions ~touches:3 ~compute:compute_per_msg;
+              Serve.request rt ctx rng regs sessions ~touches:3 ~compute:compute_per_msg;
               sh.completed <- sh.completed + 1;
               let now = Machine.now ctx in
               if req.id >= warmup then begin

@@ -290,7 +290,7 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
     let is_storm_tenant = storm_enabled && i = cfg.tenants - 1 in
     let crash () =
       lane.crashed <- true;
-      ignore (Squeue.drain_lost queue cctx);
+      Squeue.drain_lost queue cctx;
       Squeue.close queue cctx;
       storm_pid := pid;
       storm_cycles := Machine.now cctx;
@@ -365,7 +365,6 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
                         {
                           Squeue.id = (i * cfg.requests) + r;
                           intended;
-                          cls = 0;
                           deadline = None;
                           tenant = lane.pid;
                         })

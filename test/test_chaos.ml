@@ -45,9 +45,7 @@ let test_plan_applicability () =
   let paint = kinds ~strategy:Revoker.Paint_sync in
   check "paint+sync never sweeps: only non-sweep faults apply" true
     (List.for_all
-       (fun k ->
-         k = Chaos.Quarantine_stall || k = Chaos.Tenant_kill
-         || k = Chaos.Inflight_loss)
+       (fun k -> k = Chaos.Quarantine_stall || k = Chaos.Tenant_kill)
        paint);
   check "reloaded sends no per-page shootdowns" true
     (not (List.mem Chaos.Shootdown_ack_loss (kinds ~strategy:Revoker.Reloaded)));

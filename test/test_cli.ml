@@ -30,10 +30,6 @@ let test_pos_float () =
   Alcotest.(check (float 0.0)) "value" 60_000.0
     (Result.get_ok (Arg.conv_parser Cli.pos_float "60000"))
 
-let test_fraction () =
-  rejects "fraction" Cli.fraction ([ "-1e-9"; "-0.5"; "1.0000001"; "2"; "" ] @ non_finite);
-  accepts "fraction" Cli.fraction [ "0"; "0.0"; "0.15"; "1"; "1.0" ]
-
 let test_lists_trim () =
   Alcotest.(check (list string))
     "modes" [ "cornucopia"; "reloaded" ]
@@ -107,9 +103,8 @@ let test_schema () =
     {|{"topology": "single", "host_count": 1, "balancer": "none", "tenants": 1, "overcommit": "none"}|}
     (Json.to_string (Json.Obj (Json.schema ())));
   Alcotest.(check string)
-    "fleet" {|{"topology": "flat/3", "host_count": 3, "balancer": "hash", "tenants": 1, "overcommit": "none"}|}
-    (Json.to_string
-       (Json.Obj (Json.schema ~topology:"flat/3" ~host_count:3 ~balancer:"hash" ())))
+    "tenants" {|{"topology": "single", "host_count": 1, "balancer": "none", "tenants": 3, "overcommit": "steal"}|}
+    (Json.to_string (Json.Obj (Json.schema ~tenants:3 ~overcommit:"steal" ())))
 
 let () =
   Alcotest.run "cli"
@@ -118,7 +113,6 @@ let () =
         [
           Alcotest.test_case "positive int" `Quick test_pos_int;
           Alcotest.test_case "positive finite float" `Quick test_pos_float;
-          Alcotest.test_case "fraction" `Quick test_fraction;
           Alcotest.test_case "lists trim, refuse empty" `Quick test_lists_trim;
           Alcotest.test_case "jobs refuses 0" `Quick test_jobs;
         ] );

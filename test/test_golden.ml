@@ -2,7 +2,7 @@
 
    A fixed set of campaign cells — the 45-cell SPEC campaign (every
    profile x mode) at a tiny ops scale, plus small cells from the serving,
-   fleet, gRPC, tenant-economics, chaos and model-checking layers — is
+   gRPC, tenant-economics, chaos and model-checking layers — is
    rendered as canonical text and hashed cell by cell. The rendering holds
    simulated quantities only (cycles, CPU, bus, RSS, CLG faults, per-epoch
    phases, latency percentiles); host-side figures such as durations, job
@@ -20,7 +20,6 @@ module Runtime = Ccr.Runtime
 module Revoker = Ccr.Revoker
 module Result = Workload.Result
 module Profile = Workload.Profile
-module Rig = Workload.Rig
 
 let spec_scale = 0.02
 let seed = 1
@@ -51,12 +50,6 @@ let percentiles b name xs =
       (fl (Stats.Summary.percentile l 99.9))
       (fl (Array.fold_left max neg_infinity xs))
   end
-
-let hist b name h =
-  line b "%s n=%d p50=%s p99=%s p999=%s" name (Stats.Histogram.count h)
-    (fl (Stats.Histogram.percentile h 50.0))
-    (fl (Stats.Histogram.percentile h 99.0))
-    (fl (Stats.Histogram.percentile h 99.9))
 
 let phase b (p : Revoker.phase_record) =
   line b "epoch %d at=%d stw=%d conc=%d fault=%d/%d pages=%d caps=%d bytes=%d"
@@ -167,72 +160,6 @@ let serve_diurnal_cell b =
     g.Service.Governor.eager_flushes g.Service.Governor.defer_cycles
     g.Service.Governor.quanta_granted g.Service.Governor.slo_events;
   result b o.Workload.Serve.result
-
-let fleet_lines b (o : Fleet.outcome) =
-  line b "offered=%d served=%d retried=%d hedged=%d shed=%d/%d/%d lost=%d redist=%d dropped=%d"
-    o.Fleet.offered o.Fleet.served o.Fleet.retried_ok o.Fleet.hedged_ok o.Fleet.shed_depth
-    o.Fleet.shed_deadline o.Fleet.shed_brownout o.Fleet.lost o.Fleet.redistributed
-    o.Fleet.lb_dropped;
-  line b "makespan=%d goodput=%s epochs=%d max_pause=%s violations=%d rounds=%d"
-    o.Fleet.makespan_cycles (fl o.Fleet.goodput_rps) o.Fleet.epochs
-    (fl o.Fleet.max_pause_us) o.Fleet.violations o.Fleet.rounds;
-  hist b "lat" o.Fleet.hist;
-  List.iteri
-    (fun i (h : Rig.outcome) ->
-      line b "host %d arrivals=%d served=%d wall=%d epochs=%d stw=%s" i h.Rig.arrivals
-        h.Rig.served h.Rig.result.Result.wall_cycles h.Rig.epochs (fl h.Rig.stw_pause_us))
-    o.Fleet.hosts
-
-let fleet_cell b =
-  fleet_lines b
-    (Fleet.run ~jobs:1
-       {
-         Fleet.default_config with
-         hosts = 2;
-         requests = 400;
-         pattern =
-           Service.Loadgen.Diurnal { low = 60_000.0; high = 180_000.0; period_us = 3_000.0 };
-         users = 50_000;
-         seed = 11;
-         failures = Fleet.Failplan.Rolling;
-       })
-
-(* A crash wave under budgeted retries, breakers, brownout and per-class
-   deadlines: in-flight loss, brownout shedding, retried answers and
-   resumed epochs. *)
-let fleet_resilience_cell b =
-  let retry = Option.get (Fleet.Retry.policy_of_name "budgeted") in
-  let o =
-    Fleet.run ~jobs:1
-      {
-        Fleet.default_config with
-        hosts = 3;
-        balancer = Fleet.Balancer.Least_loaded;
-        failures = Fleet.Failplan.Crash_wave;
-        mode = Runtime.Safe Revoker.Reloaded;
-        requests = 2_400;
-        pattern = Service.Loadgen.Poisson 400_000.0;
-        queue_depth = 64;
-        deadline_us = Some 400.0;
-        resilience =
-          {
-            Fleet.default_resilience with
-            retry;
-            breaker = Some Fleet.Health.default_config;
-            brownout = Some { Service.Squeue.default_brownout with b_enter = 24; b_exit = 6 };
-          };
-        seed = 31;
-      }
-  in
-  guard "lost" o.Fleet.lost;
-  guard "shed_brownout" o.Fleet.shed_brownout;
-  guard "retried_ok" o.Fleet.retried_ok;
-  guard "epoch_resumes" o.Fleet.epoch_resumes;
-  fleet_lines b o;
-  line b "attempts=%d retries=%d dup=%d exhausted=%d trips=%d shifts=%d resumes=%d crash_retries=%d injected=%d"
-    o.Fleet.attempts o.Fleet.retries_sent o.Fleet.dup_served o.Fleet.budget_exhausted
-    o.Fleet.breaker_trips o.Fleet.brownout_shifts o.Fleet.epoch_resumes
-    o.Fleet.sweep_crash_retries o.Fleet.chaos_injected
 
 (* The closed-loop gRPC surrogate: three session touches per message. *)
 let grpc_cell b =
@@ -359,12 +286,10 @@ let cells =
   spec_cells
   @ [
       ("serve/reloaded-governed", serve_cell);
-      ("fleet/rolling", fleet_cell);
       ("tenantecon/reloaded", tenantecon_cell);
       ("chaos/hmmer_retro/cornucopia", chaos_cell);
       ("mc/free-during-sweep/reloaded", mc_cell);
       ("serve/cornucopia-deadline", serve_deadline_cell);
-      ("fleet/crash-wave-resilience", fleet_resilience_cell);
       ("grpc/reloaded", grpc_cell);
       ("tenantecon/deny-phys0.6", tenantecon_overcommit_cell Tenancy.Ledger.Deny);
       ("tenantecon/steal-phys0.6", tenantecon_overcommit_cell Tenancy.Ledger.Steal_from_idle);

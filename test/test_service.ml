@@ -83,7 +83,6 @@ let test_squeue_shedding () =
              {
                Squeue.id;
                intended = M.now ctx;
-               cls = 0;
                deadline = Some (Cost.cycles_of_us 100.0);
                tenant = 0;
              }
@@ -117,98 +116,23 @@ let test_squeue_shedding () =
   Alcotest.(check int) "each deadline drop traced" 2 (List.length deadline_drops);
   check "depth drop names the request" true (List.mem (2, 0) depth_drops)
 
-(* ---- brownout hysteresis band ---- *)
+(* ---- per-request deadlines ---- *)
 
-let test_squeue_brownout () =
-  let m = M.create cfg in
-  (* a tiny band so the whole engage / hold / disengage cycle fits in a
-     handful of offers: enter at depth 2, exit at 1, shed Background *)
-  let band = { Squeue.b_enter = 2; b_exit = 1; b_min_cls = 2 } in
-  let q = Squeue.create m ~max_depth:8 ~brownout:band () in
-  ignore
-    (M.spawn m ~name:"driver" ~core:0 (fun ctx ->
-         let offer id cls =
-           Squeue.offer q ctx
-             { Squeue.id; intended = M.now ctx; cls; deadline = None; tenant = 0 }
-         in
-         check "background admitted while calm" true (offer 0 2);
-         check "critical admitted" true (offer 1 0);
-         (* depth is now at b_enter; the controller engages on the next
-            admission-control evaluation *)
-         check "critical admitted through engagement" true (offer 2 0);
-         check "band engaged at b_enter" true (Squeue.brownout_active q);
-         check "background shed while engaged" false (offer 3 2);
-         check "normal class below the floor still admitted" true (offer 4 1);
-         ignore (Squeue.take q ctx);
-         ignore (Squeue.take q ctx);
-         (* depth 2: above b_exit, so hysteresis holds the band engaged —
-            no flapping around a single threshold *)
-         check "still engaged above b_exit" true (Squeue.brownout_active q);
-         check "background still shed inside the band" false (offer 5 2);
-         ignore (Squeue.take q ctx);
-         check "disengaged once drained to b_exit" true
-           (not (Squeue.brownout_active q));
-         check "background admitted again" true (offer 6 2);
-         Squeue.close q ctx));
-  M.run m;
-  Alcotest.(check int) "brownout sheds counted" 2 (Squeue.shed_brownout q);
-  Alcotest.(check int) "no depth or deadline sheds" 0
-    (Squeue.shed_depth q + Squeue.shed_deadline q);
-  Alcotest.(check int) "one engage + one disengage" 2 (Squeue.brownout_shifts q);
-  check "shed log carries the brownout code" true
-    (List.for_all
-       (fun (_, why, _) -> why = Squeue.why_brownout)
-       (Squeue.shed_log q))
-
-(* ---- priority classes and per-class deadlines ---- *)
-
-let test_request_classes () =
-  check "critical has the tightest budget" true
-    (Loadgen.deadline_factor Loadgen.Critical = Some 1.0);
-  check "normal is stretched" true
-    (Loadgen.deadline_factor Loadgen.Normal = Some 4.0);
-  check "background is deadline-exempt" true
-    (Loadgen.deadline_factor Loadgen.Background = None);
-  List.iter
-    (fun c ->
-      check
-        (Loadgen.cls_name c ^ " code roundtrips")
-        true
-        (Loadgen.cls_of_code (Loadgen.cls_code c) = c))
-    Loadgen.all_classes;
-  let draw () =
-    Loadgen.class_stream ~seed:9 ~requests:8_000 ~critical:0.2 ~background:0.3
-  in
-  let a = draw () in
-  check "class stream deterministic" true (a = draw ());
-  let count c = Array.fold_left (fun n x -> if x = c then n + 1 else n) 0 a in
-  let crit = count Loadgen.Critical
-  and norm = count Loadgen.Normal
-  and bg = count Loadgen.Background in
-  Alcotest.(check int) "every request classed" 8_000 (crit + norm + bg);
-  check "critical fraction near its target" true (abs (crit - 1_600) < 200);
-  check "background fraction near its target" true (abs (bg - 2_400) < 250);
-  check "overfull mix rejected" true
-    (try
-       ignore
-         (Loadgen.class_stream ~seed:1 ~requests:1 ~critical:0.8
-            ~background:0.5);
-       false
-     with Invalid_argument _ -> true);
-  (* the mechanism behind the exemption: per-request deadlines with no
-     queue-wide fallback, so a [None] deadline really means "never" *)
+let test_squeue_request_deadlines () =
+  (* deadlines are per request, with no queue-wide fallback, so a [None]
+     deadline really means "never" *)
   let m = M.create cfg in
   let q = Squeue.create m ~max_depth:8 () in
   let got = ref [] in
   ignore
     (M.spawn m ~name:"driver" ~core:0 (fun ctx ->
          let tight = Some (Cost.cycles_of_us 10.0) in
-         check "critical admitted" true
+         check "tight request admitted" true
            (Squeue.offer q ctx
-              { Squeue.id = 0; intended = M.now ctx; cls = 0; deadline = tight; tenant = 0 });
-         check "background admitted" true
+              { Squeue.id = 0; intended = M.now ctx; deadline = tight; tenant = 0 });
+         check "exempt request admitted" true
            (Squeue.offer q ctx
-              { Squeue.id = 1; intended = M.now ctx; cls = 2; deadline = None; tenant = 0 });
+              { Squeue.id = 1; intended = M.now ctx; deadline = None; tenant = 0 });
          M.charge ctx (Cost.cycles_of_us 500.0);
          Squeue.close q ctx;
          let rec drain () =
@@ -244,13 +168,13 @@ let test_policy_adaptive () =
 
 (* Build quarantine on an app thread, hand it to the revoker, and watch
    the epoch governor react to a closure-controlled queue depth. *)
-let governor_run ?brownout ~policy ~gconfig ~depth ~after_flush () =
+let governor_run ~policy ~gconfig ~depth ~after_flush () =
   let rt = Runtime.create ~config:cfg ~policy (Runtime.Safe Revoker.Reloaded) in
   let m = rt.Runtime.machine in
   let g =
     Governor.install ~config:gconfig ~target_p99_us:1_000.0
       ~p99:(fun () -> Some 5_000.0)
-      ?brownout rt
+      rt
       ~depth:(fun () -> !depth)
       ()
   in
@@ -294,33 +218,7 @@ let test_governor_defers () =
   check "epoch actually ran" true (records <> []);
   check "epoch was deferred" true (stats.Governor.epochs_deferred >= 1);
   check "deferral cost accounted" true (stats.Governor.defer_cycles > 0);
-  Alcotest.(check int) "no forced epoch" 0 stats.Governor.epochs_forced;
-  Alcotest.(check int) "no brownout, no brownout defers" 0
-    stats.Governor.brownout_defers
-
-let test_governor_brownout_defers () =
-  (* same trough-chasing setup, but the host reports brownout the whole
-     time: the governor still defers, counts those deferrals separately,
-     and tolerates a longer wait (doubled max_defer) before giving up *)
-  let depth = ref 10 in
-  let gconfig =
-    { Governor.default_config with defer_quantum = 2_500; max_defer = 2_500_000 }
-  in
-  let stats, records =
-    governor_run
-      ~brownout:(fun () -> true)
-      ~policy:Policy.default ~gconfig ~depth
-      ~after_flush:(fun ctx ->
-        M.sleep ctx 25_000;
-        depth := 0)
-      ()
-  in
-  check "epoch actually ran" true (records <> []);
-  check "epoch was deferred" true (stats.Governor.epochs_deferred >= 1);
-  check "deferrals attributed to brownout" true
-    (stats.Governor.brownout_defers >= 1);
-  Alcotest.(check int) "every deferral happened browned-out"
-    stats.Governor.epochs_deferred stats.Governor.brownout_defers
+  Alcotest.(check int) "no forced epoch" 0 stats.Governor.epochs_forced
 
 let test_governor_forces () =
   (* queue never drains AND quarantine pressure is over the blocking
@@ -405,17 +303,15 @@ let test_serve_sees_stw_stall () =
   in
   check "stall visible from intended arrival" true (max_lat >= 0.9 *. stall_us)
 
-(* ---- serving parameters: what ccr_serve and ccr_fleet turn away ---- *)
+(* ---- serving parameters: what Serve.run turns away ---- *)
 
-let validate ?(servers = 2) ?(queue_depth = 64) ?deadline_us ?(target_p99_us = 1_000.0)
-    ?brownout () =
-  Workload.Rig.validate ~servers ~queue_depth ~deadline_us ~target_p99_us ?brownout ()
+let validate ?(servers = 2) ?(queue_depth = 64) ?deadline_us ?(target_p99_us = 1_000.0) () =
+  Serve.validate
+    { Serve.default_config with servers; queue_depth; deadline_us; target_p99_us }
 
 let test_params_accepted () =
   check "defaults accepted" true (validate () = Ok ());
-  check "a positive deadline accepted" true (validate ~deadline_us:60.0 () = Ok ());
-  check "the default brownout band accepted" true
-    (validate ~brownout:Squeue.default_brownout () = Ok ())
+  check "a positive deadline accepted" true (validate ~deadline_us:60.0 () = Ok ())
 
 let rejected case () = check "rejected" true (Result.is_error (case ()))
 
@@ -461,12 +357,7 @@ let () =
       ( "squeue",
         [
           Alcotest.test_case "shedding" `Quick test_squeue_shedding;
-          Alcotest.test_case "brownout hysteresis" `Quick test_squeue_brownout;
-        ] );
-      ( "classes",
-        [
-          Alcotest.test_case "priorities and deadlines" `Quick
-            test_request_classes;
+          Alcotest.test_case "per-request deadlines" `Quick test_squeue_request_deadlines;
         ] );
       ( "policy",
         [ Alcotest.test_case "adaptive trigger" `Quick test_policy_adaptive ] );
@@ -474,8 +365,6 @@ let () =
         [
           Alcotest.test_case "defers into trough" `Quick test_governor_defers;
           Alcotest.test_case "forces under pressure" `Quick test_governor_forces;
-          Alcotest.test_case "defers harder under brownout" `Quick
-            test_governor_brownout_defers;
         ] );
       ( "serve",
         [
@@ -493,8 +382,6 @@ let () =
             (rejected (validate ~deadline_us:(-5.0)));
           Alcotest.test_case "negative p99 target rejected" `Quick
             (rejected (validate ~target_p99_us:(-1.0)));
-          Alcotest.test_case "brownout band beyond queue depth rejected" `Quick
-            (rejected (validate ~queue_depth:16 ~brownout:Squeue.default_brownout));
         ] );
       ( "revsched",
         [ Alcotest.test_case "slo policy" `Quick test_tenant_slo_sched ] );

@@ -84,17 +84,6 @@ let test_histogram_basics () =
   check "p50 near 10" true (p50 >= 10.0 *. (1.0 -. err) && p50 <= 10.0 *. (1.0 +. 2.0 *. err));
   check "p100 near 1000" true (Stats.Histogram.percentile h 100.0 >= 1000.0 *. (1.0 -. err))
 
-let test_histogram_merge () =
-  let a = Stats.Histogram.create () and b = Stats.Histogram.create () in
-  Stats.Histogram.record a 5.0;
-  Stats.Histogram.record b 50.0;
-  let m = Stats.Histogram.merge a b in
-  Alcotest.(check int) "merged count" 2 (Stats.Histogram.count m);
-  let bad = Stats.Histogram.create ~buckets_per_decade:8 () in
-  Alcotest.check_raises "geometry mismatch"
-    (Invalid_argument "Histogram.merge: geometry mismatch") (fun () ->
-      ignore (Stats.Histogram.merge a bad))
-
 let test_histogram_edges () =
   let h = Stats.Histogram.create () in
   (* values outside [lo, hi) clamp into the edge buckets *)
@@ -115,86 +104,10 @@ let test_histogram_edges () =
     (Invalid_argument "Histogram.percentile: p is nan") (fun () ->
       ignore (Stats.Histogram.percentile h nan))
 
-let test_histogram_merge_empty () =
-  let a = Stats.Histogram.create () and b = Stats.Histogram.create () in
-  let m = Stats.Histogram.merge a b in
-  Alcotest.(check int) "empty + empty" 0 (Stats.Histogram.count m);
-  Alcotest.check_raises "merged empty percentile"
-    (Invalid_argument "Histogram.percentile: empty") (fun () ->
-      ignore (Stats.Histogram.percentile m 50.0));
-  Stats.Histogram.record a 42.0;
-  let m = Stats.Histogram.merge a b in
-  Alcotest.(check int) "nonempty + empty" 1 (Stats.Histogram.count m);
-  let err = Stats.Histogram.max_relative_error m in
-  let p50 = Stats.Histogram.percentile m 50.0 in
-  check "sample survives the merge" true
-    (p50 >= 42.0 *. (1.0 -. err) && p50 <= 42.0 *. (1.0 +. 2.0 *. err))
-
-(* merge_all is the fleet aggregation path: hosts report in whatever
-   order they finish, some may have served nothing, and the fleet-wide
-   percentile must not care. *)
-let test_histogram_merge_all () =
-  let empty = Stats.Histogram.merge_all [] in
-  Alcotest.(check int) "no hosts" 0 (Stats.Histogram.count empty);
-  let a = Stats.Histogram.create () in
-  List.iter (Stats.Histogram.record a) [ 3.0; 7.0; 11.0 ];
-  let solo = Stats.Histogram.merge_all [ a ] in
-  Alcotest.(check int) "single-host fleet keeps its count" 3
-    (Stats.Histogram.count solo);
-  checkf "single-host fleet keeps its p50"
-    (Stats.Histogram.percentile a 50.0)
-    (Stats.Histogram.percentile solo 50.0);
-  (* hosts with disjoint latency ranges: decades apart, so every sample
-     lands in a distinct bucket and nothing may collide away *)
-  let lo = Stats.Histogram.create ()
-  and mid = Stats.Histogram.create ()
-  and hi = Stats.Histogram.create () in
-  Stats.Histogram.record lo 0.5;
-  Stats.Histogram.record mid 500.0;
-  Stats.Histogram.record hi 500_000.0;
-  let idle = Stats.Histogram.create () in
-  let m = Stats.Histogram.merge_all [ lo; idle; mid; hi ] in
-  Alcotest.(check int) "disjoint ranges all counted" 3
-    (Stats.Histogram.count m);
-  let err = Stats.Histogram.max_relative_error m in
-  check "low extreme survives" true
-    (Stats.Histogram.percentile m 0.0 <= 0.5 *. (1.0 +. err));
-  check "high extreme survives" true
-    (Stats.Histogram.percentile m 100.0 >= 500_000.0 *. (1.0 -. err));
-  (* order independence: every permutation of the host list produces the
-     same percentile at every probed quantile *)
-  let rec permutations = function
-    | [] -> [ [] ]
-    | l ->
-        List.concat_map
-          (fun x ->
-            let rest = List.filter (fun y -> y != x) l in
-            List.map (fun p -> x :: p) (permutations rest))
-          l
-  in
-  let reference = Stats.Histogram.merge_all [ lo; mid; hi; a ] in
-  List.iter
-    (fun perm ->
-      let m = Stats.Histogram.merge_all perm in
-      Alcotest.(check int)
-        "permutation count" (Stats.Histogram.count reference)
-        (Stats.Histogram.count m);
-      List.iter
-        (fun q ->
-          checkf "permutation percentile"
-            (Stats.Histogram.percentile reference q)
-            (Stats.Histogram.percentile m q))
-        [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ])
-    (permutations [ lo; mid; hi; a ]);
-  let bad = Stats.Histogram.create ~buckets_per_decade:8 () in
-  Alcotest.check_raises "merge_all geometry mismatch"
-    (Invalid_argument "Histogram.merge_all: geometry mismatch") (fun () ->
-      ignore (Stats.Histogram.merge_all [ a; bad ]))
-
 (* ---- quantile edge semantics, pinned (see histogram.mli) ----
 
    These document exact behaviour callers lean on: an empty histogram
-   raises (and percentile_opt says None), a single sample answers every
+   raises, a single sample answers every
    quantile with its bucket's upper edge, and a bucket saturated by
    every sample — including the clamped range-edge buckets — answers
    every quantile with that one edge. *)
@@ -204,8 +117,6 @@ let test_histogram_quantile_edges () =
   Alcotest.check_raises "empty percentile raises"
     (Invalid_argument "Histogram.percentile: empty") (fun () ->
       ignore (Stats.Histogram.percentile empty 99.0));
-  check "empty percentile_opt is None" true
-    (Stats.Histogram.percentile_opt empty 99.0 = None);
   (* single sample: every p, including the clamped out-of-range ones,
      reports the same bucket upper edge, and it bounds the sample from
      above within the relative-error budget *)
@@ -219,8 +130,6 @@ let test_histogram_quantile_edges () =
     (fun p -> checkf "single sample: every p, one answer" edge
         (Stats.Histogram.percentile single p))
     [ -10.0; 0.0; 1.0; 50.0; 99.9; 100.0; 400.0 ];
-  check "percentile_opt agrees when nonempty" true
-    (Stats.Histogram.percentile_opt single 99.0 = Some edge);
   (* saturated bucket: every sample clamps into the top edge bucket, so
      every quantile is that bucket's upper edge *)
   let sat = Stats.Histogram.create () in
@@ -363,12 +272,9 @@ let () =
       ( "histogram",
         [
           Alcotest.test_case "basics" `Quick test_histogram_basics;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "edge buckets" `Quick test_histogram_edges;
-          Alcotest.test_case "merge empty" `Quick test_histogram_merge_empty;
           Alcotest.test_case "quantile edge semantics" `Quick
             test_histogram_quantile_edges;
-          Alcotest.test_case "merge_all" `Quick test_histogram_merge_all;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table_renders ]);
       ( "properties",
