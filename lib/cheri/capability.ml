@@ -63,8 +63,11 @@ let set_addr c a =
   else { c with addr = a; tag = a >= c.win_lo && a < c.win_hi }
 
 let incr_addr c delta = set_addr c (c.addr + delta)
-let restrict_perms c p = { c with perms = Perms.inter c.perms p }
-let clear_perm c p = { c with perms = Perms.remove c.perms p }
+
+(* A sealed capability cannot change: narrowing its permissions untags
+   it, as CAndPerm does. *)
+let restrict_perms c p = { c with perms = Perms.inter c.perms p; tag = c.tag && not (is_sealed c) }
+let clear_perm c p = { c with perms = Perms.remove c.perms p; tag = c.tag && not (is_sealed c) }
 let clear_tag = untag
 
 let seal c ~otype =

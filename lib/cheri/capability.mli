@@ -71,23 +71,26 @@ val set_bounds_exact : t -> base:int -> length:int -> t
 
 val set_addr : t -> int -> t
 (** Move the cursor. Keeps the tag while the new address stays inside the
-    representable window; strips it otherwise. Bounds never change. *)
+    representable window and the source is unsealed; strips it
+    otherwise. Bounds never change. *)
 
 val incr_addr : t -> int -> t
 (** [incr_addr c delta] is [set_addr c (addr c + delta)]. *)
 
 val restrict_perms : t -> Perms.t -> t
-(** Intersect the permission set with the argument. *)
+(** Intersect the permission set with the argument. Untagged if the
+    source is sealed. *)
 
 val clear_perm : t -> Perms.t -> t
-(** Remove the given permission bits. *)
+(** Remove the given permission bits. Untagged if the source is
+    sealed. *)
 
 val clear_tag : t -> t
 
 val seal : t -> otype:int -> t
 (** Seal with a non-zero object type: the capability becomes immutable and
-    non-dereferenceable until unsealed. Untagged result if already sealed
-    or [otype <= 0]. *)
+    non-dereferenceable until unsealed — every derivation above untags a
+    sealed source. Untagged result if already sealed or [otype <= 0]. *)
 
 val unseal : t -> otype:int -> t
 (** Unseal; untagged result on type mismatch or if not sealed. *)

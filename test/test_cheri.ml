@@ -273,7 +273,11 @@ let arb_chain =
       Printf.sprintf "base %d length %d: %s" b l (String.concat "; " (List.map pp_step steps)))
     gen
 
-let derive (base, length, steps) =
+let chain_root = Cap.root ~length:(1 lsl 40)
+
+(* Every capability along the chain, in order, the first [set_bounds]
+   included. *)
+let derive_all (base, length, steps) =
   let apply (c : Cap.t) step =
     let c' =
       match step with
@@ -286,13 +290,67 @@ let derive (base, length, steps) =
     in
     if Cap.tag c' then c' else c
   in
-  List.fold_left apply (Cap.set_bounds (Cap.root ~length:(1 lsl 40)) ~base ~length) steps
+  let rec go c = function [] -> [ c ] | step :: rest -> c :: go (apply c step) rest in
+  go (Cap.set_bounds chain_root ~base ~length) steps
+
+let derive chain = List.fold_left (fun _ c -> c) Cap.null (derive_all chain)
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"decode (encode c) = c on derivation chains" ~count:2000 arb_chain
     (fun chain ->
       let c = derive chain in
       Cap.tag c && same_fields (roundtrip c) c)
+
+(* ---- Sealing and monotonicity laws ---- *)
+
+let arb_otype = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 ((1 lsl 22) - 1))
+
+(* A chain's tagged result, unsealed with its own type if it is
+   sealed. *)
+let unsealed chain =
+  let c = derive chain in
+  if Cap.is_sealed c then Cap.unseal c ~otype:(Cap.otype c) else c
+
+let prop_seal_roundtrip =
+  QCheck.Test.make ~name:"unseal (seal c) = c, misuse untags" ~count:1000
+    (QCheck.triple arb_chain arb_otype arb_otype) (fun (chain, o, o') ->
+      let c = unsealed chain in
+      let s = Cap.seal c ~otype:o in
+      Cap.tag c && Cap.tag s && Cap.is_sealed s
+      && same_fields (Cap.unseal s ~otype:o) c
+      && (o' = o || not (Cap.tag (Cap.unseal s ~otype:o')))
+      && (not (Cap.tag (Cap.seal s ~otype:o')))
+      && not (Cap.tag (Cap.unseal c ~otype:o)))
+
+(* Raw draws scale to the sealed capability's own bounds, so each step
+   would keep the tag on the same capability unsealed. *)
+let prop_sealed_derivation_untags =
+  QCheck.Test.make ~name:"derivation from a sealed capability untags" ~count:1000
+    (QCheck.quad arb_chain arb_otype (QCheck.int_bound max_int) (QCheck.int_bound max_int))
+    (fun (chain, o, x, y) ->
+      let s = Cap.seal (unsealed chain) ~otype:o in
+      let b = Cap.base s + (x mod Cap.length s) in
+      let length = 1 + (y mod (Cap.top s - b)) in
+      let p = Perms.of_int (x land 127) in
+      let untagged c = not (Cap.tag c) in
+      Cap.tag s
+      && untagged (Cap.set_bounds s ~base:b ~length)
+      && untagged (Cap.set_bounds_exact s ~base:(Cap.base s) ~length:(Cap.length s))
+      && untagged (Cap.set_addr s (Cap.addr s))
+      && untagged (Cap.restrict_perms s p)
+      && untagged (Cap.restrict_perms s Perms.all)
+      && untagged (Cap.clear_perm s p)
+      && untagged (Cap.seal s ~otype:o))
+
+let prop_chain_monotone =
+  QCheck.Test.make ~name:"chain steps are subsets of parent and root" ~count:1000 arb_chain
+    (fun chain ->
+      let rec ok parent = function
+        | [] -> true
+        | c :: rest ->
+            Cap.tag c && Cap.is_subset c parent && Cap.is_subset c chain_root && ok c rest
+      in
+      ok chain_root (derive_all chain))
 
 let test_codec_limits () =
   let raises name c =
@@ -357,5 +415,8 @@ let () =
             prop_rounded_alignment_exact;
             prop_representable_idempotent;
             prop_codec_roundtrip;
+            prop_seal_roundtrip;
+            prop_sealed_derivation_untags;
+            prop_chain_monotone;
           ] );
     ]
