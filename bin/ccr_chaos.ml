@@ -488,7 +488,15 @@ let cell_record c =
 
 (* ---- CLI ---- *)
 
-let kind_conv = Cli.named ~what:"fault kind" Chaos.kind_of_name Chaos.kind_name
+(* The fault kinds the churn rig can fire. tenant-kill needs a victim
+   process, so only the tenant-kill rig arms it. *)
+let churn_kinds =
+  Chaos.[ Sweep_crash; Stuck_quiesce; Shootdown_ack_loss; Tag_corruption; Quarantine_stall ]
+
+let kind_conv =
+  Cli.named ~what:"churn fault kind"
+    (fun s -> List.find_opt (fun k -> Chaos.kind_name k = s) churn_kinds)
+    Chaos.kind_name
 
 let seeds_arg =
   Arg.(
@@ -513,19 +521,12 @@ let strategies_arg =
 let kinds_arg =
   Arg.(
     value
-    & opt (Cli.list kind_conv)
-        Chaos.
-          [
-            Sweep_crash;
-            Stuck_quiesce;
-            Shootdown_ack_loss;
-            Tag_corruption;
-            Quarantine_stall;
-          ]
+    & opt (Cli.list kind_conv) churn_kinds
     & info [ "kinds" ] ~docv:"NAMES"
         ~doc:
-          "Comma-separated fault kinds for the churn rig (tenant-kill runs \
-           its own rig).")
+          "Comma-separated fault kinds for the churn rig: sweep-crash, \
+           stuck-quiesce, shootdown-ack-loss, tag-corruption and \
+           quarantine-stall (tenant-kill runs its own rig).")
 
 let skip_storm_arg =
   Arg.(value & flag & info [ "skip-storm" ] ~doc:"Skip the storm rig.")
