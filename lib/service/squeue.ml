@@ -49,9 +49,10 @@ let shed_quota t = t.shed_quota
 let lost t = t.lost
 
 let record_shed t ctx req ~why =
-  if why = why_depth then t.shed_depth <- t.shed_depth + 1
-  else if why = why_deadline then t.shed_deadline <- t.shed_deadline + 1
-  else t.shed_quota <- t.shed_quota + 1;
+  (match why with
+  | 0 -> t.shed_depth <- t.shed_depth + 1
+  | 1 -> t.shed_deadline <- t.shed_deadline + 1
+  | _ -> t.shed_quota <- t.shed_quota + 1);
   Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
     ~pid:(Machine.ctx_pid ctx) ~arg2:why Trace.Req_shed req.id
 
