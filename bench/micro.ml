@@ -178,7 +178,8 @@ let test_ledger_pair =
   let ctx = Option.get !holder in
   Test.make ~name:"Ledger malloc/free pair"
     (Staged.stage (fun () ->
-         Tenancy.Ledger.free cap ctx (Option.get (Tenancy.Ledger.malloc cap ctx 128))))
+         Tenancy.Ledger.free cap ctx
+           (Cap.base (Option.get (Tenancy.Ledger.malloc cap ctx 128)))))
 
 (* One tenant-storm cell's latency set: the p99.9 read at the end of a
    cell. *)

@@ -37,7 +37,16 @@ let downshift_of = function
   | Cheriot_filter -> Some Cherivoke
   | Cherivoke | Paint_sync -> None
 
-type batch = { entries : (int * int) list; bytes : int }
+type batch = { entries : int array; bytes : int }
+
+(* The batches' regions as [(addr, size)] pairs, in order, built on
+   demand for fork and the tests. *)
+let entry_list batches =
+  List.concat_map
+    (fun b ->
+      let e = b.entries in
+      List.init (Array.length e / 2) (fun i -> (e.(2 * i), e.((2 * i) + 1))))
+    batches
 
 (* Deliberate protocol mutations, used by the sanitizer's mutation tests
    (and nothing else) to prove each invariant check actually fires. *)
@@ -149,7 +158,7 @@ type t = {
   mutable fault_cycles : int;
   mutable fault_count : int;
   mutable revocations : int;
-  mutable current_entries : (int * int) list;
+  mutable current : batch list; (* the in-flight epoch's batches *)
   mutable barrier_armed : bool;
       (* Reloaded: set once the epoch-opening stop-the-world has completed,
          i.e. from when the §3.2 invariant is established *)
@@ -172,9 +181,13 @@ type t = {
   mutable service_threads : Machine.thread list;
       (* the revoker thread + helpers, for exec-time aspace rebinding *)
   (* ---- crash-recovery state ---- *)
-  ck_done : (int, unit) Hashtbl.t;
-      (* pages fully visited by the current epoch's attempts: the sweep
-         checkpoint a crashed pass resumes from (Reloaded/CHERIoT) *)
+  mutable ck_done : int array;
+      (* the sweep checkpoint a crashed pass resumes from
+         (Reloaded/CHERIoT): heap page [vp] is in it when
+         [ck_done.(vp - ck_lo) = ck_stamp], so bumping [ck_stamp] clears
+         it *)
+  mutable ck_lo : int;
+  mutable ck_stamp : int;
   mutable ck_stw_done : bool;
       (* the epoch-opening stop-the-world completed; a resumed attempt
          must not repeat it (the CLG toggle is not idempotent) *)
@@ -204,7 +217,7 @@ let set_on_clean t f = t.on_clean <- Some f
 let set_on_abort t f = t.on_abort <- f
 let set_sweep_hook t f = t.sweep_hook <- f
 let in_flight t = t.in_flight
-let currently_revoking t = t.current_entries
+let currently_revoking t = entry_list t.current
 
 let recovery_stats t =
   {
@@ -227,18 +240,28 @@ let backpressure t =
 let sweep_point t ctx vp =
   match t.sweep_hook with None -> () | Some h -> h ctx vp
 
-let queued_entries t =
-  List.concat_map (fun b -> b.entries) (List.rev t.queue)
+let queued_entries t = entry_list (List.rev t.queue)
 let barrier_armed t = t.barrier_armed
 let queued_bytes t = t.queued_bytes
 let records t = List.rev t.records
 let revocation_count t = t.revocations
 
+let heap_page_range aspace =
+  let layout = Vm.Aspace.layout aspace in
+  (layout.Layout.heap_base / Phys.page_size, (layout.Layout.heap_limit - 1) / Phys.page_size)
+
 let heap_vpages t =
-  let layout = Vm.Aspace.layout t.aspace in
-  Pmap.vpages_in (Vm.Aspace.pmap t.aspace)
-    ~lo:(layout.Layout.heap_base / Phys.page_size)
-    ~hi:((layout.Layout.heap_limit - 1) / Phys.page_size)
+  let lo, hi = heap_page_range t.aspace in
+  Pmap.vpages_in (Vm.Aspace.pmap t.aspace) ~lo ~hi
+
+(* The sweep checkpoint: one stamp per heap page of [aspace]. *)
+let ck_table aspace =
+  let lo, hi = heap_page_range aspace in
+  (lo, Array.make (hi - lo + 1) 0)
+
+let ck_mem t vp = t.ck_done.(vp - t.ck_lo) = t.ck_stamp
+let ck_add t vp = t.ck_done.(vp - t.ck_lo) <- t.ck_stamp
+let ck_clear t = t.ck_stamp <- t.ck_stamp + 1
 
 (* Fold freshly capability-dirty pages into the visit set. Per §4.5, the
    re-implementation never removes a page from the set once it has held
@@ -288,10 +311,10 @@ let visit_reloaded t ctx gen ~force vp =
       (* [ck_done] is the epoch's sweep checkpoint: pages a crashed
          attempt already finished (content sweep AND generation update)
          are skipped on resume. For non-forced epochs the generation bit
-         alone would skip them; the explicit set also covers [force]
+         alone would skip them; the explicit checkpoint also covers [force]
          (post-fork mixed-generation) epochs and gives the resume trace
          assertion a single mechanism. *)
-      if (pte.Pte.clg <> gen || force) && not (Hashtbl.mem t.ck_done vp) then begin
+      if (pte.Pte.clg <> gen || force) && not (ck_mem t vp) then begin
         sweep_point t ctx vp;
         let pages, revoked =
           if Hashtbl.mem t.visit_set vp then begin
@@ -309,7 +332,7 @@ let visit_reloaded t ctx gen ~force vp =
               pte.Pte.clg <- gen;
               Machine.charge ctx Cost.pte_update
             end);
-        Hashtbl.replace t.ck_done vp ();
+        ck_add t vp;
         (pages, revoked)
       end
       else (0, 0)
@@ -319,10 +342,10 @@ let visit_reloaded t ctx gen ~force vp =
    no generations, no re-scan. Resume-safe like Reloaded: the filter is
    always armed, so a crashed pass restarts from [ck_done]. *)
 let visit_cheriot t ctx vp =
-  if Hashtbl.mem t.visit_set vp && not (Hashtbl.mem t.ck_done vp) then begin
+  if Hashtbl.mem t.visit_set vp && not (ck_mem t vp) then begin
     sweep_point t ctx vp;
     let st = sweep_vpage t ctx vp in
-    Hashtbl.replace t.ck_done vp ();
+    ck_add t vp;
     (1, st.Sweep.revoked)
   end
   else (0, 0)
@@ -699,7 +722,7 @@ let clg_fault_handler t ctx ~vaddr pte =
 let run_epoch t ctx batches =
   let bytes = List.fold_left (fun acc b -> acc + b.bytes) 0 batches in
   t.in_flight <- true;
-  t.current_entries <- List.concat_map (fun b -> b.entries) batches;
+  t.current <- batches;
   t.fault_cycles <- 0;
   t.fault_count <- 0;
   let requested_at = Machine.now ctx in
@@ -719,20 +742,18 @@ let run_epoch t ctx batches =
       delivered := true;
       List.iter
         (fun b ->
-          List.iter
-            (fun (addr, size) ->
-              Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:t.core
-                ~pid:t.pid ~arg2:size Sim.Trace.Quarantine_deq addr)
-            b.entries;
+          let e = b.entries in
+          for i = 0 to (Array.length e / 2) - 1 do
+            Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:t.core
+              ~pid:t.pid ~arg2:e.((2 * i) + 1) Sim.Trace.Quarantine_deq e.(2 * i)
+          done;
           match t.on_clean with None -> () | Some f -> f ctx b)
         batches
     end
   in
   (* mutation hook: hand the quarantine back before the sweep has run *)
   if t.fault = Some Early_dequarantine then deliver ();
-  (* [clear], not [reset]: [reset] shrinks the table, and it would regrow
-     to the heap's page count every epoch *)
-  Hashtbl.clear t.ck_done;
+  ck_clear t;
   t.ck_stw_done <- false;
   (* Run the strategy body, retrying after induced sweep crashes from the
      [ck_done] checkpoint. Strategies with an always-armed barrier
@@ -758,7 +779,7 @@ let run_epoch t ctx batches =
         else begin
           (match t.strategy with
           | Cherivoke | Cornucopia | Paint_sync ->
-              Hashtbl.clear t.ck_done;
+              ck_clear t;
               t.ck_stw_done <- false
           | Reloaded | Cheriot_filter -> ());
           t.rs_epoch_resumes <- t.rs_epoch_resumes + 1;
@@ -803,7 +824,7 @@ let run_epoch t ctx batches =
         ignore (downshift t ctx);
       (* the batches processed by this epoch are now clean: dequarantine *)
       deliver ();
-      t.current_entries <- [];
+      t.current <- [];
       t.in_flight <- false
   | None ->
       (* Abort: retract the epoch counter (sound — it only under-promises)
@@ -826,7 +847,7 @@ let run_epoch t ctx batches =
          so they belong at the tail *)
       t.queue <- t.queue @ List.rev batches;
       t.queued_bytes <- t.queued_bytes + bytes;
-      t.current_entries <- [];
+      t.current <- [];
       t.in_flight <- false;
       if t.consecutive_aborts >= t.recovery.max_epoch_aborts then
         ignore (downshift t ctx);
@@ -869,11 +890,11 @@ let thread_body t ctx =
   loop ()
 
 let enqueue t ctx batch =
-  List.iter
-    (fun (addr, size) ->
-      Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
-        ~pid:t.pid ~arg2:size Sim.Trace.Quarantine_enq addr)
-    batch.entries;
+  let e = batch.entries in
+  for i = 0 to (Array.length e / 2) - 1 do
+    Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:(Machine.core_id ctx)
+      ~pid:t.pid ~arg2:e.((2 * i) + 1) Sim.Trace.Quarantine_enq e.(2 * i)
+  done;
   t.queue <- batch :: t.queue;
   t.queued_bytes <- t.queued_bytes + batch.bytes;
   Machine.broadcast ctx t.work_cv
@@ -929,6 +950,9 @@ let unregister_barrier t =
 let rebind t ~aspace =
   unregister_barrier t;
   t.aspace <- aspace;
+  let lo, ck = ck_table aspace in
+  t.ck_lo <- lo;
+  t.ck_done <- ck;
   Revmap.rebind t.revmap ~aspace;
   Hashtbl.reset t.visit_set;
   t.mixed_gen <- false;
@@ -945,6 +969,7 @@ let create m ~strategy ~core ?(non_temporal = false) ?(background_threads = 1)
     ?(pid = 0) () =
   let hoards = match hoards with Some h -> h | None -> Kernel.Hoard.create () in
   let aspace = match aspace with Some a -> a | None -> Machine.aspace m in
+  let ck_lo, ck_done = ck_table aspace in
   let t =
     {
       m;
@@ -970,7 +995,7 @@ let create m ~strategy ~core ?(non_temporal = false) ?(background_threads = 1)
       fault_cycles = 0;
       fault_count = 0;
       revocations = 0;
-      current_entries = [];
+      current = [];
       barrier_armed = false;
       fault = None;
       mixed_gen = false;
@@ -979,7 +1004,9 @@ let create m ~strategy ~core ?(non_temporal = false) ?(background_threads = 1)
       epoch_governor = None;
       sweep_pacer = None;
       service_threads = [];
-      ck_done = Hashtbl.create 256;
+      ck_done;
+      ck_lo;
+      ck_stamp = 1;
       ck_stw_done = false;
       sweep_hook = None;
       on_abort = None;

@@ -37,8 +37,10 @@ val all_strategies : strategy list
 val extended_strategies : strategy list
 (** Including [Cheriot_filter]. *)
 
-type batch = { entries : (int * int) list; bytes : int }
-(** Quarantined regions, [(addr, size)] pairs, already painted. *)
+type batch = { entries : int array; bytes : int }
+(** Quarantined regions, already painted, as flat [(addr, size)] pairs:
+    region [i]'s base at [entries.(2 * i)] and its size at
+    [entries.(2 * i + 1)]. [bytes] is the sum of the sizes. *)
 
 type fault = Skip_shootdown | Skip_hoard_scan | Early_dequarantine
 (** Deliberate protocol mutations for sanitizer self-tests:
@@ -201,10 +203,12 @@ val in_flight : t -> bool
 
 val currently_revoking : t -> (int * int) list
 (** The quarantined regions being revoked by the in-flight epoch (empty
-    between epochs). Used by invariant-checking tests. *)
+    between epochs), as [(addr, size)] pairs built on each call. Fork
+    and invariant-checking tests read it. *)
 
 val queued_entries : t -> (int * int) list
-(** Regions in batches handed over but not yet begun, oldest first.
+(** Regions in batches handed over but not yet begun, oldest first,
+    built on each call.
     Together with {!currently_revoking} and the shim's fill buffer this
     enumerates every quarantined region — fork walks all three. *)
 

@@ -1,38 +1,55 @@
-(** A hash table keyed by allocation bases: the quota ledger's entry
-    table ({!Ledger}), which every charge, free and credit probes.
+(** A hash table keyed by allocation bases: the quota ledger's charge
+    table ({!Ledger}), which every charge, free and credit probes. A
+    binding holds a non-negative int (the ledger packs a charge's size
+    and state in it) and a tagged capability.
 
-    Open addressing with linear probing: a flat [int array] of keys
-    ([-1] marks a free slot) beside a value array, the home slot taken
-    from a multiplicative hash of [key lsr 4], and backward-shift
-    deletion. The load factor stays at or below 1/2. Unlike the
-    standard [Hashtbl] it makes no C call to hash, no polymorphic
-    comparison to probe, and allocates no cell per binding. Keys must
-    be non-negative. Iteration order is unspecified. *)
+    Open addressing with linear probing over flat storage: an [int
+    array] of keys ([-1] marks a free slot), an [int array] of the bound
+    ints, and a byte buffer that holds each capability as the two words
+    of {!Cheri.Capability.encode} followed by its address, as tagged
+    memory does. The home slot is taken from a multiplicative hash of
+    [key lsr 4], and deletion shifts the rest of the probe run back. The
+    load factor stays at or below 1/2. The table makes no C call to
+    hash, no polymorphic comparison to probe, allocates nothing per
+    binding and holds no pointer per binding for the collector to
+    trace. Keys must be non-negative. Iteration order is unspecified. *)
 
-type 'a t
+type t
 
-val create : absent:'a -> int -> 'a t
-(** [create ~absent n] is an empty table sized for [n] bindings without
-    growing. {!find} returns [absent] for a key with no binding, so
-    callers can test for it with [==]. *)
+val create : int -> t
+(** [create n] is an empty table sized for [n] bindings without
+    growing. *)
 
-val length : 'a t -> int
-val find : 'a t -> int -> 'a
-(** The key's binding, or the table's [absent] value. *)
+val length : t -> int
 
-val replace : 'a t -> int -> 'a -> unit
-(** Bind the key, replacing any binding it had. Raises
-    [Invalid_argument] on a negative key. *)
+val find : t -> int -> int
+(** The key's bound int, or [-1] when the key has no binding. *)
 
-val remove : 'a t -> int -> unit
+val cap : t -> int -> Cheri.Capability.t
+(** The key's capability, decoded afresh: {!Cheri.Capability.equal} to
+    the one bound. Raises [Not_found] when the key has no binding. *)
+
+val replace : t -> int -> int -> Cheri.Capability.t -> unit
+(** [replace t key v c] binds [key] to [v] and [c], replacing any
+    binding it had. Raises [Invalid_argument], binding nothing, on a
+    negative key or [v], an untagged [c], or a [c] that
+    {!Cheri.Capability.encode} rejects. *)
+
+val set : t -> int -> int -> unit
+(** [set t key v] rebinds [key]'s int to [v] and keeps its capability.
+    Raises [Invalid_argument] on a negative [v] and [Not_found] when the
+    key has no binding. *)
+
+val remove : t -> int -> unit
 (** Drop the key's binding, if any. *)
 
-val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+val fold : (int -> int -> 'acc -> 'acc) -> t -> 'acc -> 'acc
+(** [fold f t acc] folds [f key v] over the bindings. *)
 
-val capacity : 'a t -> int
+val capacity : t -> int
 (** The slot count, a power of two at least twice {!length}. *)
 
-val home : 'a t -> int -> int
+val home : t -> int -> int
 (** The slot where a probe for the key starts, in [\[0, capacity)].
     Keys with the same home collide; a probe run that passes the last
     slot wraps to slot 0. *)

@@ -31,24 +31,20 @@ let overcommit_of_name = function
 
 type fault = Skip_credit
 
-(* Whether an allocation's charge is still live or parked in quarantine
-   (freed, awaiting revocation — still billed to its owner). *)
-type entry_state = Live | Quarantined
-
-type alloc_entry = {
-  e_size : int; (* the charge: size-class rounded bytes *)
-  e_cap : Capability.t;
-  mutable e_state : entry_state;
-}
-
-(* [Addrtbl.find]'s answer for a base with no entry. *)
-let no_entry = { e_size = 0; e_cap = Capability.null; e_state = Live }
+(* A charge, as the entry table holds it in one int: the size-class
+   rounded bytes, and in the low bit whether the allocation is still live
+   or parked in quarantine (freed, awaiting revocation — still billed to
+   its owner). The table keeps the allocation's capability beside it. *)
+let live_charge size = size lsl 1
+let charge_size charge = charge lsr 1
+let is_quarantined charge = charge land 1 = 1
+let quarantined charge = charge lor 1
 
 type account = {
   a_tenant : int;
   a_quota : int;
   a_rt : Runtime.t;
-  allocs : alloc_entry Addrtbl.t; (* base -> charge entry *)
+  allocs : Addrtbl.t; (* base -> charge and capability *)
   mutable a_stamp : int; (* the stamp its capabilities must carry; 0 once revoked *)
   mutable charged : int;
   mutable credited : int;
@@ -125,19 +121,19 @@ let emit t ctx ~pid ?arg2 kind arg =
    quota-conservation rule must notice the [Reuse] of a still-charged
    region. *)
 let credit t a ctx ~addr =
-  let e = Addrtbl.find a.allocs addr in
+  let charge = Addrtbl.find a.allocs addr in
   (* no entry: not a ledger allocation (e.g. adopted quarantine) *)
-  if e != no_entry then
+  if charge >= 0 then
     match t.fault with
     | Some Skip_credit -> Addrtbl.remove a.allocs addr
     | None ->
-        a.credited <- a.credited + e.e_size;
-        (match e.e_state with
-        | Quarantined -> a.quarantined <- a.quarantined - e.e_size
-        | Live -> a.live <- a.live - e.e_size);
-        t.committed <- t.committed - e.e_size;
+        let size = charge_size charge in
+        a.credited <- a.credited + size;
+        if is_quarantined charge then a.quarantined <- a.quarantined - size
+        else a.live <- a.live - size;
+        t.committed <- t.committed - size;
         Addrtbl.remove a.allocs addr;
-        emit t ctx ~pid:a.a_tenant ~arg2:e.e_size Trace.Quota_credit addr
+        emit t ctx ~pid:a.a_tenant ~arg2:size Trace.Quota_credit addr
 
 let register t ~tenant ~quota rt =
   if quota <= 0 then invalid_arg "Ledger.register: quota must be > 0";
@@ -151,7 +147,7 @@ let register t ~tenant ~quota rt =
       a_tenant = tenant;
       a_quota = quota;
       a_rt = rt;
-      allocs = Addrtbl.create ~absent:no_entry 256;
+      allocs = Addrtbl.create 256;
       a_stamp = stamp;
       charged = 0;
       credited = 0;
@@ -288,37 +284,37 @@ let malloc cap ctx size =
     t.committed <- t.committed + rounded;
     if balance a > a.peak_balance then a.peak_balance <- balance a;
     if t.committed > t.peak_committed then t.peak_committed <- t.committed;
-    Addrtbl.replace a.allocs base { e_size = rounded; e_cap = c; e_state = Live };
+    Addrtbl.replace a.allocs base (live_charge rounded) c;
     emit t ctx ~pid:a.a_tenant ~arg2:rounded Trace.Quota_charge base;
     Some c
   end
 
 (* Move one live charge to quarantine and hand the memory to the shim.
    Shared by [free] and [free_all]; the caller has already unsealed. *)
-let quarantine_one t a ctx base (e : alloc_entry) =
-  e.e_state <- Quarantined;
-  a.live <- a.live - e.e_size;
-  a.quarantined <- a.quarantined + e.e_size;
-  Runtime.free a.a_rt ctx e.e_cap;
+let quarantine_one t a ctx base charge =
+  let size = charge_size charge in
+  let c = Addrtbl.cap a.allocs base in
+  Addrtbl.set a.allocs base (quarantined charge);
+  a.live <- a.live - size;
+  a.quarantined <- a.quarantined + size;
+  Runtime.free a.a_rt ctx c;
   (* A baseline runtime returns memory to the allocator immediately —
      there is no quarantine to park the charge in, so credit inline. *)
   if a.a_rt.Runtime.mrs = None then credit t a ctx ~addr:base
 
-let free cap ctx c =
+let free cap ctx base =
   let t = cap.c_ledger in
   let a = unseal "Ledger.free" cap in
-  let base = Capability.base c in
-  let e = Addrtbl.find a.allocs base in
-  if e == no_entry then
+  let charge = Addrtbl.find a.allocs base in
+  if charge < 0 then
     invalid_arg
       (Printf.sprintf "Ledger.free: 0x%x is not a live allocation of tenant %d"
          base a.a_tenant);
-  match e.e_state with
-  | Quarantined ->
-      invalid_arg
-        (Printf.sprintf "Ledger.free: double free of 0x%x (tenant %d)" base
-           a.a_tenant)
-  | Live -> quarantine_one t a ctx base e
+  if is_quarantined charge then
+    invalid_arg
+      (Printf.sprintf "Ledger.free: double free of 0x%x (tenant %d)" base
+         a.a_tenant);
+  quarantine_one t a ctx base charge
 
 (* The CHERIoT [heap_free_all] analogue: hand the tenant's entire live
    heap to quarantine in one shot — post-failure cleanup that needs no
@@ -330,18 +326,18 @@ let free_all cap ctx =
   let a = unseal "Ledger.free_all" cap in
   let live =
     Addrtbl.fold
-      (fun base e acc ->
-        match e.e_state with Live -> (base, e) :: acc | Quarantined -> acc)
+      (fun base charge acc ->
+        if is_quarantined charge then acc else (base, charge) :: acc)
       a.allocs []
     |> List.sort (fun (x, _) (y, _) -> Int.compare x y)
   in
   match live with
   | [] -> (0, 0) (* nothing live: a repeated free_all is a no-op *)
   | _ ->
-      let bytes = List.fold_left (fun s (_, e) -> s + e.e_size) 0 live in
+      let bytes = List.fold_left (fun s (_, charge) -> s + charge_size charge) 0 live in
       a.free_alls <- a.free_alls + 1;
       emit t ctx ~pid:a.a_tenant ~arg2:bytes Trace.Free_all (List.length live);
-      List.iter (fun (base, e) -> quarantine_one t a ctx base e) live;
+      List.iter (fun (base, charge) -> quarantine_one t a ctx base charge) live;
       (match a.a_rt.Runtime.mrs with
       | Some mrs -> Mrs.flush mrs ctx
       | None -> ());
@@ -386,7 +382,7 @@ type account_stats = {
    bookkeeping bug in either side cannot hide: charged − credited must
    equal the bytes the table still holds. *)
 let conserved a =
-  let held = Addrtbl.fold (fun _ (e : alloc_entry) s -> s + e.e_size) a.allocs 0 in
+  let held = Addrtbl.fold (fun _ charge s -> s + charge_size charge) a.allocs 0 in
   balance a = held && a.live + a.quarantined = held
 
 let account_stats_of a =

@@ -81,11 +81,12 @@ val malloc : cap -> Sim.Machine.ctx -> int -> Cheri.Capability.t option
     over-commit policy could not reclaim enough ([arg2 = 1]).
     Successful charges are traced as [Quota_charge]. *)
 
-val free : cap -> Sim.Machine.ctx -> Cheri.Capability.t -> unit
-(** Hand the allocation to quarantine; its charge moves live →
-    quarantined and stays billed until revocation credits it back.
-    Raises [Invalid_argument] on a double free or a capability the
-    ledger never charged to this tenant. *)
+val free : cap -> Sim.Machine.ctx -> int -> unit
+(** [free cap ctx base] hands the allocation at [base] (the base of the
+    capability {!malloc} returned) to quarantine; its charge moves live →
+    quarantined and stays billed until revocation credits it back. The
+    ledger frees the capability it charged. Raises [Invalid_argument] on
+    a double free or a base the ledger never charged to this tenant. *)
 
 val free_all : cap -> Sim.Machine.ctx -> int * int
 (** The [heap_free_all] analogue: hand the tenant's {e entire} live heap

@@ -34,9 +34,10 @@ let queue_depth = 64
 let target_p99_us = 1_000.0
 
 (* The standing session ring: 256-byte blocks worth three quarters of
-   the tenant's quota. *)
+   the tenant's quota. A slot holds its block's base, or [empty_slot]. *)
 let block_bytes = 256
 let ring_frac = 0.75
+let empty_slot = -1
 
 (* Per request: two unmarshalling temporaries, and compute cycles. *)
 let compute_per_req = 20_000
@@ -227,14 +228,13 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
         Machine.store_u64 ctx c (Int64.of_int !ring_next);
         let slot = !ring_next mod Array.length ring in
         ring_next := !ring_next + 1;
-        (match ring.(slot) with
-        | Some old -> Ledger.free cap ctx old
-        | None -> ());
-        ring.(slot) <- Some c
+        let old = ring.(slot) in
+        if old <> empty_slot then Ledger.free cap ctx old;
+        ring.(slot) <- Capability.base c
     | None -> ());
     Machine.charge ctx compute_per_req;
-    (match t1 with Some c -> Ledger.free cap ctx c | None -> ());
-    match t2 with Some c -> Ledger.free cap ctx c | None -> ()
+    (match t1 with Some c -> Ledger.free cap ctx (Capability.base c) | None -> ());
+    match t2 with Some c -> Ledger.free cap ctx (Capability.base c) | None -> ()
   in
   let tenant_body i lane cctx proc =
     let pid = Os.pid proc in
@@ -273,13 +273,13 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
       max 8 (int_of_float (ring_frac *. float_of_int (quota i))
              / Alloc.Sizeclass.rounded_size block_bytes)
     in
-    let ring = Array.make slots None in
+    let ring = Array.make slots empty_slot in
     Array.iteri
       (fun s _ ->
         match Ledger.malloc cap cctx block_bytes with
         | Some c ->
             Machine.store_u64 cctx c (Int64.of_int s);
-            ring.(s) <- Some c
+            ring.(s) <- Capability.base c
         | None -> ())
       ring;
     let ring_next = ref 0 in
@@ -313,12 +313,11 @@ let run ?tracer ?on_os ?(config = default_config) ~mode () =
             (* Graceful shutdown: return the standing ring through the
                ordinary quarantine path, then exit. *)
             Array.iteri
-              (fun s slot ->
-                match slot with
-                | Some c ->
-                    Ledger.free cap cctx c;
-                    ring.(s) <- None
-                | None -> ())
+              (fun s base ->
+                if base <> empty_slot then begin
+                  Ledger.free cap cctx base;
+                  ring.(s) <- empty_slot
+                end)
               ring;
             Option.iter Governor.uninstall gov;
             Os.exit os cctx proc

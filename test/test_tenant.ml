@@ -73,7 +73,7 @@ let test_exact_fit_charge () =
         check "one more byte denied" true (Ledger.malloc cap ctx 1 = None);
         (* A baseline runtime has no quarantine: the free credits
            inline and the quota is immediately whole again. *)
-        Ledger.free cap ctx (Option.get c);
+        Ledger.free cap ctx (Cap.base (Option.get c));
         check "credit restores the quota" false (Ledger.over_quota led ~tenant:0);
         check "fits again" true (Ledger.malloc cap ctx 100 <> None))
   in
@@ -130,7 +130,7 @@ let test_deny_at_exhaustion_steal () =
         let _b = Option.get (Ledger.malloc cap ctx 4096) in
         check "no quarantine, nothing to steal" true
           (Ledger.malloc cap ctx 4096 = None);
-        Ledger.free cap ctx a;
+        Ledger.free cap ctx (Cap.base a);
         check "charge parked in quarantine" true (Ledger.debt led ~tenant:0 > 0);
         check "steal reclaims the quarantine" true
           (Ledger.malloc cap ctx 4096 <> None);
@@ -150,7 +150,7 @@ let test_deny_at_exhaustion_revoke () =
         let a = Option.get (Ledger.malloc cap ctx 4096) in
         let _b = Option.get (Ledger.malloc cap ctx 4096) in
         check "no debtor, denied" true (Ledger.malloc cap ctx 4096 = None);
-        Ledger.free cap ctx a;
+        Ledger.free cap ctx (Cap.base a);
         check "triggered revocation reclaims" true
           (Ledger.malloc cap ctx 4096 <> None);
         drain rt ctx)
@@ -197,7 +197,7 @@ let test_free_all_racing_mid_epoch_sweep () =
         let first = Array.init 16 (fun _ -> Option.get (Ledger.malloc cap ctx 1024)) in
         let rest = Array.init 48 (fun _ -> Option.get (Ledger.malloc cap ctx 512)) in
         ignore rest;
-        Array.iter (fun c -> Ledger.free cap ctx c) first;
+        Array.iter (fun c -> Ledger.free cap ctx (Cap.base c)) first;
         let mrs = Option.get rt.Runtime.mrs in
         Mrs.flush mrs ctx;
         (* wait (bounded) for the revoker to actually take the batch *)
@@ -234,7 +234,7 @@ let test_skip_credit_fault_detected () =
       ~fault:Ledger.Skip_credit (fun rt led ctx ->
         let cap = Ledger.register led ~tenant:0 ~quota:(1 lsl 20) rt in
         let c = Option.get (Ledger.malloc cap ctx 1024) in
-        Ledger.free cap ctx c;
+        Ledger.free cap ctx (Cap.base c);
         drain rt ctx)
   in
   let st = Ledger.account_stats led ~tenant:0 in
@@ -252,10 +252,19 @@ let test_skip_credit_fault_detected () =
 
 module Addrtbl = Tenancy.Addrtbl
 
+(* A binding's capability, derived as a ledger charge's is from the
+   allocators' 2^40 root: bounded to [size] bytes at [k], narrowed to
+   [perms], its address moved [off] bytes (modulo [size]) past [k]. *)
+let entry_cap k ~size ~perms ~off =
+  let c = Cap.set_bounds (Cap.root ~length:(1 lsl 40)) ~base:k ~length:size in
+  Cap.set_addr (Cap.restrict_perms c (Cheri.Perms.of_int perms)) (k + (off mod size))
+
+let plain_cap k = entry_cap k ~size:16 ~perms:127 ~off:0
+
 (* Granule-aligned keys whose home is the last slot of a fresh table:
    they collide with each other, and their probe run wraps to slot 0. *)
 let wrapping_keys n =
-  let t = Addrtbl.create ~absent:(-1) 0 in
+  let t = Addrtbl.create 0 in
   let last = Addrtbl.capacity t - 1 in
   let rec go g acc =
     if List.length acc = n then List.rev acc
@@ -264,25 +273,39 @@ let wrapping_keys n =
   go 0 []
 
 let test_addrtbl_wrap () =
-  let t = Addrtbl.create ~absent:(-1) 0 in
+  let t = Addrtbl.create 0 in
   let cap = Addrtbl.capacity t in
   let keys = wrapping_keys 3 in
-  List.iteri (fun i k -> Addrtbl.replace t k i) keys;
+  List.iteri (fun i k -> Addrtbl.replace t k i (plain_cap k)) keys;
   check_int "no growth yet" cap (Addrtbl.capacity t);
   List.iteri (fun i k -> check_int "found past the wrap" i (Addrtbl.find t k)) keys;
   (* Removing the run's head must shift the wrapped entries back across
-     the end of the table. *)
+     the end of the table, capabilities with them. *)
   Addrtbl.remove t (List.hd keys);
   check_int "removed" (-1) (Addrtbl.find t (List.hd keys));
   List.iteri
-    (fun i k -> if i > 0 then check_int "still found after the shift" i (Addrtbl.find t k))
+    (fun i k ->
+      if i > 0 then begin
+        check_int "still found after the shift" i (Addrtbl.find t k);
+        check "capability shifted with its key" true (Cap.equal (plain_cap k) (Addrtbl.cap t k))
+      end)
     keys;
-  check_int "length" 2 (Addrtbl.length t)
+  check_int "length" 2 (Addrtbl.length t);
+  check "a capability encode rejects binds nothing" true
+    (match Addrtbl.replace t 16 0 (Cap.root ~length:(1 lsl 40)) with
+    | () -> false
+    | exception Invalid_argument _ -> Addrtbl.find t 16 = -1 && Addrtbl.length t = 2)
 
-type op = Add of int * int | Find of int | Remove of int
+type op =
+  | Add of int * int * int * int (* key, packed size and state, perms, address offset *)
+  | Set of int * int
+  | Find of int
+  | Remove of int
 
 (* Keys from a small granule-aligned range (they collide as the table
-   grows from 8 slots), the wrapping keys, and a wide range. *)
+   grows from 8 slots), the wrapping keys, and a wide range that leaves
+   room below 2^40 for the capability's bounds. Each added binding
+   packs a size and a state bit, as the ledger does. *)
 let gen_ops =
   let open QCheck.Gen in
   let wrap = Array.of_list (wrapping_keys 6) in
@@ -291,13 +314,15 @@ let gen_ops =
       [
         (6, map (fun g -> g * 16) (int_range 0 95));
         (2, map (fun i -> wrap.(i)) (int_range 0 (Array.length wrap - 1)));
-        (1, map (fun g -> g * 16) (int_range 0 (1 lsl 36)));
+        (1, map (fun g -> g * 16) (int_range 0 (1 lsl 35)));
       ]
   in
+  let packed = map2 (fun size q -> (size lsl 1) lor Bool.to_int q) (int_range 1 (1 lsl 20)) bool in
   list_size (int_range 1 600)
     (frequency
        [
-         (5, map2 (fun k v -> Add (k, v)) key (int_range 0 1_000));
+         (5, map4 (fun k v p off -> Add (k, v, p, off)) key packed (int_range 0 127) nat);
+         (2, map2 (fun k v -> Set (k, v)) key packed);
          (3, map (fun k -> Find k) key);
          (3, map (fun k -> Remove k) key);
        ])
@@ -306,27 +331,39 @@ let prop_addrtbl_model =
   QCheck.Test.make ~name:"entry table agrees with a Hashtbl model" ~count:300
     (QCheck.make ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops)) gen_ops)
     (fun ops ->
-      let t = Addrtbl.create ~absent:(-1) 0 and model = Hashtbl.create 16 in
+      let t = Addrtbl.create 0 and model = Hashtbl.create 16 in
       let agrees k =
-        Addrtbl.find t k = Option.value ~default:(-1) (Hashtbl.find_opt model k)
+        match Hashtbl.find_opt model k with
+        | Some (v, c) -> Addrtbl.find t k = v && Cap.equal (Addrtbl.cap t k) c
+        | None -> (
+            Addrtbl.find t k = -1
+            && match Addrtbl.cap t k with _ -> false | exception Not_found -> true)
       in
       List.for_all
         (fun op ->
           (match op with
-          | Add (k, v) ->
-              Addrtbl.replace t k v;
-              Hashtbl.replace model k v
+          | Add (k, v, perms, off) ->
+              let c = entry_cap k ~size:(v lsr 1) ~perms ~off in
+              Addrtbl.replace t k v c;
+              Hashtbl.replace model k (v, c)
+          | Set (k, v) -> (
+              match Hashtbl.find_opt model k with
+              | Some (_, c) ->
+                  Addrtbl.set t k v;
+                  Hashtbl.replace model k (v, c)
+              | None -> (
+                  try Addrtbl.set t k v with Not_found -> ()))
           | Find _ -> ()
           | Remove k ->
               Addrtbl.remove t k;
               Hashtbl.remove model k);
-          (match op with Add (k, _) | Find k | Remove k -> agrees k)
+          (match op with Add (k, _, _, _) | Set (k, _) | Find k | Remove k -> agrees k)
           && Addrtbl.length t = Hashtbl.length model
           && 2 * Addrtbl.length t <= Addrtbl.capacity t)
         ops
       &&
       let bindings fold tbl = List.sort compare (fold (fun k v acc -> (k, v) :: acc) tbl []) in
-      bindings Addrtbl.fold t = bindings Hashtbl.fold model
+      bindings Addrtbl.fold t = bindings (fun f -> Hashtbl.fold (fun k (v, _) -> f k v)) model
       && Hashtbl.fold (fun k _ ok -> ok && agrees k) model true)
 
 (* ---- the storm workload end to end ---- *)
