@@ -345,6 +345,50 @@ let test_abandonment_traced () =
     ((Mrs.stats r.mrs).Mrs.abandoned_bytes = !bytes && !bytes >= 4096);
   check "sanitizer tolerates announced abandonment" true (Sanitizer.ok r.san)
 
+(* Batches handed to the revoker before [finish] are still revoked and
+   released by its shutdown drain; only the fill buffer is abandoned. So
+   each freed byte is reused or abandoned, exactly once, on a run that
+   finishes with an epoch in flight and more frees buffered behind it. *)
+let test_abandonment_conserves () =
+  let r = mk ~strategy:Revoker.Reloaded () in
+  let reused = ref 0 and reused_after = ref 0 and abandoned = ref false in
+  ignore
+    (Trace.subscribe r.tr (fun e ->
+         match e.Trace.kind with
+         | Trace.Reuse ->
+             reused := !reused + e.Trace.arg2;
+             if !abandoned then reused_after := !reused_after + e.Trace.arg2
+         | Trace.Quarantine_abandoned -> abandoned := true
+         | _ -> ()));
+  let mid_epoch = ref false in
+  ignore
+    (Machine.spawn r.m ~name:"app" ~core:3 (fun ctx ->
+         let blocks = Array.init 48 (fun _ -> Mrs.malloc r.mrs ctx 4096) in
+         (* 160 KiB, over the 128 KiB policy minimum: one batch *)
+         for i = 0 to 39 do
+           Mrs.free r.mrs ctx blocks.(i)
+         done;
+         Mrs.flush r.mrs ctx;
+         let tries = ref 0 in
+         while (not (Revoker.in_flight r.rv)) && !tries < 200 do
+           incr tries;
+           Machine.sleep ctx 1_000
+         done;
+         for i = 40 to 47 do
+           Mrs.free r.mrs ctx blocks.(i)
+         done;
+         mid_epoch := Revoker.in_flight r.rv;
+         Mrs.finish r.mrs ctx));
+  Machine.run r.m;
+  Sanitizer.finish r.san;
+  let st = Mrs.stats r.mrs in
+  check "finished with an epoch in flight" true !mid_epoch;
+  check_int "the fill buffer is what was abandoned" (8 * 4096) st.Mrs.abandoned_bytes;
+  check_int "the in-flight batch was released after finish" (40 * 4096) !reused_after;
+  check_int "reused + abandoned = freed" st.Mrs.sum_freed_bytes
+    (!reused + st.Mrs.abandoned_bytes);
+  check "sanitizer tolerates announced abandonment" true (Sanitizer.ok r.san)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -367,5 +411,7 @@ let () =
           Alcotest.test_case "tenant kill" `Quick test_tenant_kill_recovers;
           Alcotest.test_case "abandonment is traced" `Quick
             test_abandonment_traced;
+          Alcotest.test_case "abandonment conserves freed bytes" `Quick
+            test_abandonment_conserves;
         ] );
     ]
