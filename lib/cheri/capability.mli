@@ -119,8 +119,10 @@ val pp : Format.formatter -> t -> unit
     How tagged memory holds a capability: two immediate 64-bit words,
     [base lor (perms lsl 40)] and [length lor (otype lsl 40)], little-endian
     in 16 bytes. The tag lives in the memory's tag bitmap and the address
-    in the granule's data bytes, so neither is encoded. Only
-    [Tagmem.Mem] calls these, and only for a granule whose tag is set. *)
+    in the granule's data bytes, so neither is encoded. [Tagmem.Mem]
+    calls these for a granule whose tag is set, and the quota ledger's
+    entry table ([Tenancy.Addrtbl]) for each charge's capability, which
+    it keeps beside its address. *)
 
 val encode : t -> Bytes.t -> int -> unit
 (** [encode c b off] writes [c]'s two words to [b] at [off]. Raises
