@@ -41,7 +41,7 @@ let interp_arg =
           "SPEC interpreter: $(b,compiled) (default; draws ops a block at \
            a time into flat arrays and replays each block) or \
            $(b,reference) (draws and executes op by op). Both access \
-           simulated memory through the same fused path. Simulated \
+           simulated memory through the same access path. Simulated \
            behaviour is bit-for-bit identical; only host time differs."
         ~docv:"KIND")
 

@@ -78,17 +78,16 @@ let unseal c ~otype =
   if c.tag && c.otype = otype && otype > 0 then { c with otype = 0 }
   else untag c
 
-let deref_ok ?(width = 1) c perm =
-  c.tag && (not (is_sealed c)) && Perms.mem c.perms perm && in_bounds ~width c
+(* The one dereference rule. Every memory access the machine simulates
+   decides through it, so it is inlined there. *)
+let[@inline] authorizes c va ~width perms =
+  c.tag && c.otype = 0 && Perms.mem c.perms perms && width >= 1 && va >= c.base
+  && va + width <= c.base + c.length
 
-let can_load ?width c = deref_ok ?width c Perms.load
-let can_store ?width c = deref_ok ?width c Perms.store
-
-let can_load_cap c =
-  deref_ok ~width:16 c (Perms.union Perms.load Perms.load_cap)
-
-let can_store_cap c =
-  deref_ok ~width:16 c (Perms.union Perms.store Perms.store_cap)
+let can_load ?(width = 1) c = authorizes c c.addr ~width Perms.load
+let can_store ?(width = 1) c = authorizes c c.addr ~width Perms.store
+let can_load_cap c = authorizes c c.addr ~width:16 (Perms.union Perms.load Perms.load_cap)
+let can_store_cap c = authorizes c c.addr ~width:16 (Perms.union Perms.store Perms.store_cap)
 
 let is_subset c parent =
   c.base >= parent.base && top c <= top parent

@@ -24,9 +24,8 @@ type t = private {
       (** cached representable window of [(base, length)], derived from
           the bounds *)
 }
-(** The fields are readable so that the machine's per-access checks can
-    run without a call per field; values are built only by the
-    operations below, which keep the monotonicity guarantees. *)
+(** The fields are readable; values are built only by the operations
+    below, which keep the monotonicity guarantees. *)
 
 (** {1 Construction} *)
 
@@ -100,10 +99,27 @@ val otype : t -> int
 
 (** {1 Dereference checks} *)
 
+val authorizes : t -> int -> width:int -> Perms.t -> bool
+(** [authorizes c va ~width perms]: [c] is tagged and unsealed, holds
+    every permission in [perms], and [\[va, va+width)] is a non-empty
+    range within [\[base, top)]. The dereference rule, defined once: it
+    equals [can_*] of [set_addr c va], since an address in bounds is
+    inside the representable window, so moving there keeps the tag. The
+    machine checks each access this way without building the moved
+    capability. *)
+
 val can_load : ?width:int -> t -> bool
+(** [authorizes c (addr c) ~width Perms.load]; [width] defaults to 1. *)
+
 val can_store : ?width:int -> t -> bool
+(** [authorizes c (addr c) ~width Perms.store]; [width] defaults to 1. *)
+
 val can_load_cap : t -> bool
+(** A 16-byte load at [addr c] with {!Perms.load} and {!Perms.load_cap}. *)
+
 val can_store_cap : t -> bool
+(** A 16-byte store at [addr c] with {!Perms.store} and
+    {!Perms.store_cap}. *)
 
 (** {1 Relations} *)
 

@@ -140,16 +140,12 @@ val charge : ctx -> int -> unit
 val safe_point : ctx -> unit
 (** Possibly yield: preemption if the quantum expired, parking if a
     stop-the-world is pending. Simulated programs call this (or any
-    memory operation, which calls it implicitly) often. *)
-
-val safe_point_run : ctx -> unit
-(** Batched safe point for tight op-stream loops: observably identical
-    to {!safe_point} — the quantum check still runs on every call, so
-    preemption lands at the same simulated instants — but the
-    stop-the-world checkpoint is re-executed only on the first call
-    after each resume. Sound because the scheduler is cooperative and
-    single-domain: no stop-the-world can be installed, nor this thread
-    added to a pending set, while it runs uninterrupted. *)
+    memory operation, which calls it implicitly) often. The quantum is
+    checked on every call; the stop-the-world checkpoint only on the
+    first call after each resume, since no stop-the-world can be
+    installed, nor this thread added to a pending set, while it runs
+    uninterrupted. A thread released from one stop-the-world into
+    another already pending parks again before its next access. *)
 
 val sleep : ctx -> int -> unit
 (** Block for the given number of cycles of wall time (off core). *)
@@ -305,13 +301,11 @@ val touch : ctx -> Cheri.Capability.t -> write:bool -> unit
 
 (** {2 Address-parameterized accesses}
 
-    Each [*_at] operation is semantically the corresponding plain
-    operation applied to [Capability.set_addr cap addr], without
-    allocating the moved capability, and with the {!safe_point_run}
-    batched checkpoint in place of the per-op {!safe_point} (observably
-    identical — see {!safe_point_run}). Identical charges, faults,
-    load-barrier and filter behaviour; the access path of both SPEC
-    interpreters. *)
+    Each [*_at] operation is the corresponding plain operation applied
+    to [Capability.set_addr cap addr], without allocating the moved
+    capability: the same safe point, charges, faults, load-barrier and
+    filter behaviour, through the same body. A fault's payload is the
+    moved capability. The access path of both SPEC interpreters. *)
 
 val touch_u64_at : ctx -> Cheri.Capability.t -> int -> unit
 (** [load_u64] at the given address with the value discarded — no
@@ -397,9 +391,6 @@ val tlb_shootdown : ?asid:int -> ctx -> vpages:int list -> unit
     per core hit. *)
 
 val with_pmap_lock : ctx -> (unit -> 'a) -> 'a
-
-val translate : ctx -> int -> (int * Vm.Pte.t) option
-(** TLB-charged translation, as the hardware walker would do. *)
 
 (** {1 Tracing} *)
 

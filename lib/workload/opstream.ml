@@ -235,8 +235,8 @@ let mod_hilo hi lo n = (((hi mod n) * (2147483648 mod n)) + lo) mod n
    semantics itself demands (the capability records loaded from or
    stored to simulated memory): table slots are addressed through the
    chunk "globals" with [load_cap_at]/[store_cap_at], data accesses use
-   [touch_u64_at]/[store_u64_at], and safe points batch their STW
-   checkpoint per scheduling slice ([Machine.safe_point_run]). *)
+   [touch_u64_at]/[store_u64_at], whose safe point runs the STW
+   checkpoint once per scheduling slice. *)
 
 let exec (s : t) (p : Profile.t) rt ctx ~ops_done =
   if p != s.p then invalid_arg "Opstream.exec: not the profile the stream was compiled from";
