@@ -103,6 +103,25 @@ let test_sim_load =
   Test.make ~name:"simulated load_u64"
     (Staged.stage (fun () -> ignore (M.load_u64 ctx c)))
 
+(* Each call stores to the next of 512 pages, more than the 256-entry
+   TLB holds, so every store walks the page table and fills a slot: the
+   access path's miss side, per call. *)
+let test_store_tlb_miss =
+  let _, alloc, _, ctx, _ = Lazy.force rig in
+  let pages = 512 in
+  let c = Alloc.Allocator.malloc alloc ctx (pages * 4096) in
+  let i = ref 0 in
+  Test.make ~name:"store_u64_at, TLB-missing pages"
+    (Staged.stage (fun () ->
+         i := (!i + 1) land (pages - 1);
+         M.store_u64_at ctx c (Cap.base c + (!i * 4096)) 1L))
+
+(* The allocator's reuse-time scrub of a 256-byte slot, warm. *)
+let test_zero_block =
+  let _, alloc, _, ctx, _ = Lazy.force rig in
+  let c = Alloc.Allocator.malloc alloc ctx 256 in
+  Test.make ~name:"zero a 256 B block" (Staged.stage (fun () -> M.zero ctx c))
+
 let test_prng_int =
   let rng = Sim.Prng.create ~seed:1 in
   Test.make ~name:"Prng.int draw"
@@ -197,6 +216,8 @@ let benchmarks =
     test_fresh_cap_pair;
     test_cache_access;
     test_sim_load;
+    test_store_tlb_miss;
+    test_zero_block;
     test_prng_int;
     test_sim_malloc_free;
     test_revmap_paint;

@@ -662,23 +662,23 @@ let[@inline never] cap_fault cap va ~moved ~op =
     (Capability_fault
        { cap = (if moved then Capability.set_addr cap va else cap); op; vaddr = va })
 
-(* What [translate] does when [hit], the TLB's entry for [va]'s page if
-   it has one, cannot serve the access: a page walk and fill, a page
-   fault, or a copy-on-write break. Returns the entry the access goes
-   through. *)
+(* What [translate] does when [hit], the TLB slot holding [va]'s page or
+   -1, cannot serve the access: a page walk and fill, a page fault, or a
+   copy-on-write break. Returns the slot the access goes through. *)
 let rec translate_miss ctx c va ~write hit =
   let vpage = va / page_size in
-  let e =
-    match hit with
-    | Some e -> e
-    | None -> (
-        charge_on ctx c Cost.tlb_walk;
-        match Pmap.lookup (Aspace.pmap ctx.th.asp) ~vpage with
-        | None -> raise (Page_fault { vaddr = va; write })
-        | Some pte -> Tlb.insert c.tlb ~vpage pte)
+  let s =
+    if hit >= 0 then hit
+    else begin
+      charge_on ctx c Cost.tlb_walk;
+      match Pmap.lookup (Aspace.pmap ctx.th.asp) ~vpage with
+      | None -> raise (Page_fault { vaddr = va; write })
+      | Some pte -> Tlb.insert c.tlb ~vpage pte
+    end
   in
-  if write && not e.Tlb.pte.Pte.writable then
-    if e.Tlb.pte.Pte.cow then begin
+  let pte = Tlb.pte c.tlb s in
+  if write && not pte.Pte.writable then
+    if pte.Pte.cow then begin
       (* Copy-on-write break: trap, privatise the frame under the pmap
          lock, and retry. The PTE is mutated in place, so sibling cores
          sharing this space observe the new frame through their own TLB
@@ -688,32 +688,33 @@ let rec translate_miss ctx c va ~write hit =
       let pmap = Aspace.pmap ctx.th.asp in
       let contended = Pmap.lock pmap ~who:ctx.th.tid in
       charge ctx (if contended then 2 * Cost.pmap_lock else Cost.pmap_lock);
+      let stamp = Tlb.stamp c.tlb s in
       let copied =
         Fun.protect
           ~finally:(fun () -> Pmap.unlock pmap ~who:ctx.th.tid)
           (fun () ->
-            if e.Tlb.pte.Pte.cow then Aspace.cow_break ctx.th.asp ~vpage
+            if pte.Pte.cow then Aspace.cow_break ctx.th.asp ~vpage
             else false (* raced with a sibling thread's break *))
       in
       charge ctx Cost.pte_update;
       if copied then charge ctx Cost.cow_copy;
-      Tlb.refresh e;
+      Tlb.refresh c.tlb s ~stamp;
       trace_emit ctx.m ~time:c.clock ~core:ctx.th.tcore ~pid:ctx.th.pid
         ~arg2:(if copied then 1 else 0)
         Trace.Cow_fault va;
       translate_miss ctx c va ~write (Tlb.lookup c.tlb ~vpage)
     end
     else raise (Page_fault { vaddr = va; write })
-  else e
+  else s
 
-(* The TLB entry through which [va] is accessed on [c], the caller's
+(* The TLB slot through which [va] is accessed on [c], the caller's
    core. *)
 let[@inline] translate ctx c va ~write =
-  match Tlb.lookup c.tlb ~vpage:(va / page_size) with
-  | Some e when (not write) || e.Tlb.pte.Pte.writable -> e
-  | hit -> translate_miss ctx c va ~write hit
+  let s = Tlb.lookup c.tlb ~vpage:(va / page_size) in
+  if s >= 0 && ((not write) || (Tlb.pte c.tlb s).Pte.writable) then s
+  else translate_miss ctx c va ~write s
 
-let[@inline] frame_pa e va = (e.Tlb.pte.Pte.frame * page_size) + (va land (page_size - 1))
+let[@inline] frame_pa pte va = (pte.Pte.frame * page_size) + (va land (page_size - 1))
 
 (* One cache access at [pa], charged to [c], the caller's core. *)
 let[@inline] charge_access ctx c pa ~write = charge_on ctx c (Cache.access c.cache ~addr:pa ~write)
@@ -729,7 +730,7 @@ let[@inline never] data_access ctx cap va ~width ~write ~op ~moved =
   poll ctx c;
   if not (Capability.authorizes cap va ~width (if write then Perms.store else Perms.load)) then
     cap_fault cap va ~moved ~op;
-  let pa = frame_pa (translate ctx c va ~write) va in
+  let pa = frame_pa (Tlb.pte c.tlb (translate ctx c va ~write)) va in
   charge_access ctx c pa ~write;
   pa
 
@@ -770,26 +771,28 @@ let zero ctx cap =
   if not (Capability.can_store cap) then
     raise (Capability_fault { cap; op = "zero"; vaddr = Capability.addr cap });
   let base = Capability.base cap and len = Capability.length cap in
-  let line = Tagmem.Cache.line_size in
+  let c = core_of ctx in
   let va = ref base in
   while !va < base + len do
-    let e = translate ctx (core_of ctx) !va ~write:true in
-    let pa = frame_pa e !va in
-    let page_end = (!va lor (page_size - 1)) + 1 in
-    let chunk_end = Int.min (base + len) page_end in
-    let a = ref pa in
-    while !a < pa + (chunk_end - !va) do
-      charge ctx (Cache.access_stream (core_of ctx).cache ~addr:!a ~write:true);
-      a := !a + line
-    done;
-    Mem.fill ctx.m.mem ~lo:pa ~hi:(pa + (chunk_end - !va)) 0;
-    va := chunk_end
+    let pa = frame_pa (Tlb.pte c.tlb (translate ctx c !va ~write:true)) !va in
+    let n = Int.min (base + len) ((!va lor (page_size - 1)) + 1) - !va in
+    (* one streaming write per 64 bytes of the piece, counted from its
+       first line (DESIGN.md, "Known modelling deviations") *)
+    charge_on ctx c
+      (Cache.access_stream_lines c.cache ~addr:pa ~write:true
+         ~n:((n + Cache.line_size - 1) / Cache.line_size));
+    Mem.fill ctx.m.mem ~lo:pa ~hi:(pa + n) 0;
+    va := !va + n
   done
 
-(* Capability load generation fault (§4.1) on a tagged load through [e]
-   at [va]: trap, and let the registered handler bring the page to the
-   current generation. The caller re-executes the load. *)
-let clg_fault ctx c e va =
+(* Capability load generation fault (§4.1) on a tagged load through TLB
+   slot [s] at [va]: trap, and let the registered handler bring the page
+   to the current generation. The handler may run other threads, which
+   may refill [s]; the refresh re-latches only the fill the fault went
+   through, and the checks read that fill's PTE, as its re-latched bit
+   would be. The caller re-executes the load. *)
+let clg_fault ctx c s va =
+  let pte = Tlb.pte c.tlb s and stamp = Tlb.stamp c.tlb s in
   ctx.m.clg_faults <- ctx.m.clg_faults + 1;
   trace_emit ctx.m ~time:c.clock ~core:ctx.th.tcore ~pid:ctx.th.pid Trace.Clg_fault va;
   charge ctx Cost.trap;
@@ -797,13 +800,13 @@ let clg_fault ctx c e va =
   | None ->
       (* No software component installed: the PTE may already be
          current (stale TLB); refresh and re-check. *)
-      Tlb.refresh e;
-      if e.Tlb.clg_snapshot <> c.clg then failwith "CLG fault with no handler installed"
+      Tlb.refresh c.tlb s ~stamp;
+      if pte.Pte.clg <> c.clg then failwith "CLG fault with no handler installed"
   | Some h ->
       charge ctx Cost.clg_fault_fixed;
-      h ctx ~vaddr:va e.Tlb.pte;
-      Tlb.refresh e;
-      if e.Tlb.clg_snapshot <> c.clg && not e.Tlb.pte.Pte.load_trap then
+      h ctx ~vaddr:va pte;
+      Tlb.refresh c.tlb s ~stamp;
+      if pte.Pte.clg <> c.clg && not pte.Pte.load_trap then
         failwith "CLG fault handler did not update the generation"
 
 let rec load_cap_at ctx cap va =
@@ -812,12 +815,12 @@ let rec load_cap_at ctx cap va =
   if not (Capability.authorizes cap va ~width:granule Perms.load) then
     cap_fault cap va ~moved:true ~op:"load_cap";
   if va land (granule - 1) <> 0 then cap_fault cap va ~moved:true ~op:"load_cap(align)";
-  let e = translate ctx c va ~write:false in
-  let pa = frame_pa e va in
+  let s = translate ctx c va ~write:false in
+  let pte = Tlb.pte c.tlb s in
+  let pa = frame_pa pte va in
   charge_access ctx c pa ~write:false;
-  if Mem.read_tag ctx.m.mem pa && (e.Tlb.clg_snapshot <> c.clg || e.Tlb.pte.Pte.load_trap)
-  then begin
-    clg_fault ctx c e va;
+  if Mem.read_tag ctx.m.mem pa && (Tlb.clg c.tlb s <> c.clg || pte.Pte.load_trap) then begin
+    clg_fault ctx c s va;
     load_cap_at ctx cap va
   end
   else begin
@@ -851,10 +854,9 @@ let store_cap_at ctx cap va v =
     tagged
     && not (Capability.authorizes cap va ~width:granule (Perms.union Perms.store Perms.store_cap))
   then cap_fault cap va ~moved:true ~op:"store_cap(perm)";
-  let e = translate ctx c va ~write:true in
-  let pte = e.Tlb.pte in
+  let pte = Tlb.pte c.tlb (translate ctx c va ~write:true) in
   if tagged && not pte.Pte.cap_store then cap_fault cap va ~moved:true ~op:"store_cap(page)";
-  let pa = frame_pa e va in
+  let pa = frame_pa pte va in
   charge_access ctx c pa ~write:true;
   if tagged then begin
     (* hardware capability-dirty tracking (§4.2) *)

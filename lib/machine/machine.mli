@@ -332,7 +332,8 @@ val rmw_bits_at : ctx -> Cheri.Capability.t -> int -> lo:int -> hi:int -> set:bo
 
 val zero : ctx -> Cheri.Capability.t -> unit
 (** Zero the capability's whole bounds (clearing tags), charging one
-    cache write per 64-byte line — the allocator's reuse-time scrub. *)
+    streaming cache write per 64 bytes of each page piece, counted from
+    the piece's first line — the allocator's reuse-time scrub. *)
 
 (** {1 Kernel-mode access} (physical, no load barrier, cache-charged) *)
 

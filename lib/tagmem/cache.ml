@@ -1,12 +1,6 @@
 let line_size = 64
 let line_shift = 6
 
-type level = {
-  lines : int array; (* line address or -1 *)
-  dirty : Bytes.t;
-  mask : int;
-}
-
 type stats = {
   mutable l1_hits : int;
   mutable l2_hits : int;
@@ -15,17 +9,33 @@ type stats = {
   mutable accesses : int;
 }
 
-type t = { l1 : level; l2 : level; st : stats }
+(* Both levels' arrays sit in [t] itself, so an L1 hit reads the line
+   tag one load from [t]. A slot's line address is -1 when empty; its
+   dirty byte is '\001' when dirty. *)
+type t = {
+  l1_lines : int array;
+  l1_dirty : Bytes.t;
+  l1_mask : int;
+  l2_lines : int array;
+  l2_dirty : Bytes.t;
+  l2_mask : int;
+  st : stats;
+}
 
-let mk_level kib =
+let lines_of kib =
   let n = kib * 1024 / line_size in
   assert (n land (n - 1) = 0);
-  { lines = Array.make n (-1); dirty = Bytes.make n '\000'; mask = n - 1 }
+  n
 
 let create ?(l1_kib = 4) ?(l2_kib = 64) () =
+  let n1 = lines_of l1_kib and n2 = lines_of l2_kib in
   {
-    l1 = mk_level l1_kib;
-    l2 = mk_level l2_kib;
+    l1_lines = Array.make n1 (-1);
+    l1_dirty = Bytes.make n1 '\000';
+    l1_mask = n1 - 1;
+    l2_lines = Array.make n2 (-1);
+    l2_dirty = Bytes.make n2 '\000';
+    l2_mask = n2 - 1;
     st = { l1_hits = 0; l2_hits = 0; bus_reads = 0; bus_writes = 0; accesses = 0 };
   }
 
@@ -33,30 +43,35 @@ let l1_latency = 2
 let l2_latency = 14
 let dram_latency = 120
 
-let slot lv line = line land lv.mask
-let is_dirty lv s = Bytes.get lv.dirty s <> '\000'
-let set_dirty lv s v = Bytes.set lv.dirty s (if v then '\001' else '\000')
+(* Every slot below is [line land mask], inside its arrays, so the
+   unchecked reads and writes stay in range. *)
+let dirty_byte write = if write then '\001' else '\000'
 
-(* Install [line] in [lv]; if a dirty line is evicted from L2, that is a
-   bus writeback. L1 evictions fall back into L2 silently (inclusive
-   model approximation). *)
-let install st lv line ~l2 ~write =
-  let s = slot lv line in
-  if l2 && lv.lines.(s) >= 0 && lv.lines.(s) <> line && is_dirty lv s then
-    st.bus_writes <- st.bus_writes + 1;
-  lv.lines.(s) <- line;
-  set_dirty lv s write
+(* Install [line] in L1. Its evictions fall back into L2 silently
+   (inclusive model approximation). *)
+let install_l1 t line ~write =
+  let s = line land t.l1_mask in
+  Array.unsafe_set t.l1_lines s line;
+  Bytes.unsafe_set t.l1_dirty s (dirty_byte write)
+
+(* Install [line] in L2; evicting a dirty line is a bus writeback. *)
+let install_l2 t line ~write =
+  let s = line land t.l2_mask in
+  let old = Array.unsafe_get t.l2_lines s in
+  if old >= 0 && old <> line && Bytes.unsafe_get t.l2_dirty s <> '\000' then
+    t.st.bus_writes <- t.st.bus_writes + 1;
+  Array.unsafe_set t.l2_lines s line;
+  Bytes.unsafe_set t.l2_dirty s (dirty_byte write)
 
 (* The L1-hit step of every access variant: [n] back-to-back accesses
    to [line] while it is in L1 mark it dirty on a write and count as
    hits. [false], with nothing updated, when [line] is not in L1. Inlined
    into each variant, so a hit makes no call. *)
 let[@inline] l1_hit t line ~write ~n =
-  let l1 = t.l1 in
-  let s = slot l1 line in
-  Array.unsafe_get l1.lines s = line
+  let s = line land t.l1_mask in
+  Array.unsafe_get t.l1_lines s = line
   && begin
-       if write then Bytes.unsafe_set l1.dirty s '\001';
+       if write then Bytes.unsafe_set t.l1_dirty s '\001';
        let st = t.st in
        st.accesses <- st.accesses + n;
        st.l1_hits <- st.l1_hits + n;
@@ -70,17 +85,17 @@ let[@inline] l1_hit t line ~write ~n =
 let miss t line ~write ~miss_latency =
   let st = t.st in
   st.accesses <- st.accesses + 1;
-  let s2 = slot t.l2 line in
-  if t.l2.lines.(s2) = line then begin
-    if write then set_dirty t.l2 s2 true;
+  let s2 = line land t.l2_mask in
+  if Array.unsafe_get t.l2_lines s2 = line then begin
+    if write then Bytes.unsafe_set t.l2_dirty s2 '\001';
     st.l2_hits <- st.l2_hits + 1;
-    install st t.l1 line ~l2:false ~write;
+    install_l1 t line ~write;
     l2_latency
   end
   else begin
     st.bus_reads <- st.bus_reads + 1;
-    install st t.l2 line ~l2:true ~write;
-    install st t.l1 line ~l2:false ~write;
+    install_l2 t line ~write;
+    install_l1 t line ~write;
     miss_latency
   end
 
@@ -90,9 +105,9 @@ let miss t line ~write ~miss_latency =
 let nt_miss t line ~write ~n =
   let st = t.st in
   st.accesses <- st.accesses + n;
-  let s2 = slot t.l2 line in
-  if t.l2.lines.(s2) = line then begin
-    if write then set_dirty t.l2 s2 true;
+  let s2 = line land t.l2_mask in
+  if Array.unsafe_get t.l2_lines s2 = line then begin
+    if write then Bytes.unsafe_set t.l2_dirty s2 '\001';
     st.l2_hits <- st.l2_hits + n;
     n * l2_latency
   end
@@ -107,14 +122,23 @@ let[@inline] access t ~addr ~write =
   if l1_hit t line ~write ~n:1 then l1_latency
   else miss t line ~write ~miss_latency:dram_latency
 
-let[@inline] access_stream t ~addr ~write =
-  let line = addr lsr line_shift in
+let[@inline] stream_line t line ~write =
   if l1_hit t line ~write ~n:1 then l1_latency
   else miss t line ~write ~miss_latency:(dram_latency / 2)
+
+let[@inline] access_stream t ~addr ~write = stream_line t (addr lsr line_shift) ~write
 
 let[@inline] access_nt t ~addr ~write =
   let line = addr lsr line_shift in
   if l1_hit t line ~write ~n:1 then l1_latency else nt_miss t line ~write ~n:1
+
+let access_stream_lines t ~addr ~write ~n =
+  let line = addr lsr line_shift in
+  let lat = ref 0 in
+  for l = line to line + n - 1 do
+    lat := !lat + stream_line t l ~write
+  done;
+  !lat
 
 let granule = 16 (* bytes per tag granule, [Mem.granule] *)
 
@@ -156,17 +180,17 @@ let access_nt_run t ~addr ~write ~count =
 let stats t = t.st
 
 let flush t =
-  let drop lv ~count =
+  let drop lines dirty ~count =
     Array.iteri
       (fun s line ->
         if line >= 0 then begin
-          if count && is_dirty lv s then t.st.bus_writes <- t.st.bus_writes + 1;
-          lv.lines.(s) <- -1;
-          set_dirty lv s false
+          if count && Bytes.get dirty s <> '\000' then t.st.bus_writes <- t.st.bus_writes + 1;
+          lines.(s) <- -1;
+          Bytes.set dirty s '\000'
         end)
-      lv.lines
+      lines
   in
-  drop t.l1 ~count:false;
-  drop t.l2 ~count:true
+  drop t.l1_lines t.l1_dirty ~count:false;
+  drop t.l2_lines t.l2_dirty ~count:true
 
 let bus_total st = st.bus_reads + st.bus_writes

@@ -10,7 +10,11 @@
     Cross-core coherence invalidations are not modelled; the paper's
     workloads pin the revoker and the application to distinct cores with
     independent caches, which is exactly the behaviour this model gives
-    (see DESIGN.md and §7.5 of the paper). *)
+    (see DESIGN.md and §7.5 of the paper).
+
+    Both levels are direct-mapped, and their line-tag and dirty arrays
+    sit in {!t} itself, so an L1 hit reads one tag straight out of the
+    cache's own array and allocates nothing. *)
 
 type stats = {
   mutable l1_hits : int;
@@ -46,6 +50,12 @@ val access_stream : t -> addr:int -> write:bool -> int
     half the DRAM latency (60 cycles) on miss, modelling the memory-level
     parallelism of a sequential hardware-prefetched scan — the revoker's
     page sweep loop. Bus traffic is counted identically. *)
+
+val access_stream_lines : t -> addr:int -> write:bool -> n:int -> int
+(** [access_stream_lines t ~addr ~write ~n] charges {!access_stream} on
+    [n] consecutive lines from [addr]'s on: identical latency total,
+    statistics and final cache state to [n] calls 64 bytes apart
+    starting at [addr]. A zeroing loop's cost model. *)
 
 val access_stream_run : t -> addr:int -> write:bool -> count:int -> int
 (** [access_stream_run t ~addr ~write ~count] charges [count]

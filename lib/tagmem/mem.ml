@@ -47,9 +47,22 @@ let create ~size =
 
 let size m = m.size
 
+(* Every unchecked chunk access below follows [check], which puts the
+   page index inside [data] and [caps], and an offset test that keeps
+   the word inside its page's chunk: a chunk's bounds check would read
+   its header, host lines away from the word. *)
 let check m a w =
   if a < 0 || a + w > m.size then
     invalid_arg (Printf.sprintf "Mem: access [%#x,+%d) outside [0,%#x)" a w m.size)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Little-endian words at an offset the caller has proved in range. *)
+let[@inline] unsafe_get_le b off = if Sys.big_endian then swap64 (get64u b off) else get64u b off
+
+let[@inline] unsafe_set_le b off v = set64u b off (if Sys.big_endian then swap64 v else v)
 
 let gidx a = a / granule
 
@@ -142,7 +155,7 @@ let write_u8 m a v =
 let read_u64 m a =
   check m a 8;
   let off = a land page_mask in
-  if off <= page_size - 8 then Bytes.get_int64_le (Array.unsafe_get m.data (a lsr page_shift)) off
+  if off <= page_size - 8 then unsafe_get_le (Array.unsafe_get m.data (a lsr page_shift)) off
   else begin
     (* straddles a page boundary *)
     let v = ref 0L in
@@ -191,8 +204,7 @@ let update_bits m a ~lo ~hi ~set =
 let write_u64 m a v =
   check m a 8;
   let off = a land page_mask in
-  if off <= page_size - 8 then
-    Bytes.set_int64_le (writable_page m (a lsr page_shift)) off v
+  if off <= page_size - 8 then unsafe_set_le (writable_page m (a lsr page_shift)) off v
   else
     for i = 0 to 7 do
       write_byte m (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
@@ -203,9 +215,9 @@ let write_u64 m a v =
 let aligned a = a land (granule - 1) = 0
 
 (* The granule's first data word, which for a tagged granule is its
-   capability's address. The caller has validated [a]. *)
+   capability's address. The caller has checked [a] and its alignment. *)
 let[@inline] addr_word m a =
-  Int64.to_int (Bytes.get_int64_le (Array.unsafe_get m.data (a lsr page_shift)) (a land page_mask))
+  Int64.to_int (unsafe_get_le (Array.unsafe_get m.data (a lsr page_shift)) (a land page_mask))
 
 let read_cap m a =
   check m a granule;
@@ -223,8 +235,8 @@ let write_cap m a c =
   (* first, so that a capability [encode] rejects changes nothing *)
   if tagged then Capability.encode c (cap_page m p) off;
   let d = writable_page m p in
-  Bytes.set_int64_le d off (Int64.of_int c.Capability.addr);
-  Bytes.set_int64_le d (off + 8) 0L;
+  unsafe_set_le d off (Int64.of_int c.Capability.addr);
+  unsafe_set_le d (off + 8) 0L;
   if tagged then set_tag_bit m (gidx a) else clear_tag_bit m (gidx a)
 
 let cap_base m a =
@@ -233,12 +245,15 @@ let cap_base m a =
 
 let cap_word m a i =
   check m a granule;
+  if not (aligned a) then invalid_arg "Mem.cap_word: unaligned";
   if i lsr 1 <> 0 then invalid_arg "Mem.cap_word: word index";
-  Int64.to_int
-    (Bytes.get_int64_le (Array.unsafe_get m.caps (a lsr page_shift)) ((a land page_mask) + (8 * i)))
+  let c = Array.unsafe_get m.caps (a lsr page_shift) in
+  if c == no_caps then invalid_arg "Mem.cap_word: no tagged store on the page";
+  Int64.to_int (unsafe_get_le c ((a land page_mask) + (8 * i)))
 
 let cap_addr m a =
   check m a granule;
+  if not (aligned a) then invalid_arg "Mem.cap_addr: unaligned";
   addr_word m a
 
 (* First/last whole granule of [lo, hi) clamped to the memory, as an
@@ -308,31 +323,28 @@ let tag_bits m a =
   lor (Char.code (Bytes.unsafe_get t (b + 2)) lsl 16)
   lor (Char.code (Bytes.unsafe_get t (b + 3)) lsl 24)
 
-(* Apply [f a n] to the consecutive pieces of [lo, hi) that each lie
-   inside one page. *)
-let iter_page_pieces ~lo ~hi f =
-  let a = ref lo in
-  while !a < hi do
-    let n = Int.min (hi - !a) (page_size - (!a land page_mask)) in
-    f !a n;
-    a := !a + n
-  done
-
 (* Zeroing a whole page drops its chunks: it reads as [zero_page] again. *)
 let drop_page m p =
   m.data.(p) <- zero_page;
   m.caps.(p) <- no_caps
 
+(* One page piece of [lo, hi) at a time; [check] puts each piece's page
+   in [data], and the piece ends at its page's end. *)
 let fill m ~lo ~hi v =
   check m lo 0;
   check m hi 0;
   if hi > lo then begin
-    let c = Char.chr (v land 0xff) in
-    iter_page_pieces ~lo ~hi (fun a n ->
-        let p = a lsr page_shift in
-        if c = '\000' && n = page_size then drop_page m p
-        else if c <> '\000' || m.data.(p) != zero_page then
-          Bytes.fill (writable_page m p) (a land page_mask) n c);
+    let c = Char.unsafe_chr (v land 0xff) in
+    let a = ref lo in
+    while !a < hi do
+      let off = !a land page_mask in
+      let n = Int.min (hi - !a) (page_size - off) in
+      let p = !a lsr page_shift in
+      if c = '\000' && n = page_size then drop_page m p
+      else if c <> '\000' || Array.unsafe_get m.data p != zero_page then
+        Bytes.unsafe_fill (writable_page m p) off n c;
+      a := !a + n
+    done;
     clear_tags_range m lo (hi - lo)
   end
 

@@ -84,12 +84,16 @@ val cap_word : t -> int -> int -> int
     capabilities iff both words and {!cap_addr} agree: the sweep kernel's
     compare-and-clear compares these instead of decoded values.
     [cap_base] and [cap_word] read what the last tagged store left, so
-    on an untagged granule their result means nothing (or they raise
-    [Invalid_argument], on a page no tagged store has reached). *)
+    on an untagged granule their result means nothing, or they raise
+    [Invalid_argument], on a page no tagged store has reached. [cap_word]
+    also raises [Invalid_argument] on an address that is not
+    granule-aligned or not in memory. *)
 
 val cap_addr : t -> int -> int
 (** [cap_addr m a] is the granule's first 8 data bytes as an immediate
-    int: for a tagged granule, its capability's address. *)
+    int: for a tagged granule, its capability's address. Raises
+    [Invalid_argument] on an address that is not granule-aligned or not
+    in memory. *)
 
 val read_tag : t -> int -> bool
 (** Tag of the granule containing the given address. *)

@@ -90,31 +90,50 @@ let test_pmap_busy () =
 
 let test_tlb_fill_and_hit () =
   let tlb = Tlb.create ~entries:16 () in
-  check "miss first" true (Tlb.lookup tlb ~vpage:5 = None);
+  check "miss first" true (Tlb.lookup tlb ~vpage:5 < 0);
   let pte = Pte.make ~frame:1 ~writable:true ~clg:false in
-  let e = Tlb.insert tlb ~vpage:5 pte in
-  check "snapshot clg" false e.Tlb.clg_snapshot;
-  check "hit returns the filled entry" true
-    (match Tlb.lookup tlb ~vpage:5 with Some e' -> e' == e | None -> false)
+  let s = Tlb.insert tlb ~vpage:5 pte in
+  check "snapshot clg" false (Tlb.clg tlb s);
+  check_int "hit returns the filled slot" s (Tlb.lookup tlb ~vpage:5);
+  check "the slot holds the live pte" true (Tlb.pte tlb s == pte)
 
 let test_tlb_snapshot_staleness () =
   let tlb = Tlb.create ~entries:16 () in
   let pte = Pte.make ~frame:1 ~writable:true ~clg:false in
-  let e = Tlb.insert tlb ~vpage:5 pte in
+  let s = Tlb.insert tlb ~vpage:5 pte in
   pte.Pte.clg <- true;
-  check "stale snapshot" false e.Tlb.clg_snapshot;
-  Tlb.refresh e;
-  check "refreshed" true e.Tlb.clg_snapshot
+  check "stale snapshot" false (Tlb.clg tlb s);
+  Tlb.refresh tlb s ~stamp:(Tlb.stamp tlb s);
+  check "refreshed" true (Tlb.clg tlb s)
+
+(* A fault handler may run other threads, which may refill the slot the
+   fault went through: the refresh that follows names the old fill and
+   must leave the new one's snapshot alone. *)
+let test_tlb_stale_stamp () =
+  let tlb = Tlb.create ~entries:16 () in
+  let old_pte = Pte.make ~frame:1 ~writable:true ~clg:false in
+  let s = Tlb.insert tlb ~vpage:5 old_pte in
+  let stamp = Tlb.stamp tlb s in
+  old_pte.Pte.clg <- true;
+  let pte = Pte.make ~frame:2 ~writable:true ~clg:false in
+  check_int "the refill takes the same slot" s (Tlb.insert tlb ~vpage:21 pte);
+  check "a fresh stamp" true (Tlb.stamp tlb s <> stamp);
+  pte.Pte.clg <- true;
+  Tlb.refresh tlb s ~stamp;
+  check "stale refresh leaves the snapshot" false (Tlb.clg tlb s);
+  check "and the pte" true (Tlb.pte tlb s == pte);
+  Tlb.refresh tlb s ~stamp:(Tlb.stamp tlb s);
+  check "current refresh re-latches" true (Tlb.clg tlb s)
 
 let test_tlb_invalidate () =
   let tlb = Tlb.create ~entries:16 () in
   let pte = Pte.make ~frame:1 ~writable:true ~clg:false in
   ignore (Tlb.insert tlb ~vpage:5 pte);
   Tlb.invalidate_page tlb ~vpage:5;
-  check "gone" true (Tlb.lookup tlb ~vpage:5 = None);
+  check "gone" true (Tlb.lookup tlb ~vpage:5 < 0);
   ignore (Tlb.insert tlb ~vpage:5 pte);
   Tlb.flush tlb;
-  check "flushed" true (Tlb.lookup tlb ~vpage:5 = None)
+  check "flushed" true (Tlb.lookup tlb ~vpage:5 < 0)
 
 let test_tlb_conflict () =
   let tlb = Tlb.create ~entries:16 () in
@@ -122,7 +141,99 @@ let test_tlb_conflict () =
   ignore (Tlb.insert tlb ~vpage:5 pte);
   ignore (Tlb.insert tlb ~vpage:21 pte);
   (* direct-mapped: 21 land 15 = 5, so it evicts vpage 5 *)
-  check "evicted" true (Tlb.lookup tlb ~vpage:5 = None)
+  check "evicted" true (Tlb.lookup tlb ~vpage:5 < 0)
+
+(* The flat TLB against an association list of the fills it holds, each
+   with its PTE, latched bit and stamp. Insert drops the one fill that
+   shares the new vpage's slot (16 entries, vpages below 64, so slots
+   conflict often); a refresh names a fill by the stamp an earlier insert
+   took, current or stale. *)
+type tlb_op =
+  | T_insert of int * int (* vpage, pte *)
+  | T_lookup of int
+  | T_invalidate of int list
+  | T_flush
+  | T_refresh of int (* which earlier insert's stamp, counted back *)
+  | T_set_clg of int * bool (* a revoker moving a live PTE's generation *)
+
+let tlb_op_gen =
+  let open QCheck.Gen in
+  let vpage = int_bound 63 and pte = int_bound 3 in
+  frequency
+    [
+      (4, map2 (fun v p -> T_insert (v, p)) vpage pte);
+      (4, map (fun v -> T_lookup v) vpage);
+      (2, map (fun vs -> T_invalidate vs) (list_size (int_bound 3) vpage));
+      (1, return T_flush);
+      (3, map (fun k -> T_refresh k) (int_bound 5));
+      (3, map2 (fun p b -> T_set_clg (p, b)) pte bool);
+    ]
+
+let pp_tlb_op = function
+  | T_insert (v, p) -> Printf.sprintf "insert %d pte%d" v p
+  | T_lookup v -> Printf.sprintf "lookup %d" v
+  | T_invalidate vs -> "invalidate [" ^ String.concat "," (List.map string_of_int vs) ^ "]"
+  | T_flush -> "flush"
+  | T_refresh k -> Printf.sprintf "refresh stamp-%d" k
+  | T_set_clg (p, b) -> Printf.sprintf "pte%d.clg <- %b" p b
+
+let prop_tlb_model =
+  QCheck.Test.make ~name:"flat TLB == association-list model" ~count:500
+    (QCheck.make ~print:(fun l -> String.concat "; " (List.map pp_tlb_op l))
+       QCheck.Gen.(list_size (int_range 1 60) tlb_op_gen))
+    (fun ops ->
+      let entries = 16 in
+      let tlb = Tlb.create ~entries () in
+      let ptes = Array.init 4 (fun f -> Pte.make ~frame:f ~writable:true ~clg:false) in
+      (* vpage -> (pte, latched clg, stamp), one per slot *)
+      let model = ref [] in
+      (* every insert's stamp and slot so far, newest first *)
+      let fills = ref [] in
+      let same_slot a b = a land (entries - 1) = b land (entries - 1) in
+      let agrees v =
+        let s = Tlb.lookup tlb ~vpage:v in
+        match List.assoc_opt v !model with
+        | None -> s < 0
+        | Some (pte, clg, stamp) ->
+            s >= 0 && Tlb.pte tlb s == pte && Tlb.clg tlb s = clg && Tlb.stamp tlb s = stamp
+      in
+      List.for_all
+        (function
+          | T_insert (v, p) ->
+              let s = Tlb.insert tlb ~vpage:v ptes.(p) in
+              let stamp = Tlb.stamp tlb s in
+              let fresh = not (List.exists (fun (st, _) -> st = stamp) !fills) in
+              fills := (stamp, s) :: !fills;
+              model :=
+                (v, (ptes.(p), ptes.(p).Pte.clg, stamp))
+                :: List.filter (fun (v', _) -> not (same_slot v v')) !model;
+              fresh && Tlb.lookup tlb ~vpage:v = s
+          | T_lookup v -> agrees v
+          | T_invalidate vs ->
+              Tlb.invalidate_pages tlb ~vpages:vs;
+              model := List.filter (fun (v, _) -> not (List.mem v vs)) !model;
+              true
+          | T_flush ->
+              Tlb.flush tlb;
+              model := [];
+              true
+          | T_refresh k -> (
+              match List.nth_opt !fills k with
+              | None -> true
+              | Some (stamp, s) ->
+                  (* the slot the named fill went to, whatever it holds now *)
+                  Tlb.refresh tlb s ~stamp;
+                  model :=
+                    List.map
+                      (fun (v, (pte, clg, st)) ->
+                        (v, (pte, (if st = stamp then pte.Pte.clg else clg), st)))
+                      !model;
+                  true)
+          | T_set_clg (p, b) ->
+              ptes.(p).Pte.clg <- b;
+              true)
+        ops
+      && List.for_all agrees (List.init 64 Fun.id))
 
 let test_layout_shadow_math () =
   let l = Layout.make ~heap_bytes:(1 lsl 20) in
@@ -281,6 +392,7 @@ let () =
         [
           Alcotest.test_case "fill and hit" `Quick test_tlb_fill_and_hit;
           Alcotest.test_case "snapshot staleness" `Quick test_tlb_snapshot_staleness;
+          Alcotest.test_case "stale stamp" `Quick test_tlb_stale_stamp;
           Alcotest.test_case "invalidate" `Quick test_tlb_invalidate;
           Alcotest.test_case "conflict eviction" `Quick test_tlb_conflict;
         ] );
@@ -298,5 +410,6 @@ let () =
           Alcotest.test_case "double unmap" `Quick test_reservation_double_unmap_idempotent;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_shadow_bijection; prop_pmap_cached_order ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_shadow_bijection; prop_pmap_cached_order; prop_tlb_model ] );
     ]
