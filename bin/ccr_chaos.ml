@@ -119,16 +119,6 @@ type cell = {
   c_report : string; (* buffered checker findings; printed by the caller *)
 }
 
-let zero_rs =
-  {
-    Revoker.epoch_aborts = 0;
-    sweep_crash_retries = 0;
-    epoch_resumes = 0;
-    quiesce_timeouts = 0;
-    backoff_cycles = 0;
-    downshifts = 0;
-  }
-
 (* One churn execution; [schedule = None] is the calibration pass. *)
 let churn_exec ~seed ~ops ~spine ~recovery ~strategy schedule =
   let rt =
@@ -167,7 +157,7 @@ let cell_of_run ?epochs ~rig ~seed ~strategy ~sched ~horizon ~requested rt
   let rs, final =
     match rt.Runtime.revoker with
     | Some rv -> (Revoker.recovery_stats rv, Revoker.strategy rv)
-    | None -> (zero_rs, requested)
+    | None -> (Revoker.zero_recovery_stats, requested)
   in
   let injected =
     match chaos with

@@ -115,21 +115,29 @@ type phase_record = {
   bytes_processed : int;
 }
 
-type helper_mode =
-  | Idle
-  | Sweep_reloaded of bool * bool (* generation, force-visit-all *)
-  | Sweep_cheriot
-  | Stop
+let zero_recovery_stats =
+  {
+    epoch_aborts = 0;
+    sweep_crash_retries = 0;
+    epoch_resumes = 0;
+    quiesce_timeouts = 0;
+    backoff_cycles = 0;
+    downshifts = 0;
+  }
+
+(* A page visit, on the thread whose context it is given: the (pages
+   swept, capabilities revoked) it adds. *)
+type visit = Machine.ctx -> int -> int * int
 
 type helper = {
   h_core : int;
   h_work_cv : Machine.condvar;
   h_done_cv : Machine.condvar;
-  mutable h_queue : int list;
-  mutable h_mode : helper_mode;
-  mutable h_pages : int;
-  mutable h_revoked : int;
-  mutable h_failed : bool; (* an induced crash hit this helper's share *)
+  mutable h_share : (int list * visit) option;
+      (* the pages to walk and how to visit them; [None] while idle *)
+  mutable h_sum : (int * int) option;
+      (* the last share's (pages, revoked); [None] if an induced crash
+         hit it *)
 }
 
 type t = {
@@ -197,12 +205,7 @@ type t = {
       (* the shim clamps its paint-epoch stamps here when an epoch is
          retracted (the counter moved backwards) *)
   mutable consecutive_aborts : int;
-  mutable rs_epoch_aborts : int;
-  mutable rs_sweep_crashes : int;
-  mutable rs_epoch_resumes : int;
-  mutable rs_quiesce_timeouts : int;
-  mutable rs_backoff_cycles : int;
-  mutable rs_downshifts : int;
+  mutable rs : recovery_stats;
 }
 
 let strategy t = t.strategy
@@ -219,15 +222,12 @@ let set_sweep_hook t f = t.sweep_hook <- f
 let in_flight t = t.in_flight
 let currently_revoking t = entry_list t.current
 
-let recovery_stats t =
-  {
-    epoch_aborts = t.rs_epoch_aborts;
-    sweep_crash_retries = t.rs_sweep_crashes;
-    epoch_resumes = t.rs_epoch_resumes;
-    quiesce_timeouts = t.rs_quiesce_timeouts;
-    backoff_cycles = t.rs_backoff_cycles;
-    downshifts = t.rs_downshifts;
-  }
+let recovery_stats t = t.rs
+
+(* Wait out a recovery backoff, counting it. *)
+let back_off t ctx cycles =
+  t.rs <- { t.rs with backoff_cycles = t.rs.backoff_cycles + cycles };
+  Machine.sleep ctx cycles
 
 let consecutive_aborts t = t.consecutive_aborts
 
@@ -250,9 +250,22 @@ let heap_page_range aspace =
   let layout = Vm.Aspace.layout aspace in
   (layout.Layout.heap_base / Phys.page_size, (layout.Layout.heap_limit - 1) / Phys.page_size)
 
+(* The mapped heap pages, ascending: a concurrent phase's page list,
+   taken once when the phase begins, so that a page mapped while it runs
+   does not join it. *)
 let heap_vpages t =
   let lo, hi = heap_page_range t.aspace in
   Pmap.vpages_in (Vm.Aspace.pmap t.aspace) ~lo ~hi
+
+(* The mapped heap pages read off the page table in place, ascending: for
+   walks that run with the world stopped or never yield, so that no page
+   can be mapped while they run. *)
+let iter_heap t f =
+  let pmap = Vm.Aspace.pmap t.aspace in
+  let lo, hi = heap_page_range t.aspace in
+  for vp = lo to hi do
+    match Pmap.lookup pmap ~vpage:vp with Some pte -> f vp pte | None -> ()
+  done
 
 (* The sweep checkpoint: one stamp per heap page of [aspace]. *)
 let ck_table aspace =
@@ -268,18 +281,14 @@ let ck_clear t = t.ck_stamp <- t.ck_stamp + 1
    capabilities (except Reloaded's clean-page detection, applied at sweep
    time). Clears the hardware bit when [reset] so later stores re-dirty. *)
 let update_visit_set t ctx ~reset =
-  let pmap = Vm.Aspace.pmap t.aspace in
-  List.iter
-    (fun vp ->
-      match Pmap.lookup pmap ~vpage:vp with
-      | Some pte when pte.Pte.cap_dirty ->
-          Hashtbl.replace t.visit_set vp ();
-          if reset then begin
-            pte.Pte.cap_dirty <- false;
-            Machine.charge ctx Cost.pte_update
-          end
-      | Some _ | None -> ())
-    (heap_vpages t)
+  iter_heap t (fun vp pte ->
+      if pte.Pte.cap_dirty then begin
+        Hashtbl.replace t.visit_set vp ();
+        if reset then begin
+          pte.Pte.cap_dirty <- false;
+          Machine.charge ctx Cost.pte_update
+        end
+      end)
 
 let scan_roots t ctx =
   let revoked = ref 0 in
@@ -302,8 +311,8 @@ let sweep_vpage t ctx vp =
    helper threads) ---- *)
 
 (* Reloaded: bring one page to the current generation, content-sweeping it
-   only if it may hold capabilities. Returns (pages, revoked) deltas. *)
-let visit_reloaded t ctx gen ~force vp =
+   only if it may hold capabilities. *)
+let visit_reloaded t gen ~force ctx vp =
   let pmap = Vm.Aspace.pmap t.aspace in
   match Pmap.lookup pmap ~vpage:vp with
   | None -> (0, 0)
@@ -350,125 +359,119 @@ let visit_cheriot t ctx vp =
   end
   else (0, 0)
 
+(* Cornucopia's page step, in its concurrent phase ([locked]: under the
+   pmap lock) and in its stop-the-world re-sweep: clear cap-dirty so later
+   stores re-dirty the page, shoot the clear down to every TLB (stopped
+   threads resume with cached PTE copies, and a stale cap-dirty=1 entry
+   would let their next capability store skip re-dirtying the page), then
+   content-sweep it. Returns the capabilities revoked. *)
+let clear_shoot_sweep t ctx ~locked vp pte =
+  let clear () =
+    if pte.Pte.cap_dirty then begin
+      pte.Pte.cap_dirty <- false;
+      Machine.charge ctx Cost.pte_update
+    end
+  in
+  if locked then Machine.with_pmap_lock ctx clear else clear ();
+  if t.fault <> Some Skip_shootdown then
+    Machine.tlb_shootdown ~asid:(Vm.Aspace.asid t.aspace) ctx ~vpages:[ vp ];
+  (Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte).Sweep.revoked
+
+(* The one page walk, on whichever thread [ctx] is: a safe point before
+   each page, then [visit]. Returns the summed (pages, revoked). *)
+let walk ctx pages ~visit =
+  let p = ref 0 and r = ref 0 in
+  List.iter
+    (fun vp ->
+      Machine.safe_point ctx;
+      let dp, dr = visit ctx vp in
+      p := !p + dp;
+      r := !r + dr)
+    pages;
+  (!p, !r)
+
 (* ---- helper threads (§7.1 concurrent background revocation) ---- *)
 
 let helper_body t h ctx =
   let rec loop () =
-    while h.h_mode = Idle && not t.shutdown do
+    while Option.is_none h.h_share && not t.shutdown do
       Machine.wait ctx h.h_work_cv
     done;
-    match h.h_mode with
-    | Stop -> ()
-    | Idle -> if t.shutdown then () else loop ()
-    | (Sweep_reloaded _ | Sweep_cheriot) as mode ->
+    match h.h_share with
+    | None -> () (* shutdown *)
+    | Some (pages, visit) ->
         (* an induced crash must not kill the helper thread itself — it
-           records the failure and goes back to Idle so the coordinator
+           records the failure and goes back to idle so the coordinator
            can notice, abort the pass, and re-dispatch the retry *)
-        (try
-           List.iter
-             (fun vp ->
-               Machine.safe_point ctx;
-               let pages, revoked =
-                 match mode with
-                 | Sweep_reloaded (gen, force) ->
-                     visit_reloaded t ctx gen ~force vp
-                 | Sweep_cheriot -> visit_cheriot t ctx vp
-                 | Idle | Stop -> (0, 0)
-               in
-               h.h_pages <- h.h_pages + pages;
-               h.h_revoked <- h.h_revoked + revoked)
-             h.h_queue
-         with Induced_crash -> h.h_failed <- true);
-        h.h_queue <- [];
-        h.h_mode <- Idle;
+        h.h_sum <- (try Some (walk ctx pages ~visit) with Induced_crash -> None);
+        h.h_share <- None;
         Machine.broadcast ctx h.h_done_cv;
         loop ()
   in
   loop ()
 
-(* Sequentially visit [pages] on the calling (revoker) thread. With a
-   sweep pacer installed the walk is sliced into governor-granted quanta:
-   before each slice the pacer may block (sleeping the revoker thread) to
-   push the slice into a load trough, then returns the next slice's page
-   budget, clamped to >= 1 so a sweep always makes progress and an epoch
-   can never be paced to a standstill. *)
+(* The first [n] pages of [pages], and the rest. *)
+let rec split_at n pages =
+  match pages with
+  | vp :: tl when n > 0 ->
+      let slice, rest = split_at (n - 1) tl in
+      (vp :: slice, rest)
+  | _ -> ([], pages)
+
+(* Visit [pages] on the calling (revoker) thread. With a sweep pacer
+   installed the walk is sliced into governor-granted quanta: before each
+   slice the pacer may block (sleeping the revoker thread) to push the
+   slice into a load trough, then returns the next slice's page budget,
+   clamped to >= 1 so a sweep always makes progress and an epoch can
+   never be paced to a standstill. *)
 let seq_visit t ctx pages ~visit =
-  let p = ref 0 and r = ref 0 in
-  let step vp =
-    Machine.safe_point ctx;
-    let dp, dr = visit vp in
-    p := !p + dp;
-    r := !r + dr
-  in
-  (match t.sweep_pacer with
-  | None -> List.iter step pages
+  match t.sweep_pacer with
+  | None -> walk ctx pages ~visit
   | Some pacer ->
-      let rec slices remaining visited =
-        match remaining with
-        | [] -> ()
+      let rec slices pages visited (p, r) =
+        match pages with
+        | [] -> (p, r)
         | _ ->
-            let quota = max 1 (pacer ctx ~visited) in
-            let rec take n l =
-              if n = 0 then (l, quota)
-              else
-                match l with
-                | [] -> ([], quota - n)
-                | vp :: tl ->
-                    step vp;
-                    take (n - 1) tl
-            in
-            let rest, taken = take quota remaining in
-            slices rest (visited + taken)
+            let slice, rest = split_at (max 1 (pacer ctx ~visited)) pages in
+            let dp, dr = walk ctx slice ~visit in
+            slices rest (visited + List.length slice) (p + dp, r + dr)
       in
-      slices pages 0);
-  (!p, !r)
+      slices pages 0 (0, 0)
 
 (* Partition [pages] round-robin over helpers, run the main thread's share
    inline, and wait for every helper to drain. With a sweep pacer armed
    the whole walk stays on the revoker thread instead — helpers cannot
    honour a per-slice budget, and a governed serving machine wants the
    sweep confined to one core anyway. *)
-let fan_out t ctx ~pages ~mode ~visit =
-  match t.helpers with
-  | [] -> seq_visit t ctx pages ~visit
-  | _ when t.sweep_pacer <> None -> seq_visit t ctx pages ~visit
-  | helpers ->
+let fan_out t ctx ~pages ~visit =
+  match t.helpers, t.sweep_pacer with
+  | [], _ | _, Some _ -> seq_visit t ctx pages ~visit
+  | helpers, None ->
       let k = List.length helpers + 1 in
       let shares = Array.make k [] in
       List.iteri (fun i vp -> shares.(i mod k) <- vp :: shares.(i mod k)) pages;
       List.iteri
         (fun i h ->
-          h.h_queue <- shares.(i + 1);
-          h.h_pages <- 0;
-          h.h_revoked <- 0;
-          h.h_failed <- false;
-          h.h_mode <- mode;
+          h.h_share <- Some (shares.(i + 1), visit);
           Machine.broadcast ctx h.h_work_cv)
         helpers;
-      let p = ref 0 and r = ref 0 in
-      let crashed = ref false in
-      (try
-         List.iter
-           (fun vp ->
-             Machine.safe_point ctx;
-             let dp, dr = visit vp in
-             p := !p + dp;
-             r := !r + dr)
-           shares.(0)
-       with Induced_crash -> crashed := true);
+      let mine = try Some (walk ctx shares.(0) ~visit) with Induced_crash -> None in
       (* drain every helper even when crashing, so the retry never
          dispatches onto a helper still chewing the aborted pass *)
       List.iter
         (fun h ->
-          while h.h_mode <> Idle do
+          while Option.is_some h.h_share do
             Machine.wait ctx h.h_done_cv
-          done;
-          p := !p + h.h_pages;
-          r := !r + h.h_revoked)
+          done)
         helpers;
-      if !crashed || List.exists (fun h -> h.h_failed) helpers then
-        raise Induced_crash;
-      (!p, !r)
+      let add sum h =
+        match (sum, h.h_sum) with
+        | Some (p, r), Some (hp, hr) -> Some (p + hp, r + hr)
+        | _ -> None
+      in
+      match List.fold_left add mine helpers with
+      | Some sum -> sum
+      | None -> raise Induced_crash
 
 (* ---- strategy bodies: each runs one revocation epoch ---- *)
 
@@ -483,24 +486,38 @@ type epoch_outcome = {
    with the recovery timeout; on [Quiesce_timeout] back off exponentially
    and retry, and after the retry budget raise [Epoch_aborted] so the
    epoch is retracted rather than wedging the revoker forever behind one
-   stuck thread. *)
+   stuck thread. Returns the stop-the-world's duration, from request to
+   release. *)
 let quiesce t ctx f =
   let r = t.recovery in
   let timeout = if r.watchdog_timeout > 0 then Some r.watchdog_timeout else None in
   let rec go attempt =
     match Machine.stop_the_world ctx ~scope:[ t.pid ] ?timeout f with
-    | result -> result
+    | (), rep -> rep.Machine.released_at - rep.Machine.requested_at
     | exception Machine.Quiesce_timeout _ ->
-        t.rs_quiesce_timeouts <- t.rs_quiesce_timeouts + 1;
+        t.rs <- { t.rs with quiesce_timeouts = t.rs.quiesce_timeouts + 1 };
         if attempt >= r.max_quiesce_retries then raise Epoch_aborted
         else begin
-          let backoff = r.backoff_base * (1 lsl attempt) in
-          t.rs_backoff_cycles <- t.rs_backoff_cycles + backoff;
-          Machine.sleep ctx backoff;
+          back_off t ctx (r.backoff_base * (1 lsl attempt));
           go (attempt + 1)
         end
   in
   go 0
+
+(* The epoch-opening stop-the-world of the strategies whose barrier stays
+   armed across a crash (Reloaded, CHERIoT). A resumed attempt whose first
+   pass already completed it must NOT repeat it: Reloaded's CLG toggle is
+   not idempotent (toggling again would flip "stale" back to "current"
+   and un-revoke everything the barrier still has to heal), and the
+   barrier has been armed since the first toggle, so the resumed attempt
+   skips straight to the background sweep. *)
+let stw_once t ctx f =
+  if t.ck_stw_done then 0
+  else begin
+    let stopped = quiesce t ctx f in
+    t.ck_stw_done <- true;
+    stopped
+  end
 
 (* Graceful degradation: move one rung down [downshift_of]'s ladder.
    Deliberately does NOT unregister the old barrier — the CLG handler
@@ -515,13 +532,13 @@ let downshift t ctx =
         ~arg2:(strategy_code s) Sim.Trace.Strategy_downshift
         (strategy_code t.strategy);
       t.strategy <- s;
-      t.rs_downshifts <- t.rs_downshifts + 1;
+      t.rs <- { t.rs with downshifts = t.rs.downshifts + 1 };
       t.consecutive_aborts <- 0;
       true
 
 let run_cherivoke t ctx =
   let pages = ref 0 and revoked = ref 0 in
-  let (), rep =
+  let stw =
     quiesce t ctx (fun () ->
         update_visit_set t ctx ~reset:true;
         revoked := scan_roots t ctx;
@@ -533,111 +550,61 @@ let run_cherivoke t ctx =
             revoked := !revoked + st.Sweep.revoked)
           t.visit_set)
   in
-  {
-    o_stw = rep.Machine.released_at - rep.Machine.requested_at;
-    o_conc = 0;
-    o_pages = !pages;
-    o_revoked = !revoked;
-  }
+  { o_stw = stw; o_conc = 0; o_pages = !pages; o_revoked = !revoked }
 
 let run_cornucopia t ctx =
   let pmap = Vm.Aspace.pmap t.aspace in
-  let asid = Vm.Aspace.asid t.aspace in
-  let pages = ref 0 and revoked = ref 0 in
   (* concurrent phase: sweep every page that has ever held capabilities,
      clearing its dirty bit first so stores during the sweep re-dirty it *)
   let t0 = Machine.now ctx in
   update_visit_set t ctx ~reset:false;
   let targets = List.filter (Hashtbl.mem t.visit_set) (heap_vpages t) in
-  let visit vp =
+  let visit ctx vp =
     match Pmap.lookup pmap ~vpage:vp with
     | None -> (0, 0)
     | Some pte ->
         sweep_point t ctx vp;
-        Machine.with_pmap_lock ctx (fun () ->
-            if pte.Pte.cap_dirty then begin
-              pte.Pte.cap_dirty <- false;
-              Machine.charge ctx Cost.pte_update
-            end);
-        if t.fault <> Some Skip_shootdown then
-          Machine.tlb_shootdown ~asid ctx ~vpages:[ vp ];
-        let st = Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte in
-        (1, st.Sweep.revoked)
+        (1, clear_shoot_sweep t ctx ~locked:true vp pte)
   in
-  let dp, dr = seq_visit t ctx targets ~visit in
-  pages := !pages + dp;
-  revoked := !revoked + dr;
+  let swept, swept_revoked = seq_visit t ctx targets ~visit in
   let conc = Machine.now ctx - t0 in
+  let pages = ref swept and revoked = ref swept_revoked in
   (* stop-the-world phase: roots, then pages re-dirtied during the sweep *)
-  let (), rep =
+  let stw =
     quiesce t ctx (fun () ->
         revoked := !revoked + scan_roots t ctx;
-        List.iter
-          (fun vp ->
-            match Pmap.lookup pmap ~vpage:vp with
-            | Some pte when pte.Pte.cap_dirty ->
-                sweep_point t ctx vp;
-                (* a page first capability-dirtied during the concurrent
-                   phase has never entered the visit set; record it or the
-                   NEXT epoch will skip it while it still holds
-                   capabilities swept only up to this epoch's quarantine
-                   (§4.5's never-forget discipline) *)
-                Hashtbl.replace t.visit_set vp ();
-                pte.Pte.cap_dirty <- false;
-                Machine.charge ctx Cost.pte_update;
-                (* the dirty-bit clear must reach every TLB here too:
-                   stopped threads resume with cached PTE copies, and a
-                   stale cap-dirty=1 entry lets their next cap store skip
-                   re-dirtying the page for the following epoch *)
-                if t.fault <> Some Skip_shootdown then
-                  Machine.tlb_shootdown ~asid ctx ~vpages:[ vp ];
-                let st =
-                  Sweep.sweep_page ~non_temporal:t.non_temporal ctx t.revmap ~pte
-                in
-                incr pages;
-                revoked := !revoked + st.Sweep.revoked
-            | Some _ | None -> ())
-          (heap_vpages t))
+        iter_heap t (fun vp pte ->
+            if pte.Pte.cap_dirty then begin
+              sweep_point t ctx vp;
+              (* a page first capability-dirtied during the concurrent
+                 phase has never entered the visit set; record it or the
+                 NEXT epoch will skip it while it still holds
+                 capabilities swept only up to this epoch's quarantine
+                 (§4.5's never-forget discipline) *)
+              Hashtbl.replace t.visit_set vp ();
+              revoked := !revoked + clear_shoot_sweep t ctx ~locked:false vp pte;
+              incr pages
+            end))
   in
-  {
-    o_stw = rep.Machine.released_at - rep.Machine.requested_at;
-    o_conc = conc;
-    o_pages = !pages;
-    o_revoked = !revoked;
-  }
+  { o_stw = stw; o_conc = conc; o_pages = !pages; o_revoked = !revoked }
 
-let run_reloaded t ~resume ctx =
+let run_reloaded t ctx =
   let pmap = Vm.Aspace.pmap t.aspace in
   let root_revoked = ref 0 in
   (* stop-the-world: toggle generations, scan registers and hoards; no
      PTE is touched (§4.1) — unless the §4.1 ablation of a per-PTE barrier
      flag is enabled, in which case every PTE is updated with the world
-     stopped, which is exactly what the generation scheme avoids.
-
-     A resumed attempt whose first pass already completed this STW must
-     NOT repeat it: the CLG toggle is not idempotent (toggling again
-     would flip "stale" back to "current" and un-revoke everything the
-     barrier still has to heal). The barrier has been armed since the
-     first toggle, so skipping straight to the background sweep is sound. *)
+     stopped, which is exactly what the generation scheme avoids. *)
   let o_stw =
-    if resume && t.ck_stw_done then 0
-    else begin
-      let (), rep =
-        quiesce t ctx (fun () ->
-            Machine.toggle_clg ctx;
-            update_visit_set t ctx ~reset:true;
-            root_revoked := scan_roots t ctx;
-            if t.pte_flag_barrier then begin
-              let pages = heap_vpages t in
-              List.iter (fun _ -> Machine.charge ctx Cost.pte_update) pages;
-              Machine.tlb_shootdown
-                ~asid:(Vm.Aspace.asid t.aspace)
-                ctx ~vpages:pages
-            end)
-      in
-      t.ck_stw_done <- true;
-      rep.Machine.released_at - rep.Machine.requested_at
-    end
+    stw_once t ctx (fun () ->
+        Machine.toggle_clg ctx;
+        update_visit_set t ctx ~reset:true;
+        root_revoked := scan_roots t ctx;
+        if t.pte_flag_barrier then begin
+          let pages = heap_vpages t in
+          List.iter (fun _ -> Machine.charge ctx Cost.pte_update) pages;
+          Machine.tlb_shootdown ~asid:(Vm.Aspace.asid t.aspace) ctx ~vpages:pages
+        end)
   in
   t.barrier_armed <- true;
   (* background phase: visit every heap page still at the old generation;
@@ -647,9 +614,7 @@ let run_reloaded t ~resume ctx =
   let force = t.mixed_gen in
   let t0 = Machine.now ctx in
   let pages, revoked =
-    fan_out t ctx ~pages:(heap_vpages t)
-      ~mode:(Sweep_reloaded (gen, force))
-      ~visit:(visit_reloaded t ctx gen ~force)
+    fan_out t ctx ~pages:(heap_vpages t) ~visit:(visit_reloaded t gen ~force)
   in
   t.mixed_gen <- false;
   {
@@ -659,7 +624,7 @@ let run_reloaded t ~resume ctx =
     o_revoked = revoked + !root_revoked;
   }
 
-let run_cheriot t ~resume ctx =
+let run_cheriot t ctx =
   (* No load generations: the per-load filter already blocks stale
      capabilities. A short stop-the-world scans registers and hoards
      (stores of register-held stale capabilities are not filtered), then
@@ -669,22 +634,13 @@ let run_cheriot t ~resume ctx =
      completed scan. *)
   let root_revoked = ref 0 in
   let o_stw =
-    if resume && t.ck_stw_done then 0
-    else begin
-      let (), rep =
-        quiesce t ctx (fun () ->
-            update_visit_set t ctx ~reset:true;
-            root_revoked := scan_roots t ctx)
-      in
-      t.ck_stw_done <- true;
-      rep.Machine.released_at - rep.Machine.requested_at
-    end
+    stw_once t ctx (fun () ->
+        update_visit_set t ctx ~reset:true;
+        root_revoked := scan_roots t ctx)
   in
   let t0 = Machine.now ctx in
   let targets = List.filter (Hashtbl.mem t.visit_set) (heap_vpages t) in
-  let pages, revoked =
-    fan_out t ctx ~pages:targets ~mode:Sweep_cheriot ~visit:(visit_cheriot t ctx)
-  in
+  let pages, revoked = fan_out t ctx ~pages:targets ~visit:(visit_cheriot t) in
   {
     o_stw;
     o_conc = Machine.now ctx - t0;
@@ -763,18 +719,17 @@ let run_epoch t ctx batches =
      capabilities while the world was running afterwards. Returns [None]
      when the epoch must be aborted. *)
   let rec attempt n =
-    let resume = n > 0 in
     match
       match t.strategy with
       | Paint_sync -> run_paint_sync t ctx
       | Cherivoke -> run_cherivoke t ctx
       | Cornucopia -> run_cornucopia t ctx
-      | Reloaded -> run_reloaded t ~resume ctx
-      | Cheriot_filter -> run_cheriot t ~resume ctx
+      | Reloaded -> run_reloaded t ctx
+      | Cheriot_filter -> run_cheriot t ctx
     with
     | o -> Some o
     | exception Induced_crash ->
-        t.rs_sweep_crashes <- t.rs_sweep_crashes + 1;
+        t.rs <- { t.rs with sweep_crash_retries = t.rs.sweep_crash_retries + 1 };
         if n >= t.recovery.max_crash_retries then None
         else begin
           (match t.strategy with
@@ -782,13 +737,11 @@ let run_epoch t ctx batches =
               ck_clear t;
               t.ck_stw_done <- false
           | Reloaded | Cheriot_filter -> ());
-          t.rs_epoch_resumes <- t.rs_epoch_resumes + 1;
+          t.rs <- { t.rs with epoch_resumes = t.rs.epoch_resumes + 1 };
           Machine.trace_emit t.m ~time:(Machine.now ctx) ~core:t.core
             ~pid:t.pid ~arg2:(n + 1) Sim.Trace.Epoch_resume
             (Epoch.counter t.epoch);
-          let backoff = t.recovery.backoff_base * (1 lsl min n 6) in
-          t.rs_backoff_cycles <- t.rs_backoff_cycles + backoff;
-          Machine.sleep ctx backoff;
+          back_off t ctx (t.recovery.backoff_base * (1 lsl min n 6));
           attempt (n + 1)
         end
     | exception Epoch_aborted -> None
@@ -830,7 +783,7 @@ let run_epoch t ctx batches =
       (* Abort: retract the epoch counter (sound — it only under-promises)
          and put the unswept batches back at the head of the queue for the
          retried epoch. Nothing is delivered. *)
-      t.rs_epoch_aborts <- t.rs_epoch_aborts + 1;
+      t.rs <- { t.rs with epoch_aborts = t.rs.epoch_aborts + 1 };
       t.consecutive_aborts <- t.consecutive_aborts + 1;
       Epoch.abort_revocation t.epoch ctx;
       (match t.on_abort with Some f -> f ctx | None -> ());
@@ -851,9 +804,7 @@ let run_epoch t ctx batches =
       t.in_flight <- false;
       if t.consecutive_aborts >= t.recovery.max_epoch_aborts then
         ignore (downshift t ctx);
-      let backoff = t.recovery.backoff_base * (1 lsl min t.consecutive_aborts 6) in
-      t.rs_backoff_cycles <- t.rs_backoff_cycles + backoff;
-      Machine.sleep ctx backoff
+      back_off t ctx (t.recovery.backoff_base * (1 lsl min t.consecutive_aborts 6))
 
 let thread_body t ctx =
   let rec loop () =
@@ -862,12 +813,9 @@ let thread_body t ctx =
     done;
     match t.queue with
     | [] ->
-        (* shutdown: release the helpers so the machine can terminate *)
-        List.iter
-          (fun h ->
-            h.h_mode <- Stop;
-            Machine.broadcast ctx h.h_work_cv)
-          t.helpers
+        (* shutdown: wake the helpers so they see it and the machine can
+           terminate *)
+        List.iter (fun h -> Machine.broadcast ctx h.h_work_cv) t.helpers
     | _ ->
         (* SLO governance: an installed epoch governor may defer the epoch
            into a load trough before we contend for the cross-process
@@ -1011,12 +959,7 @@ let create m ~strategy ~core ?(non_temporal = false) ?(background_threads = 1)
       sweep_hook = None;
       on_abort = None;
       consecutive_aborts = 0;
-      rs_epoch_aborts = 0;
-      rs_sweep_crashes = 0;
-      rs_epoch_resumes = 0;
-      rs_quiesce_timeouts = 0;
-      rs_backoff_cycles = 0;
-      rs_downshifts = 0;
+      rs = zero_recovery_stats;
     }
   in
   register_barrier t;
@@ -1028,11 +971,8 @@ let create m ~strategy ~core ?(non_temporal = false) ?(background_threads = 1)
             h_core = List.nth helper_cores (i mod List.length helper_cores);
             h_work_cv = Machine.condvar ();
             h_done_cv = Machine.condvar ();
-            h_queue = [];
-            h_mode = Idle;
-            h_pages = 0;
-            h_revoked = 0;
-            h_failed = false;
+            h_share = None;
+            h_sum = None;
           })
     in
     t.helpers <- helpers;

@@ -113,6 +113,9 @@ type recovery_stats = {
   downshifts : int;
 }
 
+val zero_recovery_stats : recovery_stats
+(** A revoker that has recovered from nothing. *)
+
 type phase_record = {
   epoch_index : int; (** counter value during the revocation (odd) *)
   requested_at : int; (** cycle the epoch's work began *)

@@ -152,14 +152,6 @@ let create cfg =
   let phys = Phys.create mem in
   let layout = Layout.make ~heap_bytes:cfg.heap_bytes in
   let aspace = Aspace.create phys layout ~asid:0 in
-  (* The shadow bitmap is a kernel-provided object: mapped eagerly,
-     writable, but never allowed to carry capabilities. *)
-  let _ =
-    Aspace.map_range aspace ~vaddr:layout.Layout.shadow_base
-      ~len:(layout.Layout.shadow_limit - layout.Layout.shadow_base)
-      ~writable:true
-  in
-  Pmap.iter (Aspace.pmap aspace) ~f:(fun _ pte -> pte.Pte.cap_store <- false);
   let cores =
     Array.init cfg.cores (fun cid ->
         {

@@ -375,15 +375,6 @@ let fork t ctx ~parent ~name ~core body =
        (fun cctx -> body cctx child));
   child
 
-(* Map a fresh address space's shadow-bitmap region the way the machine
-   does for the initial one: eagerly, writable, never holding tags. *)
-let prepare_aspace asp =
-  let layout = Aspace.layout asp in
-  let lo = Vm.Layout.(layout.shadow_base) in
-  let hi = Vm.Layout.(layout.shadow_limit) in
-  ignore (Aspace.map_range asp ~vaddr:lo ~len:(hi - lo) ~writable:true);
-  Vm.Pmap.iter (Aspace.pmap asp) ~f:(fun _ pte -> pte.Vm.Pte.cap_store <- false)
-
 let exec t ctx proc ~name =
   if proc.p_state <> Running then invalid_arg "Os.exec: process not running";
   if Machine.ctx_pid ctx <> proc.pid then
@@ -403,7 +394,6 @@ let exec t ctx proc ~name =
   let fresh =
     Aspace.create (Aspace.phys proc.aspace) (Aspace.layout proc.aspace) ~asid
   in
-  prepare_aspace fresh;
   let released = Aspace.release_all proc.aspace in
   Machine.charge ctx (Cost.fork_base + (released * Cost.pte_update));
   Machine.adopt_aspace ctx fresh;

@@ -1,12 +1,11 @@
 type t = { phys : Phys.t; layout : Layout.t; pmap : Pmap.t }
 
-let create phys layout ~asid = { phys; layout; pmap = Pmap.create ~asid }
 let pmap t = t.pmap
 let layout t = t.layout
 let phys t = t.phys
 let page = Phys.page_size
 
-let map_range t ~vaddr ~len ~writable =
+let map_pages t ~vaddr ~len ~writable ~cap_store =
   let first = vaddr / page and last = (vaddr + len - 1) / page in
   let fresh = ref 0 in
   for vp = first to last do
@@ -14,24 +13,28 @@ let map_range t ~vaddr ~len ~writable =
       let frame = Phys.alloc_frame t.phys in
       Phys.zero_frame t.phys frame;
       let pte = Pte.make ~frame ~writable ~clg:(Pmap.generation t.pmap) in
+      pte.Pte.cap_store <- cap_store;
       Pmap.enter t.pmap ~vpage:vp pte;
       incr fresh
     end
   done;
   !fresh
 
-let unmap_range t ~vaddr ~len =
-  let first = vaddr / page and last = (vaddr + len - 1) / page in
-  let removed = ref [] in
-  for vp = first to last do
-    match Pmap.lookup t.pmap ~vpage:vp with
-    | None -> ()
-    | Some pte ->
-        Phys.free_frame t.phys pte.Pte.frame;
-        Pmap.remove t.pmap ~vpage:vp;
-        removed := vp :: !removed
-  done;
-  List.rev !removed
+let map_range t ~vaddr ~len ~writable = map_pages t ~vaddr ~len ~writable ~cap_store:true
+
+(* The table ends with the layout's last region, the shadow bitmap. *)
+let empty phys layout ~asid =
+  { phys; layout; pmap = Pmap.create ~asid ~pages:(layout.Layout.shadow_limit / page) }
+
+(* The shadow bitmap is a kernel-provided object: mapped eagerly,
+   writable, but never allowed to carry capabilities. *)
+let create phys layout ~asid =
+  let t = empty phys layout ~asid in
+  let lo = layout.Layout.shadow_base in
+  ignore
+    (map_pages t ~vaddr:lo ~len:(layout.Layout.shadow_limit - lo) ~writable:true
+       ~cap_store:false);
+  t
 
 let translate t va =
   match Pmap.lookup t.pmap ~vpage:(va / page) with
@@ -50,7 +53,7 @@ let asid t = Pmap.asid t.pmap
    and the parent vpages that were downgraded — the caller must shoot
    those down from TLBs so stale writable snapshots cannot linger. *)
 let fork t ~asid =
-  let child = { phys = t.phys; layout = t.layout; pmap = Pmap.create ~asid } in
+  let child = empty t.phys t.layout ~asid in
   Pmap.set_generation child.pmap (Pmap.generation t.pmap);
   let downgraded = ref [] in
   Pmap.iter t.pmap ~f:(fun vp (pte : Pte.t) ->
@@ -95,12 +98,8 @@ let cow_break t ~vpage =
 (* Tear down every mapping (process reap / exec). Frames are dropped by
    one reference each; shared CoW frames survive in their other owners. *)
 let release_all t =
-  let vps = Pmap.vpages_in t.pmap ~lo:0 ~hi:max_int in
-  List.iter
-    (fun vp ->
-      (match Pmap.lookup t.pmap ~vpage:vp with
-      | Some pte -> Phys.free_frame t.phys pte.Pte.frame
-      | None -> ());
-      Pmap.remove t.pmap ~vpage:vp)
-    vps;
-  List.length vps
+  let released = Pmap.page_count t.pmap in
+  Pmap.iter t.pmap ~f:(fun vp pte ->
+      Phys.free_frame t.phys pte.Pte.frame;
+      Pmap.remove t.pmap ~vpage:vp);
+  released

@@ -1,11 +1,17 @@
 (** An address space: layout + pmap + frame allocation.
 
+    The pmap covers every vpage up to the end of the layout's last
+    region, the shadow bitmap; mapping a page beyond it raises.
     Translation here is the raw page-table walk; per-core TLB caching and
     its costs live in the machine layer. *)
 
 type t
 
 val create : Phys.t -> Layout.t -> asid:int -> t
+(** A space with only the shadow bitmap mapped: eagerly, zeroed,
+    writable, and refusing capability stores (a kernel-provided
+    object). *)
+
 val pmap : t -> Pmap.t
 val layout : t -> Layout.t
 val phys : t -> Phys.t
@@ -14,10 +20,6 @@ val map_range : t -> vaddr:int -> len:int -> writable:bool -> int
 (** Map (and zero) all pages covering [\[vaddr, vaddr+len)] that are not
     already mapped; new PTEs adopt the pmap's current generation. Returns
     the number of pages freshly mapped. *)
-
-val unmap_range : t -> vaddr:int -> len:int -> int list
-(** Unmap every mapped page in the range, freeing frames; returns the
-    vpages removed (caller must shoot down TLBs). *)
 
 val translate : t -> int -> (int * Pte.t) option
 (** [translate t va] walks the page table: physical address + PTE, or

@@ -3,8 +3,6 @@ type t = {
   heap_limit : int;
   shadow_base : int;
   shadow_limit : int;
-  hoard_base : int;
-  hoard_limit : int;
 }
 
 let page = Phys.page_size
@@ -16,14 +14,11 @@ let make ~heap_bytes =
   (* one bit per granule = heap/128 bytes of bitmap *)
   let shadow_bytes = align_up (heap_bytes / 128 + 1) in
   let shadow_base = heap_base + heap_bytes + page (* guard *) in
-  let hoard_base = shadow_base + shadow_bytes + page in
   {
     heap_base;
     heap_limit = heap_base + heap_bytes;
     shadow_base;
     shadow_limit = shadow_base + shadow_bytes;
-    hoard_base;
-    hoard_limit = hoard_base + (16 * page);
   }
 
 let heap_bytes t = t.heap_limit - t.heap_base
@@ -34,8 +29,3 @@ let shadow_addr_of_heap t va =
 
 let shadow_bit_of_heap va = va / 16 land 7
 let contains_heap t va = va >= t.heap_base && va < t.heap_limit
-
-let pp fmt t =
-  Format.fprintf fmt "heap [%#x,%#x) shadow [%#x,%#x) hoard [%#x,%#x)"
-    t.heap_base t.heap_limit t.shadow_base t.shadow_limit t.hoard_base
-    t.hoard_limit

@@ -1,17 +1,16 @@
 (** Address-space layout.
 
-    A fixed, simple layout: a null guard page, the heap region, the
-    kernel-provided revocation ("shadow") bitmap region covering the heap
-    at one bit per 16-byte granule, and a small region for kernel hoard
-    pages. All boundaries are page-aligned. *)
+    A fixed, simple layout: a null guard page, the heap region, a guard
+    page, and the kernel-provided revocation ("shadow") bitmap region
+    covering the heap at one bit per 16-byte granule. The shadow bitmap
+    is the last region: an address space's page table ends with it. All
+    boundaries are page-aligned. *)
 
 type t = {
   heap_base : int;
   heap_limit : int; (** exclusive *)
   shadow_base : int;
   shadow_limit : int;
-  hoard_base : int;
-  hoard_limit : int;
 }
 
 val make : heap_bytes:int -> t
@@ -29,4 +28,3 @@ val shadow_bit_of_heap : int -> int
 (** Bit index (0–7) within that byte. *)
 
 val contains_heap : t -> int -> bool
-val pp : Format.formatter -> t -> unit

@@ -77,13 +77,15 @@ type rig = {
   san : Sanitizer.t;
 }
 
-let mk ?(strategy = Revoker.Reloaded) ?recovery () =
+let mk ?(strategy = Revoker.Reloaded) ?recovery ?background_threads () =
   let m = Machine.create cfg in
   let tr = Trace.create ~capacity:65536 () in
   Machine.attach_tracer m (Some tr);
   let alloc = Alloc.Backend.snmalloc (Alloc.Allocator.create m) in
   let hoards = Kernel.Hoard.create () in
-  let rv = Revoker.create m ~strategy ~core:2 ~hoards ?recovery () in
+  let rv =
+    Revoker.create m ~strategy ~core:2 ~hoards ?recovery ?background_threads ()
+  in
   let mrs = Mrs.create m ~alloc ~revoker:rv () in
   let san = Sanitizer.attach ~revoker:rv m in
   { m; tr; rv; mrs; san }
@@ -107,14 +109,17 @@ let sweeps_around_resume tr =
 
 (* Sixteen page-sized blocks, each made capability-dirty by a self cap,
    all freed into one batch; the app then idles in [wait_drained] so
-   every page visit comes from the revoker's sweep (no self-healing). *)
-let crash_run ~strategy ~crash_at =
-  let r = mk ~strategy () in
+   every page visit comes from the revoker's sweep (no self-healing).
+   The [crash_at]th page visit on [crash_core] raises: core 2 is the
+   revoker thread's, cores 1 and 0 are the §7.1 helpers' when
+   [background_threads] is 2 or more. *)
+let crash_run ~strategy ?background_threads ?(crash_core = 2) ~crash_at () =
+  let r = mk ~strategy ?background_threads () in
   let visits = ref 0 in
   Revoker.set_sweep_hook r.rv
     (Some
        (fun ctx _vp ->
-         if Machine.core_id ctx = 2 then begin
+         if Machine.core_id ctx = crash_core then begin
            incr visits;
            if !visits = crash_at then raise Revoker.Induced_crash
          end));
@@ -134,7 +139,7 @@ let crash_run ~strategy ~crash_at =
   (r, clean)
 
 let test_reloaded_resume_disjoint () =
-  let r, clean = crash_run ~strategy:Revoker.Reloaded ~crash_at:6 in
+  let r, clean = crash_run ~strategy:Revoker.Reloaded ~crash_at:6 () in
   let rs = Revoker.recovery_stats r.rv in
   check_int "exactly one crash retry" 1 rs.Revoker.sweep_crash_retries;
   check_int "no epoch abort: the crash was resumable" 0 rs.Revoker.epoch_aborts;
@@ -148,11 +153,31 @@ let test_reloaded_resume_disjoint () =
   check "quarantine drained to a clean epoch" true !clean;
   check "sanitizer clean across the crash" true (Sanitizer.ok r.san)
 
+let test_reloaded_helper_crash_resumes () =
+  (* the same crash in a helper's share: the helper records it, the
+     coordinator drains every share, and the resumed pass re-dispatches
+     only the pages no share finished *)
+  let r, clean =
+    crash_run ~strategy:Revoker.Reloaded ~background_threads:3 ~crash_core:1
+      ~crash_at:3 ()
+  in
+  let rs = Revoker.recovery_stats r.rv in
+  check_int "exactly one crash retry" 1 rs.Revoker.sweep_crash_retries;
+  check_int "no epoch abort: the crash was resumable" 0 rs.Revoker.epoch_aborts;
+  check_int "one Epoch_resume event" 1 (count_kind r.tr Trace.Epoch_resume);
+  let pre, post = sweeps_around_resume r.tr in
+  check_int "pages swept before the resume" 13 (List.length pre);
+  check_int "pages swept after it" 3 (List.length post);
+  check "resume re-visits ONLY unvisited pages (checkpoint held)" true
+    (List.for_all (fun f -> not (List.mem f pre)) post);
+  check "quarantine drained to a clean epoch" true !clean;
+  check "sanitizer clean across the crash" true (Sanitizer.ok r.san)
+
 let test_cherivoke_restart_overlaps () =
   (* contrast: Cherivoke's stop-the-world sweep has no mid-pass
      checkpoint — a crash resets the cursor and the retry re-sweeps
      pages the dead pass already covered *)
-  let r, clean = crash_run ~strategy:Revoker.Cherivoke ~crash_at:6 in
+  let r, clean = crash_run ~strategy:Revoker.Cherivoke ~crash_at:6 () in
   let rs = Revoker.recovery_stats r.rv in
   check "crash was retried" true (rs.Revoker.sweep_crash_retries >= 1);
   check "resume announced" true (count_kind r.tr Trace.Epoch_resume >= 1);
@@ -403,6 +428,8 @@ let () =
         [
           Alcotest.test_case "reloaded resume is disjoint" `Quick
             test_reloaded_resume_disjoint;
+          Alcotest.test_case "reloaded helper crash resumes" `Quick
+            test_reloaded_helper_crash_resumes;
           Alcotest.test_case "cherivoke restart overlaps" `Quick
             test_cherivoke_restart_overlaps;
           Alcotest.test_case "watchdog abort and retry" `Quick

@@ -42,7 +42,7 @@ let test_zero_frame () =
   Alcotest.(check int64) "zeroed" 0L (Tagmem.Mem.read_u64 (Phys.mem p) a)
 
 let test_pmap_basic () =
-  let pm = Pmap.create ~asid:0 in
+  let pm = Pmap.create ~asid:0 ~pages:16 in
   let pte = Pte.make ~frame:3 ~writable:true ~clg:false in
   Pmap.enter pm ~vpage:10 pte;
   check "mem" true (Pmap.mem pm ~vpage:10);
@@ -52,7 +52,7 @@ let test_pmap_basic () =
   check "removed" false (Pmap.mem pm ~vpage:10)
 
 let test_pmap_sorted () =
-  let pm = Pmap.create ~asid:0 in
+  let pm = Pmap.create ~asid:0 ~pages:16 in
   List.iter
     (fun vp -> Pmap.enter pm ~vpage:vp (Pte.make ~frame:vp ~writable:true ~clg:false))
     [ 9; 2; 5 ];
@@ -60,7 +60,7 @@ let test_pmap_sorted () =
   Alcotest.(check (list int)) "range" [ 5; 9 ] (Pmap.vpages_in pm ~lo:3 ~hi:9)
 
 let test_pmap_lock_protocol () =
-  let pm = Pmap.create ~asid:0 in
+  let pm = Pmap.create ~asid:0 ~pages:16 in
   let contended = Pmap.lock pm ~who:1 in
   check "uncontended" false contended;
   Alcotest.check_raises "re-entrant"
@@ -68,25 +68,13 @@ let test_pmap_lock_protocol () =
       ignore (Pmap.lock pm ~who:1));
   Pmap.unlock pm ~who:1;
   Alcotest.check_raises "unlock not holder"
-    (Invalid_argument "Pmap.unlock: not the holder") (fun () -> Pmap.unlock pm ~who:2);
-  check_int "acquisitions" 1 (Pmap.lock_acquisitions pm)
+    (Invalid_argument "Pmap.unlock: not the holder") (fun () -> Pmap.unlock pm ~who:2)
 
 let test_pmap_generation () =
-  let pm = Pmap.create ~asid:0 in
+  let pm = Pmap.create ~asid:0 ~pages:16 in
   check "initial gen" false (Pmap.generation pm);
   Pmap.set_generation pm true;
   check "flipped" true (Pmap.generation pm)
-
-let test_pmap_busy () =
-  let pm = Pmap.create ~asid:0 in
-  check "not busy" false (Pmap.is_busy pm);
-  Pmap.busy pm;
-  Pmap.busy pm;
-  Pmap.unbusy pm;
-  check "still busy" true (Pmap.is_busy pm);
-  Pmap.unbusy pm;
-  Alcotest.check_raises "unbalanced" (Invalid_argument "Pmap.unbusy: not busy")
-    (fun () -> Pmap.unbusy pm)
 
 let test_tlb_fill_and_hit () =
   let tlb = Tlb.create ~entries:16 () in
@@ -264,17 +252,24 @@ let test_aspace_map_translate () =
   | None -> Alcotest.fail "translate failed");
   check "unmapped is None" true (Aspace.translate asp (va + (100 * page)) = None)
 
-let test_aspace_unmap () =
+let test_aspace_fresh_maps_shadow () =
   let phys = mk_phys () in
-  let layout = Layout.make ~heap_bytes:(1 lsl 18) in
+  let layout = Layout.make ~heap_bytes:(1 lsl 20) in
   let asp = Aspace.create phys layout ~asid:0 in
-  let va = layout.Layout.heap_base in
-  let free0 = Phys.free_frames phys in
-  ignore (Aspace.map_range asp ~vaddr:va ~len:(2 * page) ~writable:true);
-  let removed = Aspace.unmap_range asp ~vaddr:va ~len:(2 * page) in
-  check_int "two removed" 2 (List.length removed);
-  check_int "frames returned" free0 (Phys.free_frames phys);
-  check "gone" true (Aspace.translate asp va = None)
+  let lo = layout.Layout.shadow_base / page and hi = (layout.Layout.shadow_limit / page) - 1 in
+  check "the shadow spans several pages" true (hi > lo);
+  Alcotest.(check (list int))
+    "exactly the shadow pages" (List.init (hi - lo + 1) (( + ) lo))
+    (Pmap.vpages_in (Aspace.pmap asp) ~lo:0 ~hi:max_int);
+  check_int "mapped pages" (hi - lo + 1) (Aspace.mapped_pages asp);
+  Pmap.iter (Aspace.pmap asp) ~f:(fun _ pte ->
+      check "writable" true pte.Pte.writable;
+      check "refuses capability stores" false pte.Pte.cap_store);
+  check "no heap page" true (Aspace.translate asp layout.Layout.heap_base = None);
+  check "no page past the shadow" true
+    (match Aspace.map_range asp ~vaddr:layout.Layout.shadow_limit ~len:page ~writable:true with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_aspace_new_pte_generation () =
   let phys = mk_phys () in
@@ -327,15 +322,19 @@ let prop_shadow_bijection =
       || Layout.shadow_addr_of_heap l a1 <> Layout.shadow_addr_of_heap l a2
       || Layout.shadow_bit_of_heap a1 <> Layout.shadow_bit_of_heap a2)
 
-(* Pmap's cached vpage order against a fresh enumeration, across random
-   enters (re-entering a mapped vpage included), removals and range
-   queries: a query answered from a stale cache shows up as a
-   mismatch. *)
+(* The flat page table against a [Hashtbl] model, across random enters
+   (re-entering a mapped vpage included), removals and range queries, with
+   vpages drawn from a little below 0 to a little past the table's end.
+   After every step the table agrees with the model on every drawn vpage,
+   on its page count and on [iter]'s order; entering outside the table
+   raises, and lookups and removals there find nothing. *)
+let pmap_pages = 40
+
 type pmap_op = Enter of int | Remove of int | Query of int * int
 
 let pmap_op_gen =
   QCheck.Gen.(
-    let vp = int_bound 47 in
+    let vp = int_range (-3) (pmap_pages + 2) in
     frequency
       [
         (4, map (fun v -> Enter v) vp);
@@ -348,28 +347,52 @@ let pp_pmap_op = function
   | Remove v -> Printf.sprintf "remove %d" v
   | Query (lo, hi) -> Printf.sprintf "query [%d,%d]" lo hi
 
-let prop_pmap_cached_order =
-  QCheck.Test.make ~name:"cached vpage order == fold + sort + filter" ~count:300
+let prop_pmap_model =
+  QCheck.Test.make ~name:"flat pmap == Hashtbl model, in vpage order" ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map pp_pmap_op ops))
        QCheck.Gen.(list_size (int_bound 80) pmap_op_gen))
     (fun ops ->
-      let pm = Pmap.create ~asid:0 in
-      let fresh ~lo ~hi =
-        let all = ref [] in
-        Pmap.iter pm ~f:(fun vp _ -> all := vp :: !all);
-        List.filter (fun vp -> vp >= lo && vp <= hi) (List.sort compare !all)
+      let pm = Pmap.create ~asid:0 ~pages:pmap_pages in
+      let model = Hashtbl.create 16 in
+      let keys () = List.sort compare (Hashtbl.fold (fun vp _ acc -> vp :: acc) model []) in
+      let agrees vp =
+        Pmap.mem pm ~vpage:vp = Hashtbl.mem model vp
+        &&
+        match (Pmap.lookup pm ~vpage:vp, Hashtbl.find_opt model vp) with
+        | None, None -> true
+        | Some a, Some b -> a == b
+        | _ -> false
+      in
+      let step = function
+        | Enter vp ->
+            let pte = Pte.make ~frame:vp ~writable:false ~clg:false in
+            if vp >= 0 && vp < pmap_pages then begin
+              Pmap.enter pm ~vpage:vp pte;
+              Hashtbl.replace model vp pte;
+              true
+            end
+            else (
+              match Pmap.enter pm ~vpage:vp pte with
+              | () -> false
+              | exception Invalid_argument _ -> true)
+        | Remove vp ->
+            Pmap.remove pm ~vpage:vp;
+            Hashtbl.remove model vp;
+            true
+        | Query (lo, hi) ->
+            Pmap.vpages_in pm ~lo ~hi = List.filter (fun vp -> vp >= lo && vp <= hi) (keys ())
       in
       List.for_all
-        (function
-          | Enter vp ->
-              Pmap.enter pm ~vpage:vp (Pte.make ~frame:vp ~writable:false ~clg:false);
-              true
-          | Remove vp ->
-              Pmap.remove pm ~vpage:vp;
-              true
-          | Query (lo, hi) -> Pmap.vpages_in pm ~lo ~hi = fresh ~lo ~hi)
-        (ops @ [ Query (0, max_int) ]))
+        (fun op ->
+          step op
+          && Pmap.page_count pm = Hashtbl.length model
+          && List.for_all agrees (List.init (pmap_pages + 6) (fun i -> i - 3))
+          &&
+          let seen = ref [] in
+          Pmap.iter pm ~f:(fun vp _ -> seen := vp :: !seen);
+          List.rev !seen = keys ())
+        (ops @ [ Query (min_int, max_int) ]))
 
 let () =
   Alcotest.run "vm"
@@ -386,7 +409,6 @@ let () =
           Alcotest.test_case "sorted" `Quick test_pmap_sorted;
           Alcotest.test_case "lock protocol" `Quick test_pmap_lock_protocol;
           Alcotest.test_case "generation" `Quick test_pmap_generation;
-          Alcotest.test_case "busy" `Quick test_pmap_busy;
         ] );
       ( "tlb",
         [
@@ -400,7 +422,7 @@ let () =
       ( "aspace",
         [
           Alcotest.test_case "map/translate" `Quick test_aspace_map_translate;
-          Alcotest.test_case "unmap" `Quick test_aspace_unmap;
+          Alcotest.test_case "fresh maps the shadow" `Quick test_aspace_fresh_maps_shadow;
           Alcotest.test_case "new pte generation" `Quick test_aspace_new_pte_generation;
         ] );
       ( "reservation",
@@ -411,5 +433,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_shadow_bijection; prop_pmap_cached_order; prop_tlb_model ] );
+          [ prop_shadow_bijection; prop_pmap_model; prop_tlb_model ] );
     ]
